@@ -1,10 +1,12 @@
-"""Coefficient fields for exact linear algebra.
+"""Coefficient fields for exact arithmetic.
 
 Two kinds of field are supported: prime fields GF(p) whose elements are
 canonical residues 0..p-1 (plain ints), and the rationals whose elements
 are ``fractions.Fraction`` in lowest terms.  A field object bundles the
 arithmetic so that matrices and algebra elements can hold raw canonical
-values without per-element wrappers.
+values without per-element wrappers.  The rationals are scalars only: they
+serve TLElement and HeckeElement, while exact matrices (tlschur.linalg) and
+the oracle built on them take GF(p) alone.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .fields import GF2, GF5, QQ
+from .fields import GF2, GF5
 from .permutations import Permutation
 from .tl import TLElement, TLParams
 
@@ -71,9 +71,6 @@ def quantum_ell2(d: int) -> HeckeParams:
 
 
 # The two blessed configurations exercised throughout the oracle suite.
-CLASSICAL_CHAR2 = classical_char2
-QUANTUM_ELL2 = quantum_ell2
-
 BLESSED_CONFIGS = {
     "gf2-u1": classical_char2,
     "gf5-u2": quantum_ell2,

@@ -1,24 +1,25 @@
-"""Exact matrices over GF(p) and the rationals.
+"""Exact matrices over prime fields GF(p).
 
 A Matrix is immutable: every operation returns a fresh instance.  Storage
-depends on the field: packed uint64 bit rows for GF(2), int64 residue arrays
-for GF(p) with p odd, and object arrays of Fractions for the rationals.
+depends on the field: packed uint64 bit rows for GF(2) and int64 residue
+arrays for GF(p) with p odd; any other field is rejected on construction.
 Row reduction uses the first nonzero entry in column order as pivot, so
 echelon forms, kernel bases and solutions are deterministic.
 
-Solving and kernels follow the column convention: kernel_basis(M) spans
-{x : M x = 0} and solve(M, b) returns x with M x = b.
+Solving and kernels follow the column convention: kernel_basis_matrix(M)
+holds a basis of {x : M x = 0} as rows and solve_many(M, B) returns X with
+M X = B.  flatten and unflatten convert between matrices and their
+row-major flattenings, the coordinates of every intertwiner system.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _kernels
-from .fields import GF, QQ, RationalField
+from .fields import GF
 
 _MAX_GFP_MATMUL = 2**62
 
@@ -31,6 +32,11 @@ def _inv_table(p: int) -> np.ndarray:
 
 
 _INV_CACHE: dict[int, np.ndarray] = {}
+
+
+def _check_field(field) -> None:
+    if not isinstance(field, GF):
+        raise ValueError(f"exact matrices need a prime field GF(p), got {field.name}")
 
 
 def _inverses(p: int) -> np.ndarray:
@@ -54,18 +60,13 @@ class Matrix:
 
     @staticmethod
     def from_rows(field, rows: Iterable[Sequence]) -> "Matrix":
+        _check_field(field)
         rows = [list(r) for r in rows]
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
-        if isinstance(field, RationalField):
-            d = np.empty((nrows, ncols), dtype=object)
-            for i, r in enumerate(rows):
-                for j, x in enumerate(r):
-                    d[i, j] = field.coerce(x)
-            return Matrix(field, nrows, ncols, d)
         dense = np.array(
             [[field.coerce(x) for x in r] for r in rows] if nrows else [],
             dtype=np.int64,
@@ -76,47 +77,24 @@ class Matrix:
 
     @staticmethod
     def zeros(field, nrows: int, ncols: int) -> "Matrix":
-        if isinstance(field, RationalField):
-            d = np.empty((nrows, ncols), dtype=object)
-            d[...] = Fraction(0)
-            return Matrix(field, nrows, ncols, d)
+        _check_field(field)
         if field.p == 2:
             return Matrix(field, nrows, ncols, np.zeros((nrows, max(1, (ncols + 63) // 64)), np.uint64))
         return Matrix(field, nrows, ncols, np.zeros((nrows, ncols), np.int64))
 
     @staticmethod
     def identity(field, n: int) -> "Matrix":
-        if isinstance(field, RationalField):
-            d = np.empty((n, n), dtype=object)
-            d[...] = Fraction(0)
-            for i in range(n):
-                d[i, i] = Fraction(1)
-            return Matrix(field, n, n, d)
+        _check_field(field)
         eye = np.eye(n, dtype=np.int64)
         if field.p == 2:
             return Matrix(field, n, n, _kernels.pack_rows(eye.astype(np.uint8)))
         return Matrix(field, n, n, eye)
 
     @staticmethod
-    def row_vector(field, entries: Sequence) -> "Matrix":
-        return Matrix.from_rows(field, [entries])
-
-    @staticmethod
-    def random(field, nrows: int, ncols: int, rng) -> "Matrix":
-        return Matrix.from_rows(
-            field, [[field.random(rng) for _ in range(ncols)] for _ in range(nrows)]
-        )
-
-    @staticmethod
     def from_dense(field, dense: np.ndarray) -> "Matrix":
         """Internal-friendly constructor from an integer array (already canonical)."""
+        _check_field(field)
         nrows, ncols = dense.shape
-        if isinstance(field, RationalField):
-            d = np.empty((nrows, ncols), dtype=object)
-            for i in range(nrows):
-                for j in range(ncols):
-                    d[i, j] = Fraction(int(dense[i, j]))
-            return Matrix(field, nrows, ncols, d)
         if field.p == 2:
             return Matrix(field, nrows, ncols, _kernels.pack_rows(dense.astype(np.uint8)))
         return Matrix(field, nrows, ncols, np.asarray(dense, dtype=np.int64) % field.p)
@@ -124,19 +102,12 @@ class Matrix:
     # -- raw views -----------------------------------------------------------
 
     def dense(self) -> np.ndarray:
-        """Entries as a numpy array: uint8 for GF(2), int64 for GF(p), object for QQ."""
-        if self._is_q():
-            return self._d
+        """Entries as a numpy array: uint8 for GF(2), int64 for GF(p)."""
         if self.field.p == 2:
             return _kernels.unpack_rows(self._d, self.ncols)
         return self._d
 
-    def _is_q(self) -> bool:
-        return isinstance(self.field, RationalField)
-
     def entry(self, i: int, j: int):
-        if self._is_q():
-            return self._d[i, j]
         if self.field.p == 2:
             return int((self._d[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
         return int(self._d[i, j])
@@ -145,7 +116,7 @@ class Matrix:
         return tuple(self.entry(i, j) for j in range(self.ncols))
 
     def to_rows(self) -> list[tuple]:
-        if self.field != QQ and self.field.p == 2:
+        if self.field.p == 2:
             dense = self.dense()
             return [tuple(int(x) for x in dense[i]) for i in range(self.nrows)]
         return [self.row(i) for i in range(self.nrows)]
@@ -153,8 +124,6 @@ class Matrix:
     # -- structure -----------------------------------------------------------
 
     def transpose(self) -> "Matrix":
-        if self._is_q():
-            return Matrix(self.field, self.ncols, self.nrows, self._d.T.copy())
         if self.field.p == 2:
             return Matrix.from_dense(self.field, self.dense().T)
         return Matrix(self.field, self.ncols, self.nrows, self._d.T.copy())
@@ -165,7 +134,7 @@ class Matrix:
 
     def select_columns(self, idx: Sequence[int]) -> "Matrix":
         idx = list(idx)
-        if self.field != QQ and self.field.p == 2:
+        if self.field.p == 2:
             return Matrix.from_dense(self.field, self.dense()[:, idx])
         return Matrix(self.field, self.nrows, len(idx), self._d[:, idx].copy())
 
@@ -186,7 +155,7 @@ class Matrix:
         nrows = mats[0].nrows
         for m in mats:
             assert m.field == f and m.nrows == nrows
-        if f != QQ and f.p == 2:
+        if f.p == 2:
             dense = np.concatenate([m.dense() for m in mats], axis=1)
             return Matrix.from_dense(f, dense)
         data = np.concatenate([m._d for m in mats], axis=1)
@@ -198,15 +167,6 @@ class Matrix:
         f = mats[0].field
         nr = sum(m.nrows for m in mats)
         nc = sum(m.ncols for m in mats)
-        if isinstance(f, RationalField):
-            out = np.empty((nr, nc), dtype=object)
-            out[...] = Fraction(0)
-            r = c = 0
-            for m in mats:
-                out[r : r + m.nrows, c : c + m.ncols] = m._d
-                r += m.nrows
-                c += m.ncols
-            return Matrix(f, nr, nc, out)
         out = np.zeros((nr, nc), dtype=np.int64)
         r = c = 0
         for m in mats:
@@ -219,23 +179,17 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         assert self.field == other.field and self.nrows == other.nrows and self.ncols == other.ncols
-        if self._is_q():
-            return Matrix(self.field, self.nrows, self.ncols, self._d + other._d)
         if self.field.p == 2:
             return Matrix(self.field, self.nrows, self.ncols, self._d ^ other._d)
         return Matrix(self.field, self.nrows, self.ncols, (self._d + other._d) % self.field.p)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.field != QQ and self.field.p == 2:
+        if self.field.p == 2:
             return self + other
-        if self._is_q():
-            return Matrix(self.field, self.nrows, self.ncols, self._d - other._d)
         return Matrix(self.field, self.nrows, self.ncols, (self._d - other._d) % self.field.p)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
-        if self._is_q():
-            return Matrix(self.field, self.nrows, self.ncols, self._d * c)
         if self.field.p == 2:
             return self if c == 1 else Matrix.zeros(self.field, self.nrows, self.ncols)
         return Matrix(self.field, self.nrows, self.ncols, (self._d * c) % self.field.p)
@@ -244,14 +198,6 @@ class Matrix:
         assert self.field == other.field, "field mismatch"
         assert self.ncols == other.nrows, "shape mismatch"
         f = self.field
-        if self._is_q():
-            prod = np.dot(self._d, other._d) if self.nrows and other.ncols else np.empty((self.nrows, other.ncols), object)
-            if not (self.nrows and other.ncols):
-                prod[...] = Fraction(0)
-            if self.ncols == 0:
-                prod = np.empty((self.nrows, other.ncols), object)
-                prod[...] = Fraction(0)
-            return Matrix(f, self.nrows, other.ncols, prod)
         if f.p == 2:
             out = np.zeros((self.nrows, other._d.shape[1]), np.uint64)
             _kernels.gf2_matmul(self._d, self.ncols, other._d, out)
@@ -265,26 +211,14 @@ class Matrix:
 
     def kron(self, other: "Matrix") -> "Matrix":
         assert self.field == other.field
-        if self._is_q():
-            return Matrix(
-                self.field,
-                self.nrows * other.nrows,
-                self.ncols * other.ncols,
-                np.kron(self._d, other._d),
-            )
         dense = np.kron(self.dense().astype(np.int64), other.dense().astype(np.int64))
-        return Matrix.from_dense(self.field, dense % max(self.field.p, 2))
+        return Matrix.from_dense(self.field, dense % self.field.p)
 
-    def neg(self) -> "Matrix":
-        if self._is_q():
-            return Matrix(self.field, self.nrows, self.ncols, -self._d)
-        if self.field.p == 2:
-            return self
-        return Matrix(self.field, self.nrows, self.ncols, (-self._d) % self.field.p)
+    def reshape(self, nrows: int, ncols: int) -> "Matrix":
+        """The same entries in row-major order, read as an nrows x ncols matrix."""
+        return Matrix.from_dense(self.field, self.dense().reshape(nrows, ncols))
 
     def is_zero(self) -> bool:
-        if self._is_q():
-            return all(x == 0 for x in self._d.flat)
         return not self._d.any()
 
     def __eq__(self, other) -> bool:
@@ -302,10 +236,6 @@ class Matrix:
     def rref(self) -> tuple["Matrix", int, tuple[int, ...]]:
         """Reduced row echelon form; returns (R, rank, pivot columns)."""
         f = self.field
-        if self._is_q():
-            d = self._d.copy()
-            rank, pivots = _rat_rref(d)
-            return Matrix(f, self.nrows, self.ncols, d), rank, tuple(pivots)
         if f.p == 2:
             d = self._d.copy()
             rank, pivots = _kernels.gf2_rref(d, self.ncols)
@@ -319,31 +249,7 @@ class Matrix:
 
     def kernel_basis_matrix(self) -> "Matrix":
         """Basis of {x : self @ x = 0}, one basis vector per row."""
-        R, rank, pivots = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        f = self.field
-        if not free:
-            return Matrix.zeros(f, 0, self.ncols)
-        if self._is_q():
-            out = np.empty((len(free), self.ncols), dtype=object)
-            out[...] = Fraction(0)
-            for b, j in enumerate(free):
-                out[b, j] = Fraction(1)
-                for r, p in enumerate(pivots):
-                    out[b, p] = -R._d[r, j]
-            return Matrix(f, len(free), self.ncols, out)
-        # only the rank pivot rows carry data; avoid densifying the zero tail
-        Rd = R.select_rows(range(rank)).dense().astype(np.int64)
-        out = np.zeros((len(free), self.ncols), dtype=np.int64)
-        out[np.arange(len(free)), free] = 1
-        if rank:
-            out[:, list(pivots)] = (-Rd[:, free].T) % f.p
-        return Matrix.from_dense(f, out)
-
-    def kernel_basis(self) -> list[tuple]:
-        """Kernel basis as a list of column vectors (tuples of scalars)."""
-        return self.kernel_basis_matrix().to_rows()
+        return kernel_from_rref(*self.rref())
 
     def solve_many(self, rhs: "Matrix") -> "Matrix | None":
         """Solve self @ X = rhs for all columns at once; None if any is unsolvable.
@@ -351,7 +257,7 @@ class Matrix:
         Free variables are set to zero, so the solution is deterministic.
         """
         assert rhs.nrows == self.nrows
-        if not self._is_q() and rhs.ncols > 8192:
+        if rhs.ncols > 8192:
             # chunk wide right-hand sides to cap the augmented working set
             parts = []
             for lo in range(0, rhs.ncols, 8192):
@@ -366,12 +272,6 @@ class Matrix:
         if any(p >= self.ncols for p in pivots):
             return None
         f = self.field
-        if self._is_q():
-            out = np.empty((self.ncols, rhs.ncols), dtype=object)
-            out[...] = Fraction(0)
-            for r, p in enumerate(pivots):
-                out[p, :] = R._d[r, self.ncols :]
-            return Matrix(f, self.ncols, rhs.ncols, out)
         # only the rank pivot rows and the rhs columns carry data
         Rd = R.select_rows(range(rank)).dense()[:, self.ncols :]
         out = np.zeros((self.ncols, rhs.ncols), dtype=Rd.dtype)
@@ -379,46 +279,35 @@ class Matrix:
             out[p, :] = Rd[r]
         return Matrix.from_dense(f, out)
 
-    def solve(self, b: Sequence) -> tuple | None:
-        """One solution x of self @ x = b, or None if inconsistent."""
-        col = Matrix.from_rows(self.field, [[x] for x in b]) if self.nrows else Matrix.zeros(self.field, 0, 1)
-        sol = self.solve_many(col)
-        if sol is None:
-            return None
-        return tuple(sol.entry(i, 0) for i in range(self.ncols))
 
-    def row_space_contains(self, vec: "Matrix") -> bool:
-        """True when every row of vec lies in the row space of self."""
-        base = self.rank()
-        return Matrix.vstack([self, vec]).rank() == base
+def kernel_from_rref(R: Matrix, rank: int, pivots: Sequence[int]) -> Matrix:
+    """Kernel basis of a matrix, one vector per row, read off its rref.
+
+    Each free column j gives the vector with 1 at j and minus column j of the
+    pivot rows at the pivot positions.  Transposed, the same matrix projects
+    onto the quotient by the row space of R.
+    """
+    pivset = set(pivots)
+    free = [j for j in range(R.ncols) if j not in pivset]
+    if not free:
+        return Matrix.zeros(R.field, 0, R.ncols)
+    # only the rank pivot rows carry data; avoid densifying the zero tail
+    Rd = R.select_rows(range(rank)).dense().astype(np.int64)
+    out = np.zeros((len(free), R.ncols), dtype=np.int64)
+    out[np.arange(len(free)), free] = 1
+    if rank:
+        out[:, list(pivots)] = (-Rd[:, free].T) % R.field.p
+    return Matrix.from_dense(R.field, out)
 
 
-def _rat_rref(a: np.ndarray) -> tuple[int, list[int]]:
-    nrows, ncols = a.shape
-    rank = 0
-    pivots: list[int] = []
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = -1
-        for r in range(rank, nrows):
-            if a[r, col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        lead = a[rank, col]
-        if lead != 1:
-            a[rank, col:] = [x / lead for x in a[rank, col:]]
-        for r in range(nrows):
-            c = a[r, col]
-            if r != rank and c != 0:
-                a[r, col:] = [x - c * y for x, y in zip(a[r, col:], a[rank, col:])]
-        pivots.append(col)
-        rank += 1
-    return rank, pivots
+def flatten(mats: Iterable[Matrix]) -> Matrix:
+    """Row-major flattenings of equally shaped matrices, stacked one per row."""
+    return Matrix.vstack([m.reshape(1, m.nrows * m.ncols) for m in mats])
+
+
+def unflatten(rows: Matrix, nrows: int, ncols: int) -> list[Matrix]:
+    """Inverse of flatten: each row read as an nrows x ncols matrix."""
+    return [rows.select_rows([r]).reshape(nrows, ncols) for r in range(rows.nrows)]
 
 
 class RowSpace:
@@ -459,3 +348,9 @@ class RowSpace:
         if self.dim == 0:
             return rows.is_zero()
         return self.residual_rank(rows) == 0
+
+    def close(self, mats: Sequence[Matrix]) -> None:
+        """Grow to the smallest space stable under right multiplication by each of mats."""
+        while mats and 0 < self.dim < self.ncols:
+            if not self.insert(Matrix.vstack([self.basis @ a for a in mats])):
+                return

@@ -33,30 +33,22 @@ import numpy as np
 
 from . import _kernels
 from .domdim import INFINITY, Infinity
-from .fields import RationalField
-from .hecke import BLESSED_CONFIGS, HeckeParams, kernel_generator
-from .linalg import Matrix, RowSpace, _inverses
+from .hecke import BLESSED_CONFIGS, HeckeElement, HeckeParams, kernel_generator, phi
+from .linalg import Matrix, RowSpace, _inverses, flatten, kernel_from_rref, unflatten
+from .permutations import symmetric_group
 from .tensor_action import (
     commutant_basis,
     element_action,
+    hecke_action,
     hecke_generator_matrices,
+    intertwiners,
+    tl_action,
 )
+from .tl import check_relations
 
 
 class ConstructionError(RuntimeError):
     """A module construction failed its defining validation."""
-
-
-def _flatten_row(m: Matrix) -> Matrix:
-    if isinstance(m.field, RationalField):
-        return Matrix(m.field, 1, m.nrows * m.ncols, m._d.reshape(1, -1).copy())
-    return Matrix.from_dense(m.field, m.dense().reshape(1, m.nrows * m.ncols))
-
-
-def _unflatten(field, row: Matrix, nrows: int, ncols: int) -> Matrix:
-    if isinstance(field, RationalField):
-        return Matrix(field, nrows, ncols, row._d.reshape(nrows, ncols).copy())
-    return Matrix.from_dense(field, row.dense().reshape(nrows, ncols))
 
 
 class ExplicitAlgebra:
@@ -79,62 +71,19 @@ class ExplicitAlgebra:
 
     def right_mult_matrix(self, j: int) -> Matrix:
         """Matrix of right multiplication by b_j on coordinate rows."""
-        if isinstance(self.field, RationalField):
-            return Matrix(self.field, self.dim, self.dim, self.structure[:, j, :].copy())
         return Matrix.from_dense(self.field, self.structure[:, j, :])
-
-    def multiply_coords(self, x: tuple, y: tuple) -> tuple:
-        """Product of two elements given by coordinate tuples."""
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(x):
-            if xi == f.zero:
-                continue
-            for j, yj in enumerate(y):
-                if yj == f.zero:
-                    continue
-                c = f.mul(xi, yj)
-                row = self.structure[i, j]
-                for k in range(self.dim):
-                    if row[k] != f.zero:
-                        out[k] = f.add(out[k], f.mul(c, f.coerce(row[k])))
-        return tuple(out)
 
 
 def _structure_constants(field, basis: list[Matrix]):
     """Solve every pairwise product against the basis; error if not closed."""
     dim = len(basis)
-    n2 = basis[0].nrows * basis[0].ncols
-    if isinstance(field, RationalField):
-        bcols = np.empty((n2, dim), dtype=object)
-        for i, b in enumerate(basis):
-            bcols[:, i] = b._d.reshape(-1)
-        pcols = np.empty((n2, dim * dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                pcols[:, i * dim + j] = (basis[i] @ basis[j])._d.reshape(-1)
-        bmat = Matrix(field, n2, dim, bcols)
-        pmat = Matrix(field, n2, dim * dim, pcols)
-    else:
-        bcols = np.stack([b.dense().reshape(-1) for b in basis], axis=1).astype(np.int64)
-        pcols = np.empty((n2, dim * dim), dtype=np.int64)
-        for i in range(dim):
-            for j in range(dim):
-                pcols[:, i * dim + j] = (basis[i] @ basis[j]).dense().reshape(-1)
-        bmat = Matrix.from_dense(field, bcols)
-        pmat = Matrix.from_dense(field, pcols)
+    bmat = flatten(basis).transpose()
+    pmat = flatten(a @ b for a in basis for b in basis).transpose()
     sol = bmat.solve_many(pmat)
     if sol is None:
         raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
-    if isinstance(field, RationalField):
-        c = sol._d.reshape(dim, dim, dim).transpose(1, 2, 0).copy()
-    else:
-        c = sol.dense().astype(np.int64).reshape(dim, dim, dim).transpose(1, 2, 0).copy()
-    ident = Matrix.identity(field, basis[0].nrows)
-    if isinstance(field, RationalField):
-        icol = Matrix(field, n2, 1, ident._d.reshape(n2, 1).copy())
-    else:
-        icol = Matrix.from_dense(field, ident.dense().reshape(n2, 1).astype(np.int64))
+    c = sol.dense().astype(np.int64).reshape(dim, dim, dim).transpose(1, 2, 0).copy()
+    icol = flatten([Matrix.identity(field, basis[0].nrows)]).transpose()
     usol = bmat.solve_many(icol)
     if usol is None:
         raise RuntimeError("identity matrix is not in the span of the basis")
@@ -146,12 +95,7 @@ def _closes_to_full(field, dim: int, mults: list[Matrix], unit: tuple) -> bool:
     """Whether 1 and the elements with the given right-mult tables generate."""
     sp = RowSpace(field, dim)
     sp.insert(Matrix.from_rows(field, [list(unit)]))
-    grew = True
-    while grew and sp.dim < dim:
-        grew = False
-        prods = Matrix.vstack([sp.basis @ rm for rm in mults])
-        if sp.insert(prods):
-            grew = True
+    sp.close(mults)
     return sp.dim == dim
 
 
@@ -164,11 +108,10 @@ def _generator_rows(field, dim: int, right_mults, unit: tuple) -> Matrix:
     basis elements do not.  Random sets of increasing size are tried and
     verified by span closure; the index greedy is the fallback.
     """
-    mults_flat = Matrix.vstack([_flatten_row(right_mults(i)) for i in range(dim)])
+    mults_flat = flatten(right_mults(i) for i in range(dim))
 
     def mult_of(rows: Matrix) -> list[Matrix]:
-        flat = rows @ mults_flat
-        return [_unflatten(field, flat.select_rows([r]), dim, dim) for r in range(rows.nrows)]
+        return unflatten(rows @ mults_flat, dim, dim)
 
     rng = random.Random(dim * 7919 + 11)
     for size in range(1, min(7, dim + 1)):
@@ -189,12 +132,7 @@ def _generator_rows(field, dim: int, right_mults, unit: tuple) -> Matrix:
                 break
         assert new_idx is not None, "span below dim but all basis rows inside"
         gens.append(new_idx)
-        grew = True
-        while grew:
-            grew = False
-            prods = Matrix.vstack([sp.basis @ right_mults(g) for g in gens])
-            if sp.insert(prods):
-                grew = True
+        sp.close([right_mults(g) for g in gens])
     return Matrix.identity(field, dim).select_rows(gens)
 
 
@@ -251,12 +189,7 @@ class ExplicitModule:
             if self.dim == 0:
                 cached = [Matrix.zeros(f, 0, 0)] * rows.nrows
             else:
-                flat = Matrix.vstack([_flatten_row(a) for a in self.actions])
-                gf = rows @ flat
-                cached = [
-                    _unflatten(f, gf.select_rows([r]), self.dim, self.dim)
-                    for r in range(rows.nrows)
-                ]
+                cached = unflatten(rows @ flatten(self.actions), self.dim, self.dim)
             self._gen_acts = cached
         return cached
 
@@ -292,9 +225,6 @@ class ModuleMap:
             rhs = self.matrix @ self.target.actions[i]
             assert lhs == rhs, f"map does not intertwine basis element {i}"
 
-    def is_injective(self) -> bool:
-        return self.matrix.rank() == self.source.dim
-
 
 def tensor_module(alg: ExplicitAlgebra) -> ExplicitModule:
     """V^(tensor d) as a module over its commutant algebra."""
@@ -326,25 +256,10 @@ def power_module(m: ExplicitModule, k: int) -> ExplicitModule:
 
 def hom_space(m: ExplicitModule, n: ExplicitModule, verify: bool = True) -> list[ModuleMap]:
     """Basis of module maps m -> n, solved from the generator intertwiner system."""
-    alg = m.algebra
-    assert n.algebra is alg
-    f = alg.field
-    dm, dn = m.dim, n.dim
-    if dm == 0 or dn == 0:
+    assert n.algebra is m.algebra
+    if m.dim == 0 or n.dim == 0:
         return []
-    blocks = []
-    eye_m = Matrix.identity(f, dm)
-    eye_n = Matrix.identity(f, dn)
-    for ga_m, ga_n in zip(m.generator_actions(), n.generator_actions()):
-        blocks.append(ga_m.kron(eye_n) - eye_m.kron(ga_n.transpose()))
-    if not blocks:
-        blocks = [Matrix.zeros(f, 1, dm * dn)]
-    system = Matrix.vstack(blocks)
-    kb = system.kernel_basis_matrix()
-    out = []
-    for i in range(kb.nrows):
-        mat = _unflatten(f, kb.select_rows([i]), dm, dn)
-        out.append(ModuleMap(m, n, mat))
+    out = [ModuleMap(m, n, x) for x in intertwiners(m.generator_actions(), n.generator_actions())]
     if verify:
         for h in out:
             h.check()
@@ -374,42 +289,25 @@ def universal_left_approximation(m: ExplicitModule, q: ExplicitModule) -> tuple[
     return ModuleMap(m, target, mat), k
 
 
-def _cokernel_data(f: ModuleMap) -> tuple[ExplicitModule, Matrix, Matrix]:
-    """Quotient of target by the image; returns (module, projection, section)."""
-    field = f.source.algebra.field
-    N = f.target
-    R, rank, pivots = f.matrix.rref()
+def _cokernel_projection(R: Matrix, rank: int, pivots: tuple) -> tuple[Matrix, Matrix]:
+    """Projection onto the quotient by the row space of an rref, and a section.
+
+    The projection pi has the kernel basis of R as columns, and the section
+    sigma picks the free coordinates, so sigma @ pi is the identity.
+    """
+    pi_m = kernel_from_rref(R, rank, pivots).transpose()
+    assert (R.select_rows(range(rank)) @ pi_m).is_zero(), "projection does not kill the image"
     pivset = set(pivots)
-    free = [j for j in range(N.dim) if j not in pivset]
-    dc = len(free)
-    if isinstance(field, RationalField):
-        pi = np.empty((N.dim, dc), dtype=object)
-        pi[...] = field.zero
-        for b, j in enumerate(free):
-            pi[j, b] = field.one
-        for r, p in enumerate(pivots):
-            for b, j in enumerate(free):
-                pi[p, b] = -R._d[r, j]
-        pi_m = Matrix(field, N.dim, dc, pi)
-    else:
-        dense = np.zeros((N.dim, dc), dtype=np.int64)
-        Rd = R.dense().astype(np.int64)
-        for b, j in enumerate(free):
-            dense[j, b] = 1
-        for r, p in enumerate(pivots):
-            for b, j in enumerate(free):
-                dense[p, b] = (-int(Rd[r, j])) % field.p
-        pi_m = Matrix.from_dense(field, dense)
-    sigma = Matrix.identity(field, N.dim).select_rows(free)
-    red = R.select_rows(range(rank))
-    assert (red @ pi_m).is_zero(), "projection does not kill the image"
-    acts = [sigma @ a @ pi_m for a in N.actions]
-    mod = ExplicitModule(f.source.algebra, acts, label=f"coker({f.source.label})")
-    return mod, pi_m, sigma
+    free = [j for j in range(R.ncols) if j not in pivset]
+    sigma = Matrix.identity(R.field, R.ncols).select_rows(free)
+    return pi_m, sigma
 
 
 def cokernel(f: ModuleMap) -> tuple[ExplicitModule, ModuleMap]:
-    mod, pi_m, _ = _cokernel_data(f)
+    """Quotient of the target by the image, with the projection onto it."""
+    pi_m, sigma = _cokernel_projection(*f.matrix.rref())
+    acts = [sigma @ a @ pi_m for a in f.target.actions]
+    mod = ExplicitModule(f.source.algebra, acts, label=f"coker({f.source.label})")
     return mod, ModuleMap(f.target, mod, pi_m)
 
 
@@ -420,13 +318,7 @@ def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModul
     seed_m = Matrix.from_rows(f, [list(s) for s in seeds])
     sp = RowSpace(f, parent.dim)
     sp.insert(seed_m)
-    gen_acts = parent.generator_actions()
-    grew = True
-    while grew and sp.dim:
-        grew = False
-        prods = Matrix.vstack([sp.basis @ a for a in gen_acts]) if gen_acts else None
-        if prods is not None and sp.insert(prods):
-            grew = True
+    sp.close(parent.generator_actions())
     U = sp.basis
     acts = []
     ut = U.transpose()
@@ -532,25 +424,6 @@ def _coord_products(field, structure, xrows: Matrix, yrows: Matrix) -> Matrix:
     """All pairwise products of elements given by coordinate rows."""
     dim = structure.shape[0]
     a, b = xrows.nrows, yrows.nrows
-    if isinstance(field, RationalField):
-        out = np.empty((a * b, dim), dtype=object)
-        for i in range(a):
-            for j in range(b):
-                row = [field.coerce(0)] * dim
-                for s in range(dim):
-                    xs = xrows._d[i, s]
-                    if xs == field.zero:
-                        continue
-                    for t in range(dim):
-                        yt = yrows._d[j, t]
-                        if yt == field.zero:
-                            continue
-                        c = xs * yt
-                        for k in range(dim):
-                            if structure[s, t, k] != field.zero:
-                                row[k] = row[k] + c * structure[s, t, k]
-                out[i * b + j, :] = row
-        return Matrix(field, a * b, dim, out)
     xd = xrows.dense().astype(np.float64)
     yd = yrows.dense().astype(np.float64)
     cd = structure.astype(np.float64)
@@ -623,16 +496,6 @@ def _nilpotent_radical_rows(field, structure) -> Matrix | None:
     result without trusting the refinement chain itself.
     """
     dim = structure.shape[0]
-    if isinstance(field, RationalField):
-        trvec = [sum((structure[k, j, j] for j in range(dim)), start=field.coerce(0)) for k in range(dim)]
-        gram = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                gram[i, j] = sum(
-                    (structure[i, j, k] * trvec[k] for k in range(dim)), start=field.coerce(0)
-                )
-        rad = Matrix(field, dim, dim, gram).kernel_basis_matrix()
-        return rad if _span_nilpotent(field, structure, rad) else None
     cd = structure.astype(np.float64)
     trvec = np.mod(np.einsum("kjj->k", cd), field.p)
     gram = np.mod(np.rint(np.tensordot(cd, trvec, axes=([2], [0]))), field.p)
@@ -652,13 +515,8 @@ def _orbit_data_generic(homs: list[ModuleMap], end_q: list[ModuleMap], radical_r
     f = homs[0].source.algebra.field
     h = len(homs)
     e = len(end_q)
-    flat_rows = Matrix.vstack([_flatten_row(hm.matrix) for hm in homs])
-    bcols = flat_rows.transpose()
-    prod_rows = []
-    for hm in homs:
-        for em in end_q:
-            prod_rows.append(_flatten_row(hm.matrix @ em.matrix))
-    pcols = Matrix.vstack(prod_rows).transpose()
+    bcols = flatten(hm.matrix for hm in homs).transpose()
+    pcols = flatten(hm.matrix @ em.matrix for hm in homs for em in end_q).transpose()
     coords = bcols.solve_many(pcols)
     assert coords is not None, "post-composition left the hom space"
     # coords[s, i*e + l] = coefficient of homs[s] in homs[i] o end_q[l]
@@ -802,50 +660,6 @@ def _greedy_generating_rows(field, orbit_arr: np.ndarray, seed: Matrix | None, t
     return Matrix.from_dense(field, np.stack([chosen[i] for i in kept]) % p)
 
 
-def _generating_rows_rational(
-    homs: list[ModuleMap], end_q: list[ModuleMap], radical_rows: Matrix | None = None
-) -> Matrix:
-    """Greedy generating subset over QQ, returned as coefficient rows."""
-    f = homs[0].source.algebra.field
-    h = len(homs)
-    e = len(end_q)
-    flat_rows = Matrix.vstack([_flatten_row(hm.matrix) for hm in homs])
-    bcols = flat_rows.transpose()
-    prod_rows = []
-    for hm in homs:
-        for em in end_q:
-            prod_rows.append(_flatten_row(hm.matrix @ em.matrix))
-    pcols = Matrix.vstack(prod_rows).transpose()
-    coords = bcols.solve_many(pcols)
-    assert coords is not None, "post-composition left the hom space"
-    orbits = [coords.select_columns(range(i * e, (i + 1) * e)).transpose() for i in range(h)]
-    stacked = Matrix.vstack(orbits)
-    acc = RowSpace(f, h)
-    if radical_rows is not None and radical_rows.nrows:
-        acc.insert(Matrix.vstack([radical_rows @ orbits[i] for i in range(h)]))
-        assert acc.dim < h, "Hom = Hom*J contradicts nilpotency of J"
-    chosen: list[int] = []
-    while acc.dim < h:
-        best = -1
-        best_gain = 0
-        for i in range(h):
-            if i in chosen:
-                continue
-            gain = acc.residual_rank(orbits[i])
-            if gain > best_gain:
-                best, best_gain = i, gain
-                if best_gain == min(e, h - acc.dim):
-                    break
-        assert best >= 0, "orbits fail to span the hom space"
-        chosen.append(best)
-        acc.insert(orbits[best])
-    rows = np.empty((len(chosen), h), dtype=object)
-    rows[...] = f.zero
-    for r, i in enumerate(chosen):
-        rows[r, i] = f.one
-    return Matrix(f, len(chosen), h, rows)
-
-
 def _try_split(f_components: list[Matrix], cur: ExplicitModule, q: ExplicitModule, split_limit: int) -> bool | None:
     """Exact retraction test: does some combination of Hom(Q, cur) give a left inverse.
 
@@ -861,12 +675,8 @@ def _try_split(f_components: list[Matrix], cur: ExplicitModule, q: ExplicitModul
     hom_back = hom_space(q, cur, verify=False)
     if not hom_back:
         return False
-    cols = []
-    for F in f_components:
-        for B in hom_back:
-            cols.append(_flatten_row(F @ B.matrix))
-    system = Matrix.vstack(cols).transpose()
-    ident = _flatten_row(Matrix.identity(field, dm)).transpose()
+    system = flatten(F @ B.matrix for F in f_components for B in hom_back).transpose()
+    ident = flatten([Matrix.identity(field, dm)]).transpose()
     return system.solve_many(ident) is not None
 
 
@@ -901,7 +711,6 @@ def relative_domdim(
     if end_radical == "unset":
         end_radical = _nilpotent_radical_rows(alg.field, end_struct)
         q._end_radical = end_radical
-    rational = isinstance(alg.field, RationalField)
     cur = m
     coef_ctx = None
     if cur.is_regular:
@@ -918,24 +727,15 @@ def relative_domdim(
         # of the kernels, so test the full hom stack before any selection
         if Matrix.hstack([hm.matrix for hm in hom_cur]).rank() < cur.dim:
             return DomdimResult.exact(steps)
-        if rational:
-            gen_rows = _generating_rows_rational(hom_cur, end_q, end_radical)
+        if coef_ctx is not None:
+            kb_prev, g_prev = coef_ctx
+            arr, seed = _orbit_data_coefficients(alg.field, kb_prev, g_prev, end_struct, end_radical)
+        elif cur.is_regular:
+            arr, seed = _orbit_data_regular(end_q, end_radical)
         else:
-            if coef_ctx is not None:
-                kb_prev, g_prev = coef_ctx
-                arr, seed = _orbit_data_coefficients(
-                    alg.field, kb_prev, g_prev, end_struct, end_radical
-                )
-            elif cur.is_regular:
-                arr, seed = _orbit_data_regular(end_q, end_radical)
-            else:
-                arr, seed = _orbit_data_generic(hom_cur, end_q, end_radical)
-            gen_rows = _greedy_generating_rows(alg.field, arr, seed, len(hom_cur))
-        comb_flat = gen_rows @ Matrix.vstack([_flatten_row(hm.matrix) for hm in hom_cur])
-        comps = [
-            _unflatten(alg.field, comb_flat.select_rows([r]), cur.dim, q.dim)
-            for r in range(gen_rows.nrows)
-        ]
+            arr, seed = _orbit_data_generic(hom_cur, end_q, end_radical)
+        gen_rows = _greedy_generating_rows(alg.field, arr, seed, len(hom_cur))
+        comps = unflatten(gen_rows @ flatten(hm.matrix for hm in hom_cur), cur.dim, q.dim)
         if progress:
             progress(f"step {steps + 1}: module dim {cur.dim}, hom dim {len(hom_cur)}, multiplicity {len(comps)}")
         f_stack = Matrix.hstack(comps)
@@ -951,52 +751,22 @@ def relative_domdim(
         dn = g * dq
         field = alg.field
         # cokernel of cur -> Q^g without materializing block diagonal actions
-        pivset = set(pivots)
-        free = [j for j in range(dn) if j not in pivset]
-        dc = len(free)
+        dc = dn - rank
         if dc == 0:
             cur = ExplicitModule(alg, [Matrix.zeros(field, 0, 0)] * alg.dim)
             hom_cur = []
             continue
-        rd = R.select_rows(range(rank)).dense()
-        if isinstance(field, RationalField):
-            pidense = np.empty((dn, dc), dtype=object)
-            pidense[...] = field.zero
-            pidense[free, np.arange(dc)] = field.one
-            for r, p_col in enumerate(pivots):
-                pidense[p_col, :] = [-rd[r, j] for j in free]
-            pi_m = Matrix(field, dn, dc, pidense)
-        else:
-            pidense = np.zeros((dn, dc), dtype=np.int64)
-            pidense[free, np.arange(dc)] = 1
-            rd = rd.astype(np.int64)
-            for r, p_col in enumerate(pivots):
-                pidense[p_col, :] = (-rd[r, free]) % field.p
-            pi_m = Matrix.from_dense(field, pidense)
-        assert (R.select_rows(range(rank)) @ pi_m).is_zero(), "projection does not kill the image"
-        sigma = Matrix.identity(field, dn).select_rows(free)
+        pi_m, sigma = _cokernel_projection(R, rank, pivots)
         sig_blocks = [sigma.select_columns(range(s * dq, (s + 1) * dq)) for s in range(g)]
         acts = [Matrix.hstack([sb @ ab for sb in sig_blocks]) @ pi_m for ab in q.actions]
         nxt = ExplicitModule(alg, acts)
         # Hom(coker, Q) from left exactness of Hom(-, Q) on the presentation
-        e = len(end_q)
-        cols = []
-        for F in comps:
-            for E in end_q:
-                cols.append(_flatten_row(F @ E.matrix))
-        system = Matrix.vstack(cols).transpose()
+        system = flatten(F @ E.matrix for F in comps for E in end_q).transpose()
         kb = system.kernel_basis_matrix()
         # the induced map on the cokernel is sigma @ vstack_s(H_s); flattening
         # makes all of them one product of the kernel basis with sigma_s E_j
-        se_rows = []
-        for sb in sig_blocks:
-            for E in end_q:
-                se_rows.append(_flatten_row(sb @ E.matrix))
-        maps_flat = kb @ Matrix.vstack(se_rows)
-        hom_next = [
-            ModuleMap(nxt, q, _unflatten(field, maps_flat.select_rows([r]), dc, dq))
-            for r in range(kb.nrows)
-        ]
+        maps_flat = kb @ flatten(sb @ E.matrix for sb in sig_blocks for E in end_q)
+        hom_next = [ModuleMap(nxt, q, x) for x in unflatten(maps_flat, dc, dq)]
         cur = nxt
         hom_cur = hom_next
         coef_ctx = (kb, g)
@@ -1006,12 +776,6 @@ def relative_domdim(
 # verification suite used by the command line and the acceptance tests
 
 def _relations_verdicts(d: int, config: str, params: HeckeParams) -> list[dict]:
-    from .tl import check_relations
-    from .hecke import HeckeElement, phi
-    from .permutations import symmetric_group
-    from .linalg import Matrix as M
-    from .tensor_action import hecke_action, tl_action
-
     f = params.field
     out = []
 
@@ -1037,11 +801,9 @@ def _relations_verdicts(d: int, config: str, params: HeckeParams) -> list[dict]:
     G = symmetric_group(d)
     ok = True
     for _ in range(8):
-        from .hecke import phi as _phi
-
         a = HeckeElement(params, {rng.choice(G): f.random(rng) for _ in range(2)})
         b = HeckeElement(params, {rng.choice(G): f.random(rng) for _ in range(2)})
-        if _phi(a * b) != _phi(a) * _phi(b):
+        if phi(a * b) != phi(a) * phi(b):
             ok = False
     out.append(_verdict("phi_multiplicative", d, config, "ok", "ok" if ok else "violated"))
 
@@ -1053,7 +815,7 @@ def _relations_verdicts(d: int, config: str, params: HeckeParams) -> list[dict]:
         out.append(_verdict("action_kernel_generators", d, config, "all zero", "all zero" if ok else "nonzero action"))
 
     n = 1 << d
-    I = M.identity(f, n)
+    I = Matrix.identity(f, n)
     Ts = [hecke_action(params, s) for s in range(1, d)]
     ok = True
     for s, T in enumerate(Ts, start=1):

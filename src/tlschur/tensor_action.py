@@ -16,10 +16,8 @@ acts as zero.
 
 from __future__ import annotations
 
-import json
-
 from .hecke import HeckeElement, HeckeParams
-from .linalg import Matrix, RowSpace
+from .linalg import Matrix, RowSpace, flatten, unflatten
 from .permutations import Permutation
 
 
@@ -99,56 +97,41 @@ def hecke_generator_matrices(params: HeckeParams) -> list[Matrix]:
     return [hecke_action(params, s) for s in range(1, params.d)]
 
 
-def _flatten(m: Matrix) -> Matrix:
-    """Row-major flattening of a matrix to a single row vector."""
-    return Matrix.from_dense(m.field, m.dense().reshape(1, m.nrows * m.ncols)) if not _is_q(m) else Matrix(
-        m.field, 1, m.nrows * m.ncols, m._d.reshape(1, m.nrows * m.ncols).copy()
-    )
+def intertwiners(left: list[Matrix], right: list[Matrix], progress=None) -> list[Matrix]:
+    """Basis of the matrices X with a @ X == X @ b for every pair (a, b).
 
-
-def _is_q(m: Matrix) -> bool:
-    return m.field.kind == "rational"
+    Solves by elimination on the row-major vectorization: vec(a X - X b) =
+    (a kron I - I kron b^T) vec(X), so X runs over the kernel of the stacked
+    operators, one block per pair.
+    """
+    f = left[0].field
+    m, n = left[0].nrows, right[0].nrows
+    eye_m = Matrix.identity(f, m)
+    eye_n = Matrix.identity(f, n)
+    blocks = []
+    for k, (a, b) in enumerate(zip(left, right)):
+        if progress:
+            progress(f"commutant constraint {k + 1}/{len(left)}")
+        blocks.append(a.kron(eye_n) - eye_m.kron(b.transpose()))
+    system = Matrix.vstack(blocks)
+    if progress:
+        progress(f"solving {system.nrows}x{system.ncols} kernel")
+    return unflatten(system.kernel_basis_matrix(), m, n)
 
 
 def commutant_basis(generators: list[Matrix], progress=None) -> list[Matrix]:
     """Basis of all matrices commuting with every generator.
 
-    Solves X g = g X for X by elimination on the row-major vectorization:
-    vec(X g - g X) = vec(X) @ (I kron g - g^T kron I)^T; equivalently X is in
-    the kernel of the stacked operator (g kron I - I kron g^T) acting on
-    column vec(X).  The result is closed under products by construction and
-    the closure is verified by the caller's tests.
+    The result is closed under products by construction and the closure is
+    verified by the caller's tests.
     """
     assert generators, "need at least one generator"
-    f = generators[0].field
-    n = generators[0].nrows
-    eye = Matrix.identity(f, n)
-    blocks = []
-    for k, g in enumerate(generators):
-        if progress:
-            progress(f"commutant constraint {k + 1}/{len(generators)}")
-        blocks.append(g.kron(eye) - eye.kron(g.transpose()))
-    system = Matrix.vstack(blocks)
-    if progress:
-        progress(f"solving {system.nrows}x{system.ncols} kernel")
-    kb = system.kernel_basis_matrix()
-    out = []
-    for i in range(kb.nrows):
-        row = kb.select_rows([i])
-        if _is_q(row):
-            mat = Matrix(f, n, n, row._d.reshape(n, n).copy())
-        else:
-            mat = Matrix.from_dense(f, row.dense().reshape(n, n))
-        out.append(mat)
-    return out
+    return intertwiners(generators, generators, progress=progress)
 
 
 def matrix_span(mats: list[Matrix]) -> RowSpace:
-    f = mats[0].field
-    n2 = mats[0].nrows * mats[0].ncols
-    sp = RowSpace(f, n2)
-    for m in mats:
-        sp.insert(_flatten(m))
+    sp = RowSpace(mats[0].field, mats[0].nrows * mats[0].ncols)
+    sp.insert(flatten(mats))
     return sp
 
 
@@ -164,7 +147,7 @@ def algebra_closure_dim(generators: list[Matrix], cap: int | None = None) -> tup
     basis: list[Matrix] = []
 
     def try_add(m: Matrix) -> bool:
-        if sp.insert(_flatten(m)):
+        if sp.insert(flatten([m])):
             basis.append(m)
             return True
         return False
@@ -206,16 +189,13 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     comm2 = commutant_basis(comm, progress=progress)
     tl_span = matrix_span(tl_basis)
     c2_span = matrix_span(comm2)
-    equal = tl_span.dim == c2_span.dim and all(
-        tl_span.contains(_flatten(m)) for m in comm2
-    )
-    # products of commutant elements stay in the commutant span
+    equal = tl_span.dim == c2_span.dim and tl_span.contains(flatten(comm2))
+    # products of commutant elements stay in the commutant span, all pairs:
+    # vstack(comm) @ b read row-major as k rows is flatten(a @ b) over all a
     comm_span = matrix_span(comm)
-    closed = True
-    for a in comm[: min(len(comm), 6)]:
-        for b in comm[: min(len(comm), 6)]:
-            if not comm_span.contains(_flatten(a @ b)):
-                closed = False
+    k, n2 = len(comm), comm_span.ncols
+    stacked = Matrix.vstack(comm)
+    closed = comm_span.contains(Matrix.vstack([(stacked @ b).reshape(k, n2) for b in comm]))
     return {
         "d": d,
         "field": params.field.name,
@@ -226,25 +206,3 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
         "tl_image_equals_double_commutant": bool(equal),
         "commutant_closed_under_product": bool(closed),
     }
-
-
-def dump_matrix_csv(m: Matrix) -> str:
-    """Row-major CSV of matrix entries."""
-    f = m.field
-    lines = []
-    for i in range(m.nrows):
-        lines.append(",".join(f.fmt(x) for x in m.row(i)))
-    return "\n".join(lines) + "\n"
-
-
-def dump_matrix_header(params: HeckeParams) -> str:
-    """JSON header describing degree, field, u and the action convention."""
-    return json.dumps(
-        {
-            "d": params.d,
-            "field": params.field.name,
-            "u": params.field.fmt(params.u),
-            "convention": "rows are source basis vectors; act(xy) = act(x) @ act(y)",
-        },
-        sort_keys=True,
-    )

@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from tlschur.fields import GF, GF2, GF5, QQ
+from tlschur.fields import GF, GF2, GF5
 from tlschur.linalg import Matrix, RowSpace
 
-FIELDS = [GF2, GF5, GF(3), QQ]
+FIELDS = [GF2, GF5, GF(3)]
 IDS = [f.name for f in FIELDS]
 
 
@@ -126,7 +126,7 @@ def test_stacking_and_blocks(f):
     assert d.select_rows(range(2)).select_columns(range(3, 8)).is_zero()
 
 
-@pytest.mark.parametrize("f", [GF2, GF5, QQ], ids=["GF(2)", "GF(5)", "QQ"])
+@pytest.mark.parametrize("f", [GF2, GF5], ids=["GF(2)", "GF(5)"])
 def test_kron_mixed_product(f):
     rng = random.Random(6)
     a = rand_matrix(f, 2, 3, rng)
@@ -169,15 +169,3 @@ def test_large_matmul_blas_path_exact(f):
     got = (a @ b).dense()
     want = (a.dense().astype(np.int64) @ b.dense().astype(np.int64)) % f.p
     assert np.array_equal(got, want)
-
-
-def test_solve_vector_and_kernel_list():
-    f = GF5
-    a = Matrix.from_rows(f, [[1, 2], [2, 4]])
-    assert a.rank() == 1
-    sol = a.solve([3, 6])
-    assert sol is not None
-    assert a @ Matrix.from_rows(f, [[sol[0]], [sol[1]]]) == Matrix.from_rows(f, [[3], [6]])
-    assert a.solve([1, 1]) is None
-    kb = a.kernel_basis()
-    assert len(kb) == 1

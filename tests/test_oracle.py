@@ -2,20 +2,18 @@ from math import comb
 
 import pytest
 
-from tlschur.fields import QQ
+from tlschur.fields import GF, QQ
 from tlschur.hecke import HeckeParams, classical_char2, quantum_ell2
-from tlschur.linalg import Matrix, RowSpace
+from tlschur.linalg import Matrix, RowSpace, flatten, unflatten
 from tlschur import oracle
 from tlschur.oracle import (
     DomdimResult,
     _coord_products,
-    _flatten_row,
     _greedy_generating_rows,
     _orbit_data_generic,
     _orbit_data_regular,
     _regular_hom_basis,
     _span_nilpotent,
-    _unflatten,
     cokernel,
     cyclic_submodule,
     direct_sum,
@@ -28,6 +26,7 @@ from tlschur.oracle import (
     tensor_module,
     universal_left_approximation,
 )
+from tlschur.tensor_action import double_centralizer_report
 from tlschur.tl import catalan
 
 CONFIGS = [classical_char2, quantum_ell2]
@@ -48,10 +47,26 @@ def test_schur_algebra_dimension_and_modules(make, d):
     assert reg.is_regular and not q.is_regular
 
 
-def test_schur_algebra_rational():
-    alg = schur_algebra(HeckeParams(2, QQ, 1))
+def test_schur_algebra_semisimple_gf7():
+    # GF(7) with u = 3: q = 4 has quantum characteristic 3, semisimple at d = 2
+    alg = schur_algebra(HeckeParams(2, GF(7), 3))
     assert alg.dim == 10
     regular_module(alg).validate(deep=True)
+
+
+def test_oracle_rejects_non_prime_field():
+    with pytest.raises(ValueError, match="QQ"):
+        Matrix.zeros(QQ, 2, 2)
+    with pytest.raises(ValueError, match="QQ"):
+        Matrix.identity(QQ, 2)
+    with pytest.raises(ValueError, match="QQ"):
+        Matrix.from_rows(QQ, [[1, 2]])
+    with pytest.raises(ValueError, match="QQ"):
+        Matrix.from_dense(QQ, Matrix.identity(GF(7), 2).dense())
+    with pytest.raises(ValueError, match="QQ"):
+        schur_algebra(HeckeParams(2, QQ, 1))
+    with pytest.raises(ValueError, match="QQ"):
+        double_centralizer_report(HeckeParams(2, QQ, 1))
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
@@ -94,10 +109,9 @@ def test_regular_hom_basis_matches_solver(make):
     span = RowSpace(alg.field, reg.dim * q.dim)
     for h in fast:
         h.check()
-        span.insert(_flatten_row(h.matrix))
+    span.insert(flatten(h.matrix for h in fast))
     assert span.dim == len(fast)
-    for h in slow:
-        assert span.contains(_flatten_row(h.matrix))
+    assert span.contains(flatten(h.matrix for h in slow))
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
@@ -164,8 +178,9 @@ def test_domdim_degree_2(make):
     assert relative_domdim(q, q).is_infinite
 
 
-def test_domdim_rational_is_infinite():
-    alg = schur_algebra(HeckeParams(2, QQ, 1))
+def test_domdim_gf7_is_infinite():
+    # no quantum characteristic 2: the regular module embeds split into add(Q)
+    alg = schur_algebra(HeckeParams(2, GF(7), 3))
     q = tensor_module(alg)
     assert relative_domdim(regular_module(alg), q).is_infinite
 
@@ -203,13 +218,9 @@ def test_generating_combinations_generate(make):
     arr, seed = _orbit_data_regular(end_q, None)
     assert seed is None
     rows = _greedy_generating_rows(alg.field, arr, None, len(homs))
-    flat = Matrix.vstack([_flatten_row(h.matrix) for h in homs])
-    comb_rows = rows @ flat
+    flat = flatten(h.matrix for h in homs)
     span = RowSpace(alg.field, flat.ncols)
-    for r in range(comb_rows.nrows):
-        F = _unflatten(alg.field, comb_rows.select_rows([r]), reg.dim, q.dim)
-        for E in end_q:
-            span.insert(_flatten_row(F @ E.matrix))
+    span.insert(flatten(F @ E.matrix for F in unflatten(rows @ flat, reg.dim, q.dim) for E in end_q))
     # chosen combinations generate the full hom space over the endomorphisms
     assert span.dim == len(homs)
     # and genuinely compress: fewer maps than the hom dimension

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from tlschur.fields import QQ
+from tlschur.fields import GF
 from tlschur.hecke import HeckeElement, HeckeParams, classical_char2, kernel_generator, quantum_ell2
 from tlschur.linalg import Matrix
 from tlschur.permutations import symmetric_group
@@ -96,9 +96,10 @@ def test_kernel_generators_act_as_zero(make, d):
 
 
 def test_kernel_generator_action_nonzero_generically():
-    # over QQ at u = 1 the convention check has teeth: swapping the descent
-    # and ascent rules would leave a nonzero action
-    p = HeckeParams(3, QQ, 1)
+    # away from quantum characteristic 2 the convention check has teeth: over
+    # GF(7) with u = 3 (q = 4, quantum characteristic 3, u - u^(-1) != 0) a
+    # wrong ascent, descent or equal-letter rule leaves a nonzero action
+    p = HeckeParams(3, GF(7), 3)
     assert element_action(kernel_generator(p, 1)).is_zero()
 
 
