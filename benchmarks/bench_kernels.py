@@ -1,8 +1,11 @@
 """Benchmark the jitted kernels against their pure-numpy fallbacks.
 
 Times gf2_rref, gf2_matmul, gfp_rref and gfp_charpoly on random inputs of
-the requested sizes and prints one table row per (kernel, size).  When numba
-is unavailable (or TLSCHUR_PURE_NUMPY=1), only the numpy column is filled.
+the requested sizes and prints one table row per (kernel, size).  One fixed
+case follows: gfp_rref on the d=5 End(Q) intertwiner system over GF(5), the
+sparse 2048x1024 system whose fill-in random dense squares do not show.
+When numba is unavailable (or TLSCHUR_PURE_NUMPY=1), only the numpy column
+is filled.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 256,512,1024] [--p 5] [--repeats 5]
@@ -13,7 +16,9 @@ import time
 
 import numpy as np
 
+from tlschur import BLESSED_CONFIGS, schur_algebra, tensor_module
 from tlschur import _kernels as K
+from tlschur.linalg import Matrix
 
 
 def best_of(fn, repeats: int) -> float:
@@ -43,6 +48,13 @@ def bench_case(label: str, make_args, impls, repeats: int):
         fn(*make_args())  # warm: triggers jit compilation outside the timing
         row[name] = best_of(lambda: fn(*make_args()), repeats)
     return row
+
+
+def endq_system() -> np.ndarray:
+    """The End(Q) system a (x) I - I (x) a^T over the generator actions on Q, d=5, gf5-u2."""
+    acts = tensor_module(schur_algebra(BLESSED_CONFIGS["gf5-u2"](5))).generator_actions()
+    eye = Matrix.identity(acts[0].field, acts[0].nrows)
+    return Matrix.vstack([a.kron(eye) - eye.kron(a.transpose()) for a in acts]).dense()
 
 
 def main():
@@ -99,6 +111,17 @@ def main():
             f"gfp_charpoly p={p} {m}x{m}",
             lambda: (square.copy(), p, inv),
             [("numba", K.gfp_charpoly_numba if has else None), ("numpy", K.gfp_charpoly_numpy)],
+            args.repeats,
+        )
+    )
+
+    system = endq_system()
+    inv5 = inv_table(5)
+    rows.append(
+        bench_case(
+            f"gfp_rref p=5 End(Q) d=5 {system.shape[0]}x{system.shape[1]}",
+            lambda: (system.copy(), 5, inv5),
+            [("numba", K.gfp_rref_numba if has else None), ("numpy", K.gfp_rref_numpy)],
             args.repeats,
         )
     )

@@ -9,6 +9,20 @@ vectorized fallback.  The active backend is chosen at import time; setting
 the environment variable TLSCHUR_PURE_NUMPY=1 (or a failed numba import)
 selects the fallback.  Both implementations are importable by name so the
 benchmark and the parity tests can compare them directly.
+
+Two numpy fallbacks run on BLAS.  gf2_matmul_numpy multiplies the unpacked
+0/1 operands as float32, exact while the inner dimension stays below 2^24.
+gfp_rref_numpy is a blocked Gauss-Jordan elimination with delayed reduction
+(after Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008): the
+columns go in panels of _PANEL; the column-by-column loop finds the pivots
+of a panel among the rows with a nonzero there, and one float64 product
+clears the pivot columns of all other rows, added unreduced to the int64
+storage.  Only the next panel and the pivot rows are reduced mod p before
+they are read.  Products of reduced entries are at most _PANEL*(p-1)^2 and
+must stay below 2^53; an entry gains at most ncols*(p-1)^2 before its
+reduction and must stay below 2^63.  A modulus that breaks either bound is
+rejected with ValueError before any work.  RREF is unique, so the result
+equals the unblocked loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -41,31 +55,35 @@ if not HAS_NUMBA:
         return wrap
 
 
+# column panel width of the blocked GF(p) elimination, and the budget in bytes
+# for the transient arrays of one chunk of a BLAS product
+_PANEL = 64
+_CHUNK_BYTES = 32 << 20
+
+
+def _float_product(a, b):
+    """Integer product a @ b on float64 BLAS; exact while every sum stays below 2^53."""
+    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
-# packing helpers (numpy only; not hot)
+# packing helpers (numpy only)
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
     """Pack a 0/1 uint8 matrix into uint64 words, 64 columns per word."""
-    dense = np.ascontiguousarray(dense, dtype=np.uint8)
+    dense = np.asarray(dense, dtype=np.uint8)
     nrows, ncols = dense.shape
     nwords = max(1, (ncols + 63) // 64)
-    pad = nwords * 64 - ncols
-    if pad:
-        dense = np.concatenate([dense, np.zeros((nrows, pad), np.uint8)], axis=1)
-    v = dense.reshape(nrows, nwords, 64).astype(np.uint64)
-    shifts = np.arange(64, dtype=np.uint64)
-    return np.bitwise_or.reduce(v << shifts, axis=2)
+    bits = np.zeros((nrows, nwords * 64), dtype=np.uint8)
+    bits[:, :ncols] = dense
+    # little-endian words put column 64*w + j at bit j of word w
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64, copy=False)
 
 
 def unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
     """Inverse of pack_rows; returns a uint8 matrix of shape (nrows, ncols)."""
-    nrows, nwords = packed.shape
-    shifts = np.arange(64, dtype=np.uint64)
-    out = np.empty((nrows, nwords * 64), dtype=np.uint8)
-    # one word-column at a time keeps the intermediate 64x smaller
-    for w in range(nwords):
-        out[:, w * 64 : (w + 1) * 64] = (packed[:, w : w + 1] >> shifts) & np.uint64(1)
-    return out[:, :ncols]
+    octets = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=ncols, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +163,17 @@ def gf2_matmul_numba(a, a_ncols, b, out):  # pragma: no cover - numba-compiled
 
 
 def gf2_matmul_numpy(a, a_ncols, b, out):
-    one = np.uint64(1)
-    for k in range(a_ncols):
-        w = k >> 6
-        sh = np.uint64(k & 63)
-        mask = ((a[:, w] >> sh) & one).astype(bool)
-        if mask.any():
-            out[mask] ^= b[k]
+    # 0/1 float32 products are exact while each sum has fewer than 2^24 terms
+    if a_ncols >= 2**24:
+        raise ValueError(f"gf2_matmul: {a_ncols} columns exceed the float32 bound 2^24")
+    # the padding bits of b are zero, so the product keeps those of out zero
+    nbits = b.shape[1] * 64
+    bf = unpack_rows(b[:a_ncols], nbits).astype(np.float32)
+    step = max(1, _CHUNK_BYTES // (4 * max(a_ncols, nbits)))
+    for lo in range(0, a.shape[0], step):
+        af = unpack_rows(a[lo : lo + step], a_ncols).astype(np.float32)
+        prod = (af @ bf).astype(np.int32) & 1
+        out[lo : lo + step] ^= pack_rows(prod.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +214,13 @@ def gfp_rref_numba(m, p, inv):  # pragma: no cover - numba-compiled
     return rank, pivots[:rank]
 
 
-def gfp_rref_numpy(m, p, inv):
+def _gfp_rref_loop(m, p, inv):
+    """Column-by-column Gauss-Jordan on canonical residues, in place.
+
+    Returns (rank, pivot columns, original index of each pivot row).
+    """
     nrows, ncols = m.shape
+    order = np.arange(nrows)
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -205,6 +232,7 @@ def gfp_rref_numpy(m, p, inv):
         piv = rank + int(cand[0])
         if piv != rank:
             m[[rank, piv], col:] = m[[piv, rank], col:]
+            order[[rank, piv]] = order[[piv, rank]]
         s = inv[m[rank, col]]
         if s != 1:
             m[rank, col:] = (m[rank, col:] * s) % p
@@ -215,6 +243,66 @@ def gfp_rref_numpy(m, p, inv):
             m[hits, col:] = (m[hits, col:] - factors[hits, None] * m[rank, col:]) % p
         pivots.append(col)
         rank += 1
+    return rank, np.asarray(pivots, dtype=np.int64), order[:rank]
+
+
+def gfp_rref_numpy(m, p, inv):
+    nrows, ncols = m.shape
+    # float64 products of reduced factors are exact below 2^53; the unreduced
+    # products add at most ncols*(p-1)^2 to an int64 entry in all
+    if _PANEL * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"gfp_rref: p={p} overflows the float64 panel product")
+    if p + ncols * (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"gfp_rref: p={p} with {ncols} columns overflows int64 accumulation")
+    pivots = []
+    rank = 0
+    for c0 in range(0, ncols, _PANEL):
+        if rank == nrows:
+            break
+        c1 = min(c0 + _PANEL, ncols)
+        m[:, c0:c1] %= p
+        live = rank + np.flatnonzero(m[rank:, c0:c1].any(axis=1))
+        if live.size == 0:
+            continue
+        panel = m[live, c0:c1]
+        k, cols, local = _gfp_rref_loop(panel, p, inv)
+        cols += c0
+        rows = live[local]
+        # pivot rows: the loop normalised their panel part; right of the panel
+        # they are multiplied by the inverse of their k x k pivot block
+        top = np.empty((k, ncols - c0), dtype=np.int64)
+        top[:, : c1 - c0] = panel[:k]
+        if c1 < ncols:
+            block = np.concatenate([m[rows[:, None], cols], np.eye(k, dtype=np.int64)], axis=1)
+            _gfp_rref_loop(block, p, inv)
+            top[:, c1 - c0 :] = _float_product(block[:, k:], m[rows, c1:] % p) % p
+        # clear the pivot columns of the rows above and of the other live rows,
+        # the only rows with a nonzero there, adding the negated multiples unreduced
+        others = np.ones(live.size, dtype=bool)
+        others[local] = False
+        cand = np.concatenate([np.arange(rank), live[others]])
+        factors = m[cand[:, None], cols]
+        sel = factors.any(axis=1)
+        hit = cand[sel]
+        neg = (p - factors[sel]) % p
+        # row chunks keep the product, its gather and its sum within _CHUNK_BYTES
+        step = max(1, _CHUNK_BYTES // (32 * (ncols - c0)))
+        for lo in range(0, hit.size, step):
+            m[hit[lo : lo + step], c0:] += _float_product(neg[lo : lo + step], top)
+        # swap the pivot rows into place: rows that held the spots move to the
+        # pivot rows' old places
+        moved = rows[rows >= rank + k]
+        if moved.size:
+            free = np.ones(k, dtype=bool)
+            free[rows[rows < rank + k] - rank] = False
+            m[moved] = m[rank + np.flatnonzero(free)]
+        m[rank : rank + k, c0:] = top
+        pivots.extend(cols.tolist())
+        rank += k
+    # rows below the rank, and the pivot rows left of their panel, are zero
+    # mod p by construction
+    m[:rank] %= p
+    m[rank:] = 0
     return rank, np.asarray(pivots, dtype=np.int64)
 
 

@@ -114,6 +114,8 @@ def intertwiners(left: list[Matrix], right: list[Matrix], progress=None) -> list
             progress(f"commutant constraint {k + 1}/{len(left)}")
         blocks.append(a.kron(eye_n) - eye_m.kron(b.transpose()))
     system = Matrix.vstack(blocks)
+    # the blocks are copied into system; free them before the solve copies it again
+    del blocks
     if progress:
         progress(f"solving {system.nrows}x{system.ncols} kernel")
     return unflatten(system.kernel_basis_matrix(), m, n)

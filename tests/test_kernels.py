@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from tlschur import _kernels as K
+from tlschur.fields import GF
+from tlschur.hecke import HeckeParams
+from tlschur.linalg import Matrix
+from tlschur.tensor_action import hecke_generator_matrices
 
 PRIMES = (2, 3, 5)
+BLOCKED_PRIMES = (3, 5, 7, 101)
 
 
 def inv_table(p):
@@ -75,16 +80,28 @@ def test_pack_unpack_round_trip(ncols):
     assert np.array_equal(K.unpack_rows(packed, ncols), dense)
 
 
-@pytest.mark.parametrize("shape", [(4, 5, 6), (16, 70, 3), (65, 65, 65), (1, 1, 1)])
+@pytest.mark.parametrize(
+    "shape", [(4, 5, 6), (16, 70, 3), (65, 65, 65), (1, 1, 1), (9, 100, 7), (3, 130, 65), (136, 192, 150)]
+)
 def test_gf2_matmul_matches_numpy(shape):
     m, k, n = shape
     rng = np.random.default_rng(sum(shape))
     a = rng.integers(0, 2, size=(m, k)).astype(np.uint8)
     b = rng.integers(0, 2, size=(k, n)).astype(np.uint8)
-    out = np.zeros((m, (n + 63) // 64), dtype=np.uint64)
+    start = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
+    out = K.pack_rows(start)
     K.gf2_matmul(K.pack_rows(a), k, K.pack_rows(b), out)
-    want = (a.astype(np.int64) @ b.astype(np.int64)) % 2
+    want = (start + a.astype(np.int64) @ b.astype(np.int64)) % 2
     assert np.array_equal(K.unpack_rows(out, n), want.astype(np.uint8))
+    # the padding bits past column n stay zero
+    assert np.array_equal(out, K.pack_rows(K.unpack_rows(out, n)))
+
+
+def test_gf2_matmul_rejects_float32_overflow():
+    # rejected before any work, so the operands can stay tiny
+    a = np.zeros((1, 1), dtype=np.uint64)
+    with pytest.raises(ValueError, match="float32"):
+        K.gf2_matmul_numpy(a, 1 << 24, a, np.zeros((1, 1), dtype=np.uint64))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -112,6 +129,54 @@ def test_gfp_rref_against_reference(p, seed):
     assert rank == ref_rank
     assert list(pivots) == ref_pivots
     assert np.array_equal(work, np.array(ref, dtype=np.int64).reshape(nr, nc))
+
+
+def _check_blocked_rref(a, p):
+    ref, ref_rank, ref_pivots = ref_rref_mod(a.tolist(), p)
+    work = a.copy()
+    rank, pivots = K.gfp_rref_numpy(work, p, inv_table(p))
+    assert rank == ref_rank
+    assert pivots.dtype == np.int64 and list(pivots) == ref_pivots
+    assert np.array_equal(work, np.array(ref, dtype=np.int64).reshape(a.shape))
+
+
+@pytest.mark.parametrize("p", BLOCKED_PRIMES)
+@pytest.mark.parametrize("shape", [(130, 150), (300, 70), (70, 300)])
+def test_gfp_rref_blocked_dense(p, shape):
+    # random dense shapes whose pivots cross the panel boundaries
+    rng = np.random.default_rng(shape[0] * p + shape[1])
+    _check_blocked_rref(rng.integers(0, p, size=shape).astype(np.int64), p)
+
+
+@pytest.mark.parametrize("p", BLOCKED_PRIMES)
+def test_gfp_rref_blocked_rank_deficient(p):
+    # rank 12 spread over 180 columns: most panels find few or no pivots
+    rng = np.random.default_rng(p)
+    left = rng.integers(0, p, size=(200, 12))
+    right = rng.integers(0, p, size=(12, 180))
+    right[:, 60:75] = 0
+    _check_blocked_rref((left @ right) % p, p)
+
+
+@pytest.mark.parametrize("p", BLOCKED_PRIMES)
+def test_gfp_rref_blocked_intertwiner_system(p):
+    # the sparse commutant system a (x) I - I (x) a^T of the d=3 Hecke generators
+    f = GF(p)
+    gens = hecke_generator_matrices(HeckeParams(3, f, 2))
+    eye = Matrix.identity(f, gens[0].nrows)
+    system = Matrix.vstack([a.kron(eye) - eye.kron(a.transpose()) for a in gens])
+    _check_blocked_rref(system.dense().copy(), p)
+
+
+@pytest.mark.parametrize(
+    "p, ncols, bound",
+    [(16777259, 4, "float64"), (10000019, 1 << 17, "int64")],
+)
+def test_gfp_rref_rejects_overflowing_modulus(p, ncols, bound):
+    # the bounds are checked before any work, so a dummy inverse table will do
+    m = np.zeros((1, ncols), dtype=np.int64)
+    with pytest.raises(ValueError, match=bound):
+        K.gfp_rref_numpy(m, p, np.zeros(1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", PRIMES)
