@@ -1,9 +1,16 @@
 """Benchmark the jitted kernels against their pure-numpy fallbacks.
 
 Times gf2_rref, gf2_matmul, gfp_rref and gfp_charpoly on random inputs of
-the requested sizes and prints one table row per (kernel, size).  One fixed
-case follows: gfp_rref on the d=5 End(Q) intertwiner system over GF(5), the
-sparse 2048x1024 system whose fill-in random dense squares do not show.
+the requested sizes and prints one table row per (kernel, size).  Two fixed
+cases follow, both gfp_rref on d=5 End(Q) intertwiner systems over GF(5),
+sparse systems whose fill-in random dense squares do not show:
+
+* the dense 2048x1024 system a (x) I - I (x) a^T on all 32^2 unknowns.  The
+  oracle no longer solves it (hom_space solves per weight); it stays as an
+  anchor for the dense kernel.
+* the weight-graded system that hom_space(Q, Q) eliminates: only the
+  C(10, 5) = 252 weight-diagonal entries are unknowns.
+
 When numba is unavailable (or TLSCHUR_PURE_NUMPY=1), only the numpy column
 is filled.
 
@@ -19,6 +26,7 @@ import numpy as np
 from tlschur import BLESSED_CONFIGS, schur_algebra, tensor_module
 from tlschur import _kernels as K
 from tlschur.linalg import Matrix
+from tlschur.tensor_action import intertwiner_system
 
 
 def best_of(fn, repeats: int) -> float:
@@ -51,10 +59,17 @@ def bench_case(label: str, make_args, impls, repeats: int):
 
 
 def endq_system() -> np.ndarray:
-    """The End(Q) system a (x) I - I (x) a^T over the generator actions on Q, d=5, gf5-u2."""
+    """The dense End(Q) system a (x) I - I (x) a^T over the generator actions on Q, d=5, gf5-u2."""
     acts = tensor_module(schur_algebra(BLESSED_CONFIGS["gf5-u2"](5))).generator_actions()
     eye = Matrix.identity(acts[0].field, acts[0].nrows)
     return Matrix.vstack([a.kron(eye) - eye.kron(a.transpose()) for a in acts]).dense()
+
+
+def graded_endq_system() -> np.ndarray:
+    """The weight-graded End(Q) system that hom_space(Q, Q) eliminates, d=5, gf5-u2."""
+    acts, parts = tensor_module(schur_algebra(BLESSED_CONFIGS["gf5-u2"](5))).graded_generator_actions()
+    system, _ = intertwiner_system(acts, acts, parts, parts)
+    return system.dense()
 
 
 def main():
@@ -115,16 +130,16 @@ def main():
         )
     )
 
-    system = endq_system()
     inv5 = inv_table(5)
-    rows.append(
-        bench_case(
-            f"gfp_rref p=5 End(Q) d=5 {system.shape[0]}x{system.shape[1]}",
-            lambda: (system.copy(), 5, inv5),
-            [("numba", K.gfp_rref_numba if has else None), ("numpy", K.gfp_rref_numpy)],
-            args.repeats,
+    for label, system in (("End(Q)", endq_system()), ("graded End(Q)", graded_endq_system())):
+        rows.append(
+            bench_case(
+                f"gfp_rref p=5 {label} d=5 {system.shape[0]}x{system.shape[1]}",
+                lambda: (system.copy(), 5, inv5),
+                [("numba", K.gfp_rref_numba if has else None), ("numpy", K.gfp_rref_numpy)],
+                args.repeats,
+            )
         )
-    )
 
     width = max(len(r["case"]) for r in rows)
     print(f"{'case':<{width}}  {'numba (ms)':>12}  {'numpy (ms)':>12}  {'speedup':>8}")

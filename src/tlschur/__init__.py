@@ -33,6 +33,7 @@ from .hecke import (
 )
 from .linalg import Matrix, RowSpace
 from .oracle import (
+    CertificationError,
     DomdimResult,
     ExplicitAlgebra,
     ExplicitModule,
@@ -75,6 +76,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLESSED_CONFIGS",
+    "CertificationError",
     "DecompTable",
     "DomdimResult",
     "ExplicitAlgebra",

@@ -300,6 +300,18 @@ def kernel_from_rref(R: Matrix, rank: int, pivots: Sequence[int]) -> Matrix:
     return Matrix.from_dense(R.field, out)
 
 
+def reduced_basis(rows: Matrix) -> Matrix:
+    """The basis of the row space that kernel_from_rref gives for it as a kernel.
+
+    That basis is the reduced echelon form read from the right: each row
+    ends in a 1 at its own column, every other row is 0 there, and the rows
+    are sorted by that column.  It depends on the space alone.
+    """
+    rev = list(reversed(range(rows.ncols)))
+    R, rank, _ = rows.select_columns(rev).rref()
+    return R.select_rows(reversed(range(rank))).select_columns(rev)
+
+
 def flatten(mats: Iterable[Matrix]) -> Matrix:
     """Row-major flattenings of equally shaped matrices, stacked one per row."""
     return Matrix.vstack([m.reshape(1, m.nrows * m.ncols) for m in mats])

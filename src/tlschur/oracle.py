@@ -5,6 +5,13 @@ Hecke generator action on V^(tensor d), with structure constants solved from
 the faithful matrices.  Modules are row-vector spaces with one action matrix
 per algebra basis element, composing as act(xy) = act(x) @ act(y).
 
+Intertwiner and hom systems are solved per weight.  The commutant is solved
+one pair of weight spaces of V^(tensor d) at a time (tensor_action).  The
+weight idempotents e_a, stored as coordinate rows and certified orthogonal
+with sum 1, split every module into weight spaces M e_a.  A module map is
+block diagonal in weight-adapted bases, so hom_space takes only those blocks
+as unknowns.  Every basis equals the one the full system would give.
+
 relative_domdim iterates left approximations into add(Q) for Q the tensor
 module: if the approximation is not injective the accumulated count is the
 answer; if it splits the answer is infinite; otherwise the cokernel is the
@@ -34,15 +41,17 @@ import numpy as np
 from . import _kernels
 from .domdim import INFINITY, Infinity
 from .hecke import BLESSED_CONFIGS, HeckeElement, HeckeParams, kernel_generator, phi
-from .linalg import Matrix, RowSpace, _inverses, flatten, kernel_from_rref, unflatten
+from .linalg import Matrix, RowSpace, _inverses, flatten, kernel_from_rref, reduced_basis, unflatten
 from .permutations import symmetric_group
 from .tensor_action import (
+    CertificationError,
     commutant_basis,
     element_action,
     hecke_action,
     hecke_generator_matrices,
-    intertwiners,
+    intertwiner_rows,
     tl_action,
+    weight_projections,
 )
 from .tl import check_relations
 
@@ -57,16 +66,28 @@ class ExplicitAlgebra:
     basis holds faithful matrices (the commutant realization); structure is
     the array c with b_i b_j = sum_k c[i,j,k] b_k; unit is the coordinate
     row of the identity; gen_rows holds coordinate rows of a few elements
-    that generate the algebra with 1 (used to shrink intertwiner systems).
+    that generate the algebra with 1 (used to shrink intertwiner systems);
+    idempotents holds the coordinate rows of the weight idempotents e_a,
+    orthogonal and summing to 1, which split every module into weight spaces.
     """
 
-    def __init__(self, field, basis: list[Matrix], structure, unit: tuple, gen_rows: Matrix, degree: int | None = None):
+    def __init__(
+        self,
+        field,
+        basis: list[Matrix],
+        structure,
+        unit: tuple,
+        gen_rows: Matrix,
+        idempotents: Matrix,
+        degree: int | None = None,
+    ):
         self.field = field
         self.dim = len(basis)
         self.basis = basis
         self.structure = structure
         self.unit = unit
         self.gen_rows = gen_rows
+        self.idempotents = idempotents
         self.degree = degree
 
     def right_mult_matrix(self, j: int) -> Matrix:
@@ -74,8 +95,12 @@ class ExplicitAlgebra:
         return Matrix.from_dense(self.field, self.structure[:, j, :])
 
 
-def _structure_constants(field, basis: list[Matrix]):
-    """Solve every pairwise product against the basis; error if not closed."""
+def _structure_constants(field, basis: list[Matrix], extra: list[Matrix] = ()):
+    """Solve every pairwise product against the basis; error if not closed.
+
+    Returns the structure constants, the coordinates of the identity, and
+    the coordinate rows of the extra matrices, solved next to the identity.
+    """
     dim = len(basis)
     bmat = flatten(basis).transpose()
     pmat = flatten(a @ b for a in basis for b in basis).transpose()
@@ -83,12 +108,25 @@ def _structure_constants(field, basis: list[Matrix]):
     if sol is None:
         raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
     c = sol.dense().astype(np.int64).reshape(dim, dim, dim).transpose(1, 2, 0).copy()
-    icol = flatten([Matrix.identity(field, basis[0].nrows)]).transpose()
-    usol = bmat.solve_many(icol)
+    icols = flatten([Matrix.identity(field, basis[0].nrows), *extra]).transpose()
+    usol = bmat.solve_many(icols)
     if usol is None:
-        raise RuntimeError("identity matrix is not in the span of the basis")
+        raise CertificationError("the identity or a weight projection is not in the span of the basis")
     unit = tuple(usol.entry(i, 0) for i in range(dim))
-    return c, unit
+    return c, unit, usol.transpose().select_rows(range(1, 1 + len(extra)))
+
+
+def _check_idempotents(field, structure, unit: tuple, rows: Matrix) -> None:
+    """Certify e_a e_b = delta_ab e_a and sum_a e_a = 1 from the structure constants."""
+    k = rows.nrows
+    want = np.zeros((k, k, structure.shape[0]), dtype=np.int64)
+    for a in range(k):
+        want[a, a] = rows.dense()[a]
+    if _coord_products(field, structure, rows, rows) != Matrix.from_dense(field, want.reshape(k * k, -1)):
+        raise CertificationError("weight idempotents are not orthogonal idempotents")
+    total = Matrix.from_dense(field, rows.dense().astype(np.int64).sum(axis=0, keepdims=True))
+    if total != Matrix.from_rows(field, [list(unit)]):
+        raise CertificationError("weight idempotents do not sum to the unit")
 
 
 def _closes_to_full(field, dim: int, mults: list[Matrix], unit: tuple) -> bool:
@@ -150,9 +188,12 @@ def schur_algebra(params: HeckeParams, progress=None) -> ExplicitAlgebra:
     basis = commutant_basis(gens, progress=progress)
     if progress:
         progress(f"structure constants on dim {len(basis)}")
-    structure, unit = _structure_constants(params.field, basis)
+    structure, unit, idempotents = _structure_constants(
+        params.field, basis, weight_projections(params.field, basis[0].nrows)
+    )
+    _check_idempotents(params.field, structure, unit, idempotents)
     alg = ExplicitAlgebra(
-        params.field, basis, structure, unit, Matrix.zeros(params.field, 0, len(basis)), degree=params.d
+        params.field, basis, structure, unit, Matrix.zeros(params.field, 0, len(basis)), idempotents, degree=params.d
     )
     alg.gen_rows = _generator_rows(params.field, alg.dim, alg.right_mult_matrix, unit)
     _SCHUR_CACHE[key] = alg
@@ -180,18 +221,47 @@ class ExplicitModule:
                 acc = acc + self.actions[i].scale(c)
         return acc
 
+    def element_actions(self, rows: Matrix) -> list[Matrix]:
+        """Action matrices of the elements with the given coordinate rows."""
+        if self.dim == 0:
+            return [Matrix.zeros(self.algebra.field, 0, 0)] * rows.nrows
+        return unflatten(rows @ flatten(self.actions), self.dim, self.dim)
+
     def generator_actions(self) -> list[Matrix]:
         """Action matrices of the algebra's generator rows, cached."""
         cached = getattr(self, "_gen_acts", None)
         if cached is None:
-            rows = self.algebra.gen_rows
-            f = self.algebra.field
-            if self.dim == 0:
-                cached = [Matrix.zeros(f, 0, 0)] * rows.nrows
-            else:
-                cached = unflatten(rows @ flatten(self.actions), self.dim, self.dim)
-            self._gen_acts = cached
+            cached = self._gen_acts = self.element_actions(self.algebra.gen_rows)
         return cached
+
+    def weight_basis(self) -> tuple[Matrix, Matrix, list[range]]:
+        """A basis adapted to the weight spaces M e_a, cached.
+
+        Returns (B, C, parts): the rows of B are the rref bases of the M e_a
+        in order of a, parts[a] is the range of rows of M e_a, and C = B^(-1)
+        holds the coordinates of each vector's components at the pivot
+        columns of its block.  C @ B == identity is checked, so the e_a
+        split M.
+        """
+        cached = getattr(self, "_weight_basis", None)
+        if cached is None:
+            blocks, coords, parts = [], [], []
+            for proj in self.element_actions(self.algebra.idempotents):
+                R, rank, pivots = proj.rref()
+                blocks.append(R.select_rows(range(rank)))
+                coords.append(proj.select_columns(pivots))
+                start = parts[-1].stop if parts else 0
+                parts.append(range(start, start + rank))
+            B, C = Matrix.vstack(blocks), Matrix.hstack(coords)
+            if B.nrows != self.dim or C @ B != Matrix.identity(self.algebra.field, self.dim):
+                raise CertificationError("weight idempotents do not split the module")
+            cached = self._weight_basis = (B, C, parts)
+        return cached
+
+    def graded_generator_actions(self) -> tuple[list[Matrix], list[range]]:
+        """The generator actions B g C in the weight-adapted basis, and its weight parts."""
+        B, C, parts = self.weight_basis()
+        return [B @ g @ C for g in self.generator_actions()], parts
 
     def validate(self, deep: bool = False) -> None:
         """act(unit) = identity, and action respects the structure constants."""
@@ -255,11 +325,34 @@ def power_module(m: ExplicitModule, k: int) -> ExplicitModule:
 
 
 def hom_space(m: ExplicitModule, n: ExplicitModule, verify: bool = True) -> list[ModuleMap]:
-    """Basis of module maps m -> n, solved from the generator intertwiner system."""
-    assert n.algebra is m.algebra
+    """Basis of module maps m -> n, solved weight space by weight space.
+
+    A module map commutes with the weight idempotents, so in weight-adapted
+    bases it is block diagonal, Y = diag(Y_a): only those entries are
+    unknowns of the generator intertwiner system.  The maps are taken back
+    to the given bases as X = C_m Y B_n, and the result is the reduced
+    basis of their span, which is the basis kernel_from_rref gives for the
+    full system.
+    """
+    if n.algebra is not m.algebra:
+        raise ValueError("hom_space needs two modules over the same algebra")
     if m.dim == 0 or n.dim == 0:
         return []
-    out = [ModuleMap(m, n, x) for x in intertwiners(m.generator_actions(), n.generator_actions())]
+    f = m.algebra.field
+    left, m_parts = m.graded_generator_actions()
+    right, n_parts = n.graded_generator_actions()
+    ys = intertwiner_rows(left, right, m_parts, n_parts)
+    cm, bn = m.weight_basis()[1], n.weight_basis()[0]
+    k = ys.nrows
+    if k == 0:
+        return []
+    # X_k = C_m Y_k B_n for all k at once: right factor on the stacked Y_k,
+    # then the left factor on the Z_k side by side
+    z = (ys.reshape(k * m.dim, n.dim) @ bn).dense().reshape(k, m.dim, n.dim)
+    z = Matrix.from_dense(f, z.transpose(1, 0, 2).reshape(m.dim, k * n.dim))
+    x = (cm @ z).dense().reshape(m.dim, k, n.dim).transpose(1, 0, 2)
+    maps = reduced_basis(Matrix.from_dense(f, x.reshape(k, m.dim * n.dim)))
+    out = [ModuleMap(m, n, mat) for mat in unflatten(maps, m.dim, n.dim)]
     if verify:
         for h in out:
             h.check()
@@ -705,7 +798,7 @@ def relative_domdim(
         q._end_cache = end_q
     end_struct = getattr(q, "_end_struct", None)
     if end_struct is None:
-        end_struct, _ = _structure_constants(alg.field, [em.matrix for em in end_q])
+        end_struct, _, _ = _structure_constants(alg.field, [em.matrix for em in end_q])
         q._end_struct = end_struct
     end_radical = getattr(q, "_end_radical", "unset")
     if end_radical == "unset":

@@ -12,12 +12,20 @@ a descent (2,1) swaps plus (u - u^(-1)) times the original word.  The
 Temperley-Lieb generator acts as U_s = T_s - u.  The convention is locked
 by the regression that every kernel generator of the Hecke-to-TL surjection
 acts as zero.
+
+Every T_s preserves the weight of a word (its number of letters 2), so
+V^(tensor d) is the direct sum of its weight spaces V_a.  Intertwiner
+systems are solved weight block by weight block: the commutant as the
+independent systems Hom(V_a, V_b), the double commutant and hom spaces of
+modules on their weight-diagonal entries only.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .hecke import HeckeElement, HeckeParams
-from .linalg import Matrix, RowSpace, flatten, unflatten
+from .linalg import Matrix, RowSpace, flatten, reduced_basis, unflatten
 from .permutations import Permutation
 
 
@@ -97,59 +105,163 @@ def hecke_generator_matrices(params: HeckeParams) -> list[Matrix]:
     return [hecke_action(params, s) for s in range(1, params.d)]
 
 
-def intertwiners(left: list[Matrix], right: list[Matrix], progress=None) -> list[Matrix]:
-    """Basis of the matrices X with a @ X == X @ b for every pair (a, b).
+class CertificationError(RuntimeError):
+    """A condition that a certified result rests on failed its check."""
 
-    Solves by elimination on the row-major vectorization: vec(a X - X b) =
-    (a kron I - I kron b^T) vec(X), so X runs over the kernel of the stacked
-    operators, one block per pair.
+
+def _weights(n: int) -> np.ndarray:
+    """Weight (the number of letters 2) of each basis index of V^(tensor d), n = 2^d."""
+    d = n.bit_length() - 1
+    if n != 1 << d:
+        raise ValueError(f"tensor space has dimension 2^d, got {n}")
+    return np.array([bin(i).count("1") for i in range(n)])
+
+
+def weight_classes(n: int) -> list[list[int]]:
+    """Basis indices of V^(tensor d), n = 2^d, grouped by increasing weight."""
+    wt = _weights(n)
+    return [np.flatnonzero(wt == a).tolist() for a in range(wt.max() + 1)]
+
+
+def weight_projections(field, n: int) -> list[Matrix]:
+    """The projections of V^(tensor d) onto its weight spaces, by increasing weight."""
+    wt = _weights(n)
+    return [Matrix.from_dense(field, np.diag(wt == a)) for a in range(wt.max() + 1)]
+
+
+def _weight_diagonal(n: int) -> np.ndarray:
+    """Row-major positions (i, j) of an n x n matrix with i and j of equal weight."""
+    wt = _weights(n)
+    return np.flatnonzero(wt[:, None] == wt[None, :])
+
+
+def _check_weight_preserving(mats: list[Matrix]) -> None:
+    wt = _weights(mats[0].nrows)
+    for k, g in enumerate(mats):
+        r, c = np.nonzero(g.dense())
+        if np.any(wt[r] != wt[c]):
+            raise CertificationError(f"generator {k} does not preserve weight")
+
+
+def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, col_parts=None):
+    """The linear system of a @ X == X @ b over every pair (a, b), and its unknowns.
+
+    Uses the row-major vectorization: vec(a X - X b) = (a kron I - I kron
+    b^T) vec(X).  With parts given, X is block diagonal: its k-th block has
+    rows row_parts[k] and columns col_parts[k] (each part list must
+    partition its side), and only those entries are unknowns.  Output block
+    (k, l) of a X - X b is a_kl X_l - X_k b_kl; blocks where both a_kl and
+    b_kl vanish give no equation.  Returns (system, coords): coords lists
+    the row-major positions of the unknowns in increasing order, one system
+    column each; system is None when no equation remains.
     """
     f = left[0].field
     m, n = left[0].nrows, right[0].nrows
-    eye_m = Matrix.identity(f, m)
-    eye_n = Matrix.identity(f, n)
+    if row_parts is None:
+        row_parts, col_parts = [range(m)], [range(n)]
+    rp = [np.asarray(list(r), dtype=np.int64) for r in row_parts]
+    cp = [np.asarray(list(c), dtype=np.int64) for c in col_parts]
+    flat = [(r[:, None] * n + c[None, :]).ravel() for r, c in zip(rp, cp)]
+    coords = np.sort(np.concatenate(flat))
+    pos = np.full(m * n, -1, dtype=np.int64)
+    pos[coords] = np.arange(coords.size)
+    unknowns = [pos[x] for x in flat]
     blocks = []
-    for k, (a, b) in enumerate(zip(left, right)):
+    for a, b in zip(left, right):
+        ad = a.dense().astype(np.int64)
+        bd = b.dense().astype(np.int64)
+        for k in range(len(rp)):
+            for l in range(len(rp)):
+                akl = ad[np.ix_(rp[k], rp[l])]
+                bkl = bd[np.ix_(cp[k], cp[l])]
+                if not rp[k].size * cp[l].size or not (akl.any() or bkl.any()):
+                    continue
+                eq = np.zeros((rp[k].size * cp[l].size, coords.size), dtype=np.int64)
+                eq[:, unknowns[l]] += np.kron(akl, np.eye(cp[l].size, dtype=np.int64))
+                eq[:, unknowns[k]] -= np.kron(np.eye(rp[k].size, dtype=np.int64), bkl.T)
+                blocks.append(eq % f.p)
+    if not blocks:
+        return None, coords
+    return Matrix.from_dense(f, np.concatenate(blocks)), coords
+
+
+def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts=None, col_parts=None, progress=None) -> Matrix:
+    """Basis of the matrices X with a @ X == X @ b for every pair (a, b), flattened row-major.
+
+    The system and the parts are those of intertwiner_system; the basis is
+    the one kernel_from_rref gives, embedded in the full flattening.
+    """
+    f = left[0].field
+    system, coords = intertwiner_system(left, right, row_parts, col_parts)
+    if system is None:
+        kernel = Matrix.identity(f, coords.size)
+    else:
         if progress:
-            progress(f"commutant constraint {k + 1}/{len(left)}")
-        blocks.append(a.kron(eye_n) - eye_m.kron(b.transpose()))
-    system = Matrix.vstack(blocks)
-    # the blocks are copied into system; free them before the solve copies it again
-    del blocks
-    if progress:
-        progress(f"solving {system.nrows}x{system.ncols} kernel")
-    return unflatten(system.kernel_basis_matrix(), m, n)
+            progress(f"solving {system.nrows}x{system.ncols} kernel")
+        kernel = system.kernel_basis_matrix()
+    out = np.zeros((kernel.nrows, left[0].nrows * right[0].nrows), dtype=np.int64)
+    out[:, coords] = kernel.dense()
+    return Matrix.from_dense(f, out)
 
 
 def commutant_basis(generators: list[Matrix], progress=None) -> list[Matrix]:
-    """Basis of all matrices commuting with every generator.
+    """Basis of all matrices on V^(tensor d) commuting with every generator.
 
-    The result is closed under products by construction and the closure is
-    verified by the caller's tests.
+    Every generator must preserve weight (CertificationError otherwise), so
+    the commutant is the direct sum of the intertwiners Hom(V_a, V_b) of the
+    restrictions to the weight spaces, one independent system per pair
+    (a, b).  The basis is the reverse reduced echelon form of their union,
+    which is the basis the full system's kernel_from_rref gives.
     """
-    assert generators, "need at least one generator"
-    return intertwiners(generators, generators, progress=progress)
+    if not generators:
+        raise ValueError("need at least one generator")
+    f = generators[0].field
+    n = generators[0].nrows
+    classes = weight_classes(n)
+    _check_weight_preserving(generators)
+    restricted = [[g.select_rows(idx).select_columns(idx) for g in generators] for idx in classes]
+    if progress:
+        progress(f"solving {len(classes) ** 2} weight blocks of at most {max(map(len, classes)) ** 2} unknowns")
+    rows = []
+    for ia, ga in zip(classes, restricted):
+        for ib, gb in zip(classes, restricted):
+            kernel = intertwiner_rows(ga, gb).dense()
+            embedded = np.zeros((kernel.shape[0], n * n), dtype=np.int64)
+            embedded[:, (np.array(ia)[:, None] * n + np.array(ib)[None, :]).ravel()] = kernel
+            rows.append(embedded)
+    return unflatten(reduced_basis(Matrix.from_dense(f, np.concatenate(rows))), n, n)
 
 
-def matrix_span(mats: list[Matrix]) -> RowSpace:
-    sp = RowSpace(mats[0].field, mats[0].nrows * mats[0].ncols)
-    sp.insert(flatten(mats))
+def _flat_on(mats: list[Matrix], coords: np.ndarray) -> Matrix:
+    """Row-major flattenings of the matrices, restricted to the given positions."""
+    return Matrix.from_dense(mats[0].field, np.stack([m.dense().reshape(-1)[coords] for m in mats]))
+
+
+def matrix_span(mats: list[Matrix], coords: np.ndarray | None = None) -> RowSpace:
+    if coords is None:
+        coords = np.arange(mats[0].nrows * mats[0].ncols)
+    sp = RowSpace(mats[0].field, coords.size)
+    sp.insert(_flat_on(mats, coords))
     return sp
 
 
 def algebra_closure_dim(generators: list[Matrix], cap: int | None = None) -> tuple[int, list[Matrix]]:
-    """Dimension and basis of the unital matrix algebra generated by the inputs.
+    """Dimension and basis of the unital algebra generated by matrices on V^(tensor d).
 
     Repeatedly multiplies the current spanning set by the generators until
     the span stabilizes.  Returns (dimension, list of independent products).
+    The generators must preserve weight (CertificationError otherwise), so
+    spans are compared on the weight-diagonal entries only.
     """
     f = generators[0].field
     n = generators[0].nrows
-    sp = RowSpace(f, n * n)
+    _check_weight_preserving(generators)
+    coords = _weight_diagonal(n)
+    sp = RowSpace(f, coords.size)
     basis: list[Matrix] = []
 
     def try_add(m: Matrix) -> bool:
-        if sp.insert(flatten([m])):
+        if sp.insert(_flat_on([m], coords)):
             basis.append(m)
             return True
         return False
@@ -179,6 +291,8 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     dimension, and whether the TL image equals the double commutant.
     """
     d = params.d
+    n = 1 << d
+    classes = weight_classes(n)
     tl_gens = tl_generator_matrices(params)
     if progress:
         progress("closing TL image")
@@ -186,15 +300,21 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     if progress:
         progress("commutant of the TL action")
     comm = commutant_basis(hecke_generator_matrices(params), progress=progress)
+    comm_span = matrix_span(comm)
+    if not comm_span.contains(flatten(weight_projections(params.field, n))):
+        raise CertificationError("a weight projection is not in the commutant span")
     if progress:
         progress("double commutant")
-    comm2 = commutant_basis(comm, progress=progress)
-    tl_span = matrix_span(tl_basis)
-    c2_span = matrix_span(comm2)
-    equal = tl_span.dim == c2_span.dim and tl_span.contains(flatten(comm2))
+    # everything commuting with the commutant commutes with the weight
+    # projections, so it is block diagonal: the unknowns are the
+    # weight-diagonal entries, and the TL image lives there too
+    comm2 = unflatten(intertwiner_rows(comm, comm, classes, classes, progress=progress), n, n)
+    diag = _weight_diagonal(n)
+    tl_span = matrix_span(tl_basis, diag)
+    c2_span = matrix_span(comm2, diag)
+    equal = tl_span.dim == c2_span.dim and tl_span.contains(_flat_on(comm2, diag))
     # products of commutant elements stay in the commutant span, all pairs:
     # vstack(comm) @ b read row-major as k rows is flatten(a @ b) over all a
-    comm_span = matrix_span(comm)
     k, n2 = len(comm), comm_span.ncols
     stacked = Matrix.vstack(comm)
     closed = comm_span.contains(Matrix.vstack([(stacked @ b).reshape(k, n2) for b in comm]))

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -7,7 +8,11 @@ from tlschur.hecke import HeckeParams, classical_char2, quantum_ell2
 from tlschur.linalg import Matrix, RowSpace, flatten, unflatten
 from tlschur import oracle
 from tlschur.oracle import (
+    CertificationError,
     DomdimResult,
+    ExplicitAlgebra,
+    ExplicitModule,
+    _check_idempotents,
     _coord_products,
     _greedy_generating_rows,
     _orbit_data_generic,
@@ -31,6 +36,26 @@ from tlschur.tl import catalan
 
 CONFIGS = [classical_char2, quantum_ell2]
 IDS = ["gf2-u1", "gf5-u2"]
+
+
+def gf7_u3(d):
+    # q = u^2 = 2 has quantum characteristic 3: away from the blessed regime
+    return HeckeParams(d, GF(7), 3)
+
+
+GRADED = CONFIGS + [gf7_u3]
+GRADED_IDS = IDS + ["gf7-u3"]
+
+
+def _change_basis(mod: ExplicitModule, seed: int) -> ExplicitModule:
+    """The same module in a random basis, so its weight spaces are not coordinate blocks."""
+    f = mod.algebra.field
+    rng = random.Random(seed)
+    while True:
+        g = Matrix.from_rows(f, [[f.coerce(rng.randrange(f.p)) for _ in range(mod.dim)] for _ in range(mod.dim)])
+        g_inv = g.solve_many(Matrix.identity(f, mod.dim))
+        if g_inv is not None:
+            return ExplicitModule(mod.algebra, [g @ a @ g_inv for a in mod.actions], label=f"g({mod.label})")
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
@@ -87,15 +112,65 @@ def test_generator_rows_generate(make):
     assert alg.gen_rows.nrows < alg.dim
 
 
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-def test_endomorphisms_of_tensor_space(make):
-    d = 2
+@pytest.mark.parametrize(
+    "make, d",
+    [pytest.param(make, 2, id=cid) for make, cid in zip(GRADED, GRADED_IDS)]
+    + [pytest.param(make, d, id=f"{cid}-d{d}") for make, cid in zip(GRADED, GRADED_IDS) for d in (3, 4)],
+)
+def test_endomorphisms_of_tensor_space(make, d, dense_intertwiners):
     alg = schur_algebra(make(d))
     q = tensor_module(alg)
     end_q = hom_space(q, q)
     assert len(end_q) == catalan(d)
     for h in end_q:
         h.check()
+    acts = q.generator_actions()
+    assert [h.matrix for h in end_q] == dense_intertwiners(acts, acts)
+
+
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+@pytest.mark.parametrize("d", [3, 4])
+def test_hom_space_matches_dense(make, d, dense_intertwiners):
+    params = make(d)
+    alg = schur_algebra(params)
+    q = tensor_module(alg)
+    reg = regular_module(alg)
+    cases = [(q, reg), (q, _change_basis(reg, 1)), (q, _change_basis(direct_sum(reg, q), 2))]
+    # standard modules have empty weight spaces
+    cases += [(standard_module(params, m, algebra=alg), q) for m in range(d % 2, d + 1, 2)]
+    for src, dst in cases:
+        got = [h.matrix for h in hom_space(src, dst)]
+        assert got == dense_intertwiners(src.generator_actions(), dst.generator_actions()), (src.label, dst.label)
+
+
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+def test_weight_idempotents(make):
+    alg = schur_algebra(make(3))
+    e = alg.idempotents
+    assert e.nrows == 4
+    q = tensor_module(alg)
+    # e_a acts on tensor space as the projection onto the words with a letters 2
+    for a, proj in enumerate(q.element_actions(e)):
+        want = [[int(i == j and bin(i).count("1") == a) for j in range(8)] for i in range(8)]
+        assert proj == Matrix.from_rows(alg.field, want)
+    mixed = Matrix.vstack([e.select_rows([0]) + e.select_rows([1]), e.select_rows([1, 2, 3])])
+    with pytest.raises(CertificationError, match="orthogonal"):
+        _check_idempotents(alg.field, alg.structure, alg.unit, mixed)
+    with pytest.raises(CertificationError, match="sum to the unit"):
+        _check_idempotents(alg.field, alg.structure, alg.unit, e.select_rows([0, 1, 2]))
+
+
+def test_hom_space_checks_its_inputs():
+    alg = schur_algebra(classical_char2(3))
+    other = schur_algebra(quantum_ell2(3))
+    with pytest.raises(ValueError, match="same algebra"):
+        hom_space(tensor_module(alg), tensor_module(other))
+    short = ExplicitAlgebra(
+        alg.field, alg.basis, alg.structure, alg.unit, alg.gen_rows, alg.idempotents.select_rows([0, 1, 2])
+    )
+    q = tensor_module(short)
+    with pytest.raises(CertificationError, match="split"):
+        hom_space(q, q)
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)

@@ -1,13 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from tlschur.fields import GF
 from tlschur.hecke import HeckeElement, HeckeParams, classical_char2, kernel_generator, quantum_ell2
-from tlschur.linalg import Matrix
+import tlschur
+from tlschur import tensor_action
+from tlschur.linalg import Matrix, unflatten
 from tlschur.permutations import symmetric_group
 from tlschur.tensor_action import (
+    CertificationError,
     algebra_closure_dim,
     basis_word,
     commutant_basis,
@@ -16,13 +23,24 @@ from tlschur.tensor_action import (
     hecke_action,
     hecke_generator_matrices,
     permutation_action,
+    intertwiner_rows,
     tl_action,
+    weight_classes,
     word_index,
 )
 from tlschur.tl import catalan
 
 CONFIGS = [classical_char2, quantum_ell2]
 IDS = ["gf2-u1", "gf5-u2"]
+
+
+def gf7_u3(d):
+    # q = u^2 = 2 has quantum characteristic 3: away from the blessed regime
+    return HeckeParams(d, GF(7), 3)
+
+
+GRADED = CONFIGS + [gf7_u3]
+GRADED_IDS = IDS + ["gf7-u3"]
 
 
 def test_basis_word_round_trip():
@@ -103,16 +121,71 @@ def test_kernel_generator_action_nonzero_generically():
     assert element_action(kernel_generator(p, 1)).is_zero()
 
 
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-@pytest.mark.parametrize("d", [2, 3])
-def test_commutant_dimension_and_closure(make, d):
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_commutant_dimension_and_closure(make, d, dense_intertwiners):
     p = make(d)
-    comm = commutant_basis(hecke_generator_matrices(p))
-    assert len(comm) == comb(d + 3, 3)
     gens = hecke_generator_matrices(p)
+    comm = commutant_basis(gens)
+    assert len(comm) == comb(d + 3, 3)
+    # the weight blocks reproduce the full 4^d-unknown solve bit for bit
+    assert comm == dense_intertwiners(gens, gens)
     for x in comm:
         for g in gens:
             assert g @ x == x @ g
+
+
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_double_commutant_matches_dense(make, d, dense_intertwiners):
+    comm = commutant_basis(hecke_generator_matrices(make(d)))
+    n = 1 << d
+    classes = weight_classes(n)
+    graded = unflatten(intertwiner_rows(comm, comm, classes, classes), n, n)
+    assert graded == dense_intertwiners(comm, comm)
+    assert len(graded) == catalan(d)
+
+
+def test_weight_classes():
+    assert weight_classes(8) == [[0], [1, 2, 4], [3, 5, 6], [7]]
+    with pytest.raises(ValueError):
+        weight_classes(6)
+
+
+def _weight_mixing_swap():
+    # swaps the words 11 (weight 0) and 12 (weight 1) of V^(tensor 2)
+    return Matrix.from_rows(GF(5), [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_commutant_rejects_weight_mixing_generator():
+    with pytest.raises(CertificationError, match="weight"):
+        commutant_basis([_weight_mixing_swap()])
+    with pytest.raises(ValueError, match="generator"):
+        commutant_basis([])
+
+
+def test_weight_check_survives_optimized_mode():
+    code = (
+        "from tlschur.fields import GF\n"
+        "from tlschur.linalg import Matrix\n"
+        "from tlschur.tensor_action import CertificationError, commutant_basis\n"
+        "m = Matrix.from_rows(GF(5), [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n"
+        "try:\n"
+        "    commutant_basis([m])\n"
+        "except CertificationError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    src = str(Path(tlschur.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.stdout.split() == ["False", "raised"], out.stderr
+
+
+def test_report_rejects_projection_outside_commutant(monkeypatch):
+    p = classical_char2(3)
+    monkeypatch.setattr(tensor_action, "commutant_basis", lambda gens, progress=None: [Matrix.identity(p.field, 8)])
+    with pytest.raises(CertificationError, match="weight projection"):
+        double_centralizer_report(p)
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
@@ -123,7 +196,7 @@ def test_tl_image_dimension(make, d):
     assert dim == catalan(d)
 
 
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
 def test_double_centralizer_report_small(make):
     rep = double_centralizer_report(make(3))
     assert rep["tl_image_dim"] == catalan(3) == 5
