@@ -39,7 +39,7 @@ IDS = ["gf2-u1", "gf5-u2"]
 
 
 def gf7_u3(d):
-    # q = u^2 = 2 has quantum characteristic 3: away from the blessed regime
+    # q = u^(-2) = 4 has quantum characteristic 3: away from the blessed regime
     return HeckeParams(d, GF(7), 3)
 
 
