@@ -92,11 +92,14 @@ class Matrix:
 
     @staticmethod
     def from_dense(field, dense: np.ndarray) -> "Matrix":
-        """Internal-friendly constructor from an integer array (already canonical)."""
+        """Matrix of an integer array, every entry reduced mod p."""
         _check_field(field)
         nrows, ncols = dense.shape
         if field.p == 2:
-            return Matrix(field, nrows, ncols, _kernels.pack_rows(dense.astype(np.uint8)))
+            # uint8 wraps mod 256, so the parity survives the cast
+            bits = dense.astype(np.uint8)
+            bits &= 1
+            return Matrix(field, nrows, ncols, _kernels.pack_rows(bits))
         return Matrix(field, nrows, ncols, np.asarray(dense, dtype=np.int64) % field.p)
 
     # -- raw views -----------------------------------------------------------
@@ -202,7 +205,8 @@ class Matrix:
             out = np.zeros((self.nrows, other._d.shape[1]), np.uint64)
             _kernels.gf2_matmul(self._d, self.ncols, other._d, out)
             return Matrix(f, self.nrows, other.ncols, out)
-        assert self.ncols * (f.p - 1) ** 2 < _MAX_GFP_MATMUL, "modulus too large for int64 matmul"
+        if self.ncols * (f.p - 1) ** 2 >= _MAX_GFP_MATMUL:
+            raise ValueError(f"GF({f.p}) products of length {self.ncols} overflow int64")
         # float64 products are exact while k*(p-1)^2 < 2^53 and run on BLAS
         if self.ncols * (f.p - 1) ** 2 < 2**53:
             prod = self._d.astype(np.float64) @ other._d.astype(np.float64)

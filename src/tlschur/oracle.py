@@ -120,12 +120,10 @@ def _check_idempotents(field, structure, unit: tuple, rows: Matrix) -> None:
     """Certify e_a e_b = delta_ab e_a and sum_a e_a = 1 from the structure constants."""
     k = rows.nrows
     want = np.zeros((k, k, structure.shape[0]), dtype=np.int64)
-    for a in range(k):
-        want[a, a] = rows.dense()[a]
+    want[range(k), range(k)] = rows.dense()
     if _coord_products(field, structure, rows, rows) != Matrix.from_dense(field, want.reshape(k * k, -1)):
         raise CertificationError("weight idempotents are not orthogonal idempotents")
-    total = Matrix.from_dense(field, rows.dense().astype(np.int64).sum(axis=0, keepdims=True))
-    if total != Matrix.from_rows(field, [list(unit)]):
+    if Matrix.from_rows(field, [[1] * k]) @ rows != Matrix.from_rows(field, [list(unit)]):
         raise CertificationError("weight idempotents do not sum to the unit")
 
 
@@ -389,7 +387,8 @@ def _cokernel_projection(R: Matrix, rank: int, pivots: tuple) -> tuple[Matrix, M
     sigma picks the free coordinates, so sigma @ pi is the identity.
     """
     pi_m = kernel_from_rref(R, rank, pivots).transpose()
-    assert (R.select_rows(range(rank)) @ pi_m).is_zero(), "projection does not kill the image"
+    if not (R.select_rows(range(rank)) @ pi_m).is_zero():
+        raise CertificationError("projection does not kill the image")
     pivset = set(pivots)
     free = [j for j in range(R.ncols) if j not in pivset]
     sigma = Matrix.identity(R.field, R.ncols).select_rows(free)
@@ -513,18 +512,15 @@ class DomdimResult:
         return f"DomdimResult({self.encode()})"
 
 
-def _coord_products(field, structure, xrows: Matrix, yrows: Matrix) -> Matrix:
-    """All pairwise products of elements given by coordinate rows."""
+def _left_mults(field, structure, rows: Matrix) -> list[Matrix]:
+    """Left multiplication by each element with the given coordinate rows: row t holds x*b_t."""
     dim = structure.shape[0]
-    a, b = xrows.nrows, yrows.nrows
-    xd = xrows.dense().astype(np.float64)
-    yd = yrows.dense().astype(np.float64)
-    cd = structure.astype(np.float64)
-    t1 = np.tensordot(xd, cd, axes=([1], [0]))  # (a, dim, dim) => x_s c[s,t,k]
-    t1 = np.mod(np.rint(t1), field.p)
-    prod = np.einsum("atk,bt->abk", t1, yd)
-    prod = np.mod(np.rint(prod), field.p).astype(np.int64)
-    return Matrix.from_dense(field, prod.reshape(a * b, dim))
+    return unflatten(rows @ Matrix.from_dense(field, structure.reshape(dim, dim * dim)), dim, dim)
+
+
+def _coord_products(field, structure, xrows: Matrix, yrows: Matrix) -> Matrix:
+    """All pairwise products x*y of elements given by coordinate rows, x-major."""
+    return Matrix.vstack([yrows @ left for left in _left_mults(field, structure, xrows)])
 
 
 def _span_nilpotent(field, structure, rows: Matrix) -> bool:
@@ -561,17 +557,14 @@ def _charpoly_coeff_stage(field, structure, w_rows: Matrix, m: int) -> Matrix:
     dim = structure.shape[0]
     idx = dim - m
     inv = _inverses(p)
-    sf = structure.astype(np.float64)
-    wd = w_rows.dense().astype(np.float64)
-    # left-multiplication matrices: A_x[j, k] = coords of x * b_j
-    aw = np.mod(np.rint(np.tensordot(wd, sf, axes=([1], [0]))), p)
+    # column block j of C holds b_j * b_s in row s
+    c = Matrix.from_dense(field, structure.transpose(1, 0, 2).reshape(dim, dim * dim))
     cond = np.zeros((w_rows.nrows, dim), dtype=np.int64)
-    for t in range(w_rows.nrows):
+    for t, ax in enumerate(_left_mults(field, structure, w_rows)):
         # charpoly(A_x @ A_y) = charpoly of left mult by x*y (same spectrum)
-        z = np.matmul(aw[t][None, :, :], sf)
-        zi = np.mod(np.rint(z), p).astype(np.int64)
+        z = (ax @ c).dense().astype(np.int64).reshape(dim, dim, dim)
         for j in range(dim):
-            cond[t, j] = _kernels.gfp_charpoly(zi[j], p, inv)[idx]
+            cond[t, j] = _kernels.gfp_charpoly(z[:, j, :], p, inv)[idx]
     lam = Matrix.from_dense(field, cond).transpose().kernel_basis_matrix()
     return lam @ w_rows
 
@@ -589,10 +582,10 @@ def _nilpotent_radical_rows(field, structure) -> Matrix | None:
     result without trusting the refinement chain itself.
     """
     dim = structure.shape[0]
-    cd = structure.astype(np.float64)
-    trvec = np.mod(np.einsum("kjj->k", cd), field.p)
-    gram = np.mod(np.rint(np.tensordot(cd, trvec, axes=([2], [0]))), field.p)
-    cur = Matrix.from_dense(field, gram.astype(np.int64)).kernel_basis_matrix()
+    s = Matrix.from_dense(field, structure.reshape(dim, dim * dim))
+    # trace of left multiplication by b_k, then Gram[s, t] = trace of b_s b_t
+    trace = s @ flatten([Matrix.identity(field, dim)]).transpose()
+    cur = (s.reshape(dim * dim, dim) @ trace).reshape(dim, dim).kernel_basis_matrix()
     power = field.p
     while True:
         if _span_nilpotent(field, structure, cur):
@@ -603,88 +596,27 @@ def _nilpotent_radical_rows(field, structure) -> Matrix | None:
         power *= field.p
 
 
-def _orbit_data_generic(homs: list[ModuleMap], end_q: list[ModuleMap], radical_rows):
-    """Orbit tensor (h, e, h) in hom-basis coordinates via one linear solve."""
-    f = homs[0].source.algebra.field
-    h = len(homs)
-    e = len(end_q)
+def _post_composition_action(homs: list[ModuleMap], end_q: list[ModuleMap]) -> Matrix:
+    """Post-composition with End(Q) in hom-basis coordinates, via one linear solve.
+
+    Row i, column block l holds the coordinates of homs[i] o end_q[l].
+    """
+    h, e = len(homs), len(end_q)
     bcols = flatten(hm.matrix for hm in homs).transpose()
     pcols = flatten(hm.matrix @ em.matrix for hm in homs for em in end_q).transpose()
     coords = bcols.solve_many(pcols)
-    assert coords is not None, "post-composition left the hom space"
-    # coords[s, i*e + l] = coefficient of homs[s] in homs[i] o end_q[l]
-    arr = np.ascontiguousarray(
-        coords.dense().astype(np.uint8).reshape(h, h, e).transpose(1, 2, 0)
-    )
-    seed = None
-    if radical_rows is not None and radical_rows.nrows:
-        rd = radical_rows.dense().astype(np.float64)
-        sj = np.tensordot(rd, arr.astype(np.float64), axes=([1], [1]))  # (w, h, h)
-        sj = np.mod(np.rint(sj), f.p).astype(np.int64)
-        seed = Matrix.from_dense(f, sj.reshape(-1, h))
-    return arr, seed
+    if coords is None:
+        raise CertificationError("post-composition left the hom space")
+    return coords.transpose().reshape(h, e * h)
 
 
-def _orbit_data_regular(end_q: list[ModuleMap], radical_rows):
-    """Orbit tensor for Hom(A, Q) = Q: composition is plain row mapping.
-
-    The hom attached to row vector y sends b_i to y*act(b_i); composing with
-    an endomorphism X gives the hom of y @ X, so the End-orbit of the n-th
-    basis hom is just the n-th rows of the End matrices.
-    """
-    f = end_q[0].source.algebra.field
-    e_dense = np.stack([em.matrix.dense() for em in end_q]).astype(np.uint8)  # (e, dq, dq)
-    arr = np.ascontiguousarray(e_dense.transpose(1, 0, 2))  # (dq, e, dq)
-    seed = None
-    if radical_rows is not None and radical_rows.nrows:
-        rd = radical_rows.dense().astype(np.float64)
-        rj = np.tensordot(rd, e_dense.astype(np.float64), axes=([1], [0]))  # (w, dq, dq)
-        rj = np.mod(np.rint(rj), f.p).astype(np.int64)
-        seed = Matrix.from_dense(f, rj.reshape(-1, arr.shape[2]))
-    return arr, seed
-
-
-def _orbit_data_coefficients(field, kb: Matrix, g: int, end_struct, radical_rows):
-    """Orbit tensor in the coefficient space End(Q)^g of a presentation.
-
-    Homs out of a cokernel are solved as coefficient vectors (H_s) over the
-    End(Q) basis, one block per presentation slot; composing with a basis
-    endomorphism multiplies each block by its right-mult table, so orbits
-    need only the structure constants and never touch the big flat maps.
-    """
-    h = kb.nrows
-    e = end_struct.shape[0]
-    p = field.p
-    kb3 = kb.dense().reshape(h, g, e)
-    sf = end_struct.astype(np.float32)  # (t, l, f): e_t e_l = sum_f c[t,l,f] e_f
-    arr = np.empty((h, e, g * e), dtype=np.uint8)
-    step = max(1, (1 << 24) // max(1, g * e * e))
-    for lo in range(0, h, step):
-        blk = kb3[lo : lo + step].astype(np.float32)
-        prod = np.tensordot(blk, sf, axes=([2], [0]))  # (b, g, l, f)
-        arr[lo : lo + step] = (
-            np.mod(np.rint(prod), p).astype(np.uint8).transpose(0, 2, 1, 3).reshape(-1, e, g * e)
-        )
-    seed = None
-    if radical_rows is not None and radical_rows.nrows:
-        w = radical_rows.nrows
-        rd = radical_rows.dense().astype(np.float32)
-        kf = kb3.astype(np.float32)
-        sd = np.empty((w * h, g * e), dtype=np.uint8)
-        for j in range(w):
-            rj = np.tensordot(sf, rd[j], axes=([1], [0]))  # right mult by the element
-            rows = np.tensordot(kf, rj, axes=([2], [0]))
-            sd[j * h : (j + 1) * h] = np.mod(np.rint(rows), p).astype(np.uint8).reshape(h, g * e)
-        seed = Matrix.from_dense(field, sd)
-    return arr, seed
-
-
-def _greedy_generating_rows(field, orbit_arr: np.ndarray, seed: Matrix | None, target: int) -> Matrix:
+def _greedy_generating_rows(field, kb: Matrix, g: int, act: Matrix, radical_rows, target: int) -> Matrix:
     """Few coefficient rows whose hom combinations generate over End(Q).
 
-    orbit_arr[i, l, :] holds the composition of the i-th basis hom with the
-    l-th basis endomorphism, in any faithful common coordinate space; target
-    is the hom space dimension.  The maps sum_j row[j]*homs[j] for the
+    The hom space has a basis whose i-th element has the coordinates kb[i]
+    in a faithful space of g blocks of size a; composing with the l-th basis
+    endomorphism acts on each block by column block l of act (a x e*a), and
+    target is the hom space dimension.  The maps sum_j row[j]*homs[j] for the
     returned rows generate the hom space as a right End(Q)-module, so
     stacking them gives a left add(Q)-approximation with the same kernel as
     the universal one.  Minimal generating sets need genuine combinations,
@@ -695,62 +627,64 @@ def _greedy_generating_rows(field, orbit_arr: np.ndarray, seed: Matrix | None, t
     radical J is sound: the span N of the chosen orbits is an End(Q)-
     submodule, and Hom = N + Hom*J collapses to Hom = N by iteration.
     """
-    h, e, amb = orbit_arr.shape
+    h, a = kb.nrows, act.nrows
+    e = act.ncols // a
     p = field.p
-    acc = RowSpace(field, amb)
-    seed_basis = None
-    if seed is not None and seed.nrows:
-        acc.insert(seed)
-        assert acc.dim < target, "Hom = Hom*J contradicts nilpotency of J"
-        seed_basis = acc.basis
+
+    def orbits(rows: Matrix) -> list[Matrix]:
+        # composites (n*g, e*a) of every block with every endomorphism, read per row as e x g*a
+        n = rows.nrows
+        comp = (rows.reshape(n * g, a) @ act).dense().reshape(n, g, e, a).transpose(0, 2, 1, 3)
+        return [Matrix.from_dense(field, x) for x in comp.reshape(n, e, g * a)]
+
+    acc = RowSpace(field, g * a)
+    base = []
+    if radical_rows is not None and radical_rows.nrows:
+        w = radical_rows.nrows
+        # actions of the radical elements, side by side: a x w*a
+        by_l = act.dense().reshape(a, e, a).transpose(1, 0, 2).reshape(e, a * a)
+        rad = (radical_rows @ Matrix.from_dense(field, by_l)).dense().reshape(w, a, a)
+        rad = Matrix.from_dense(field, rad.transpose(1, 0, 2).reshape(a, w * a))
+        seed = (kb.reshape(h * g, a) @ rad).dense().reshape(h, g, w, a).transpose(0, 2, 1, 3)
+        acc.insert(Matrix.from_dense(field, seed.reshape(h * w, g * a)))
+        if acc.dim >= target:
+            raise CertificationError("Hom = Hom*J contradicts nilpotency of J")
+        base = [acc.basis]
     rng = np.random.default_rng(0xD0D + 131 * h + e)
-    width = e * amb
-    flat = orbit_arr.reshape(h, width)
-    # chunk keeps float32 dot products exact and the transient copy small
-    chunk = max(1, min(4096, (1 << 24) // max(1, width)))
-
-    def combo_orbit(c: np.ndarray) -> Matrix:
-        accum = np.zeros(width, dtype=np.float64)
-        for lo in range(0, h, chunk):
-            accum += c[lo : lo + chunk].astype(np.float32) @ flat[lo : lo + chunk].astype(np.float32)
-        return Matrix.from_dense(field, (np.rint(accum).astype(np.int64) % p).reshape(e, amb))
-
-    chosen: list[np.ndarray] = []
+    chosen: list[tuple[Matrix, Matrix]] = []
     while acc.dim < target:
-        best_c = None
-        best_orbit = None
+        best = None
         best_gain = 0
         bound = min(e, target - acc.dim)
-        for c in rng.integers(0, p, size=(8, h), dtype=np.int64):
-            orb = combo_orbit(c)
+        cands = Matrix.from_dense(field, rng.integers(0, p, size=(8, h), dtype=np.int64))
+        for k, orb in enumerate(orbits(cands @ kb)):
             gain = acc.residual_rank(orb)
             if gain > best_gain:
-                best_c, best_orbit, best_gain = c, orb, gain
+                best, best_gain = (cands.select_rows([k]), orb), gain
                 if best_gain == bound:
                     break
         if best_gain == 0:
+            unit = Matrix.identity(field, h)
             for i in range(h):
-                orb = Matrix.from_dense(field, orbit_arr[i].astype(np.int64))
-                gain = acc.residual_rank(orb)
-                if gain > 0:
-                    c = np.zeros(h, dtype=np.int64)
-                    c[i] = 1
-                    best_c, best_orbit, best_gain = c, orb, gain
+                orb = orbits(kb.select_rows([i]))[0]
+                best_gain = acc.residual_rank(orb)
+                if best_gain > 0:
+                    best = (unit.select_rows([i]), orb)
                     break
-        assert best_gain > 0, "orbits fail to span the hom space"
-        chosen.append(best_c)
-        acc.insert(best_orbit)
+        if best_gain == 0:
+            raise CertificationError("orbits fail to span the hom space")
+        chosen.append(best)
+        acc.insert(best[1])
     kept = list(range(len(chosen)))
     if len(kept) > 1:
         # prune: a later generic pick may make an earlier one redundant
-        base = [seed_basis] if seed_basis is not None else []
         for i in list(kept):
             if len(kept) == 1:
                 break
-            trial = base + [combo_orbit(chosen[j]) for j in kept if j != i]
+            trial = base + [chosen[j][1] for j in kept if j != i]
             if Matrix.vstack(trial).rank() == target:
                 kept.remove(i)
-    return Matrix.from_dense(field, np.stack([chosen[i] for i in kept]) % p)
+    return Matrix.vstack([chosen[i][0] for i in kept])
 
 
 def _try_split(f_components: list[Matrix], cur: ExplicitModule, q: ExplicitModule, split_limit: int) -> bool | None:
@@ -820,20 +754,27 @@ def relative_domdim(
         # of the kernels, so test the full hom stack before any selection
         if Matrix.hstack([hm.matrix for hm in hom_cur]).rank() < cur.dim:
             return DomdimResult.exact(steps)
+        # coordinates of the hom basis and the End(Q) action on them; homs out
+        # of a cokernel are coefficient vectors over the End(Q) basis, one
+        # block per presentation slot, and E_l acts on each block by its
+        # right-mult table, so orbits never touch the big flat maps
         if coef_ctx is not None:
-            kb_prev, g_prev = coef_ctx
-            arr, seed = _orbit_data_coefficients(alg.field, kb_prev, g_prev, end_struct, end_radical)
+            kb, g = coef_ctx
+            e = end_struct.shape[0]
+            act = Matrix.from_dense(alg.field, end_struct.reshape(e, e * e))
         elif cur.is_regular:
-            arr, seed = _orbit_data_regular(end_q, end_radical)
+            # the hom of row y sends b_i to y*act(b_i); composing with X gives the hom of y @ X
+            kb, g, act = Matrix.identity(alg.field, q.dim), 1, Matrix.hstack([em.matrix for em in end_q])
         else:
-            arr, seed = _orbit_data_generic(hom_cur, end_q, end_radical)
-        gen_rows = _greedy_generating_rows(alg.field, arr, seed, len(hom_cur))
+            kb, g, act = Matrix.identity(alg.field, len(hom_cur)), 1, _post_composition_action(hom_cur, end_q)
+        gen_rows = _greedy_generating_rows(alg.field, kb, g, act, end_radical, len(hom_cur))
         comps = unflatten(gen_rows @ flatten(hm.matrix for hm in hom_cur), cur.dim, q.dim)
         if progress:
             progress(f"step {steps + 1}: module dim {cur.dim}, hom dim {len(hom_cur)}, multiplicity {len(comps)}")
         f_stack = Matrix.hstack(comps)
         R, rank, pivots = f_stack.rref()
-        assert rank == cur.dim, "generating subset lost injectivity"
+        if rank != cur.dim:
+            raise CertificationError("generating subset lost injectivity")
         if _try_split(comps, cur, q, split_limit):
             return DomdimResult.infinite()
         steps += 1

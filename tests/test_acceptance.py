@@ -102,7 +102,7 @@ def test_criterion_03_oracle_regular_domdim(d, budget):
 
 @pytest.mark.skipif(
     not os.environ.get("TLSCHUR_STRETCH"),
-    reason="set TLSCHUR_STRETCH=1 for the degree-6 check (240 s on the numpy backend, 2 cores)",
+    reason="set TLSCHUR_STRETCH=1 for the degree-6 check (about 90 s on the numpy backend, 2 cores)",
 )
 def test_criterion_03_stretch_degree_6():
     t0 = time.perf_counter()

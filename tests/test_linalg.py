@@ -160,6 +160,19 @@ def test_gf2_packing_odd_widths():
         assert m.transpose().transpose() == m
 
 
+def test_gf2_from_dense_reduces_mod_2():
+    got = Matrix.from_dense(GF2, np.array([[2, 3, -1, 256]], dtype=np.int64))
+    assert got == Matrix.from_rows(GF2, [[0, 1, 1, 0]])
+    assert Matrix.from_dense(GF2, 2 * np.eye(3, dtype=np.int64)).is_zero()
+
+
+def test_matmul_rejects_modulus_beyond_int64():
+    f = GF(2147483647)
+    a, b = Matrix.from_rows(f, [[1, 2]]), Matrix.from_rows(f, [[3], [4]])
+    with pytest.raises(ValueError, match="overflow"):
+        a @ b
+
+
 @pytest.mark.parametrize("f", [GF5, GF(3)], ids=["GF(5)", "GF(3)"])
 def test_large_matmul_blas_path_exact(f):
     # wide product goes through the float64 BLAS path; compare against int64

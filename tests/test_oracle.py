@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import tlschur
+from tlschur.domdim import FieldRegime, domdim_regular
 from tlschur.fields import GF, QQ
 from tlschur.hecke import HeckeParams, classical_char2, quantum_ell2
 from tlschur.linalg import Matrix, RowSpace, flatten, unflatten
@@ -15,8 +21,7 @@ from tlschur.oracle import (
     _check_idempotents,
     _coord_products,
     _greedy_generating_rows,
-    _orbit_data_generic,
-    _orbit_data_regular,
+    _post_composition_action,
     _regular_hom_basis,
     _span_nilpotent,
     cokernel,
@@ -290,9 +295,8 @@ def test_generating_combinations_generate(make):
     reg = regular_module(alg)
     homs = _regular_hom_basis(reg, q)
     end_q = hom_space(q, q, verify=False)
-    arr, seed = _orbit_data_regular(end_q, None)
-    assert seed is None
-    rows = _greedy_generating_rows(alg.field, arr, None, len(homs))
+    act = Matrix.hstack([E.matrix for E in end_q])
+    rows = _greedy_generating_rows(alg.field, Matrix.identity(alg.field, q.dim), 1, act, None, len(homs))
     flat = flatten(h.matrix for h in homs)
     span = RowSpace(alg.field, flat.ncols)
     span.insert(flatten(F @ E.matrix for F in unflatten(rows @ flat, reg.dim, q.dim) for E in end_q))
@@ -310,14 +314,14 @@ def test_generic_orbit_data_matches_regular(make):
     reg = regular_module(alg)
     homs = _regular_hom_basis(reg, q)
     end_q = hom_space(q, q, verify=False)
-    arr_g, _ = _orbit_data_generic(homs, end_q, None)
-    arr_r, _ = _orbit_data_regular(end_q, None)
+    act_g = _post_composition_action(homs, end_q)
+    act_r = Matrix.hstack([E.matrix for E in end_q])
     h, e = len(homs), len(end_q)
-    assert arr_g.shape == (h, e, h) and arr_r.shape == (h, e, q.dim)
+    assert (act_g.nrows, act_g.ncols) == (h, e * h) and (act_r.nrows, act_r.ncols) == (h, e * q.dim)
     # both coordinate systems must assign each orbit row the same rank profile
     for i in range(h):
-        ra = Matrix.from_dense(alg.field, arr_g[i].astype("int64")).rank()
-        rb = Matrix.from_dense(alg.field, arr_r[i].astype("int64")).rank()
+        ra = act_g.select_rows([i]).reshape(e, h).rank()
+        rb = act_r.select_rows([i]).reshape(e, q.dim).rank()
         assert ra == rb
 
 
@@ -356,7 +360,59 @@ def test_selection_agrees_with_universal_chain(make, monkeypatch):
     monkeypatch.setattr(
         oracle,
         "_greedy_generating_rows",
-        lambda field, arr, seed, target: Matrix.identity(field, arr.shape[0]),
+        lambda field, kb, g, act, radical_rows, target: Matrix.identity(field, kb.nrows),
     )
     universal = [relative_domdim(m, q) for m in targets()]
     assert [r.encode() for r in chosen] == [r.encode() for r in universal]
+
+
+def _run_optimized(code: str) -> list[str]:
+    src = str(Path(tlschur.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    return out.stdout.split() + [out.stderr]
+
+
+def test_greedy_certification_survives_optimized_mode():
+    # all of End(Q) as the "radical" puts Hom*J = Hom, which nilpotency forbids
+    code = (
+        "from tlschur.hecke import classical_char2\n"
+        "from tlschur.linalg import Matrix\n"
+        "from tlschur.oracle import CertificationError, _greedy_generating_rows, hom_space, schur_algebra, tensor_module\n"
+        "q = tensor_module(schur_algebra(classical_char2(2)))\n"
+        "end_q = hom_space(q, q, verify=False)\n"
+        "f, e = q.algebra.field, len(end_q)\n"
+        "act = Matrix.hstack([E.matrix for E in end_q])\n"
+        "try:\n"
+        "    _greedy_generating_rows(f, Matrix.identity(f, q.dim), 1, act, Matrix.identity(f, e), q.dim)\n"
+        "except CertificationError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    out = _run_optimized(code)
+    assert out[:2] == ["False", "raised"], out[-1]
+
+
+# odd primes with u^2 = -1, so q = u^(-2) = -1 has quantum characteristic 2
+LARGE = [(257, 16), (1009, 469)]
+
+
+@pytest.mark.parametrize("p,u", LARGE, ids=["gf257-u16", "gf1009-u469"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_regular_domdim_large_prime(p, u, d):
+    assert (u * u) % p == p - 1
+    alg = schur_algebra(HeckeParams(d, GF(p), u))
+    got = relative_domdim(regular_module(alg), tensor_module(alg))
+    assert got.matches(domdim_regular(d, FieldRegime(quantum_char_is_2=True)))
+
+
+@pytest.mark.parametrize("p,u", LARGE, ids=["gf257-u16", "gf1009-u469"])
+def test_regular_domdim_large_prime_optimized_mode(p, u):
+    code = (
+        "from tlschur.fields import GF\n"
+        "from tlschur.hecke import HeckeParams\n"
+        "from tlschur.oracle import regular_module, relative_domdim, schur_algebra, tensor_module\n"
+        f"alg = schur_algebra(HeckeParams(4, GF({p}), {u}))\n"
+        "print(__debug__, relative_domdim(regular_module(alg), tensor_module(alg)).encode())\n"
+    )
+    out = _run_optimized(code)
+    assert out[:2] == ["False", "4"], out[-1]
