@@ -1,18 +1,15 @@
-"""Benchmark the jitted kernels against their pure-numpy fallbacks.
+"""Benchmark the elimination kernels.
 
 Times gf2_rref, gf2_matmul, gfp_rref and gfp_charpoly on random inputs of
-the requested sizes and prints one table row per (kernel, size).  Two fixed
-cases follow, both gfp_rref on d=5 End(Q) intertwiner systems over GF(5),
-sparse systems whose fill-in random dense squares do not show:
+the requested sizes and prints one best-of time per (kernel, size).  Two
+fixed cases follow, both gfp_rref on d=5 End(Q) intertwiner systems over
+GF(5), sparse systems whose fill-in random dense squares do not show:
 
 * the dense 2048x1024 system a (x) I - I (x) a^T on all 32^2 unknowns.  The
   oracle no longer solves it (hom_space solves per weight); it stays as an
   anchor for the dense kernel.
 * the weight-graded system that hom_space(Q, Q) eliminates: only the
   C(10, 5) = 252 weight-diagonal entries are unknowns.
-
-When numba is unavailable (or TLSCHUR_PURE_NUMPY=1), only the numpy column
-is filled.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 256,512,1024] [--p 5] [--repeats 5]
@@ -29,14 +26,14 @@ from tlschur.linalg import Matrix
 from tlschur.tensor_action import intertwiner_system
 
 
-def best_of(fn, repeats: int) -> float:
-    # best-of timing: robust to scheduler noise on short runs
+def bench_case(label: str, make_args, fn, repeats: int) -> tuple[str, float]:
+    """Best-of time of fn on a fresh copy of the same input; best-of is robust to scheduler noise."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
+        fn(*make_args())
         best = min(best, time.perf_counter() - t0)
-    return best
+    return label, best
 
 
 def inv_table(p: int) -> np.ndarray:
@@ -44,18 +41,6 @@ def inv_table(p: int) -> np.ndarray:
     for x in range(1, p):
         inv[x] = pow(x, p - 2, p)
     return inv
-
-
-def bench_case(label: str, make_args, impls, repeats: int):
-    """Times each implementation on fresh copies of the same input."""
-    row = {"case": label}
-    for name, fn in impls:
-        if fn is None:
-            row[name] = None
-            continue
-        fn(*make_args())  # warm: triggers jit compilation outside the timing
-        row[name] = best_of(lambda: fn(*make_args()), repeats)
-    return row
 
 
 def endq_system() -> np.ndarray:
@@ -73,7 +58,7 @@ def graded_endq_system() -> np.ndarray:
 
 
 def main():
-    ap = argparse.ArgumentParser(description="kernel backend comparison")
+    ap = argparse.ArgumentParser(description="elimination kernel timings")
     ap.add_argument("--sizes", default="256,512,1024", help="comma separated square sizes")
     ap.add_argument("--p", type=int, default=5, help="odd prime for the GF(p) kernels")
     ap.add_argument("--charpoly-size", type=int, default=192, dest="charpoly_size")
@@ -85,49 +70,27 @@ def main():
     p = args.p
     rng = np.random.default_rng(args.seed)
     inv = inv_table(p)
-    has = K.HAS_NUMBA
-    print(f"active backend: {K.active_backend()} (numba {'available' if has else 'unavailable'})")
 
     rows = []
     for n in sizes:
         bits = rng.integers(0, 2, size=(n, n)).astype(np.uint8)
         packed = K.pack_rows(bits)
         ints = rng.integers(0, p, size=(n, n)).astype(np.int64)
-
-        rows.append(
-            bench_case(
-                f"gf2_rref {n}x{n}",
-                lambda: (packed.copy(), n),
-                [("numba", K.gf2_rref_numba if has else None), ("numpy", K.gf2_rref_numpy)],
-                args.repeats,
-            )
-        )
+        rows.append(bench_case(f"gf2_rref {n}x{n}", lambda: (packed.copy(), n), K.gf2_rref, args.repeats))
         rows.append(
             bench_case(
                 f"gf2_matmul {n}x{n}",
                 lambda: (packed, n, packed, np.zeros_like(packed)),
-                [("numba", K.gf2_matmul_numba if has else None), ("numpy", K.gf2_matmul_numpy)],
+                K.gf2_matmul,
                 args.repeats,
             )
         )
-        rows.append(
-            bench_case(
-                f"gfp_rref p={p} {n}x{n}",
-                lambda: (ints.copy(), p, inv),
-                [("numba", K.gfp_rref_numba if has else None), ("numpy", K.gfp_rref_numpy)],
-                args.repeats,
-            )
-        )
+        rows.append(bench_case(f"gfp_rref p={p} {n}x{n}", lambda: (ints.copy(), p, inv), K.gfp_rref, args.repeats))
 
     m = args.charpoly_size
     square = rng.integers(0, p, size=(m, m)).astype(np.int64)
     rows.append(
-        bench_case(
-            f"gfp_charpoly p={p} {m}x{m}",
-            lambda: (square.copy(), p, inv),
-            [("numba", K.gfp_charpoly_numba if has else None), ("numpy", K.gfp_charpoly_numpy)],
-            args.repeats,
-        )
+        bench_case(f"gfp_charpoly p={p} {m}x{m}", lambda: (square.copy(), p, inv), K.gfp_charpoly, args.repeats)
     )
 
     inv5 = inv_table(5)
@@ -136,18 +99,15 @@ def main():
             bench_case(
                 f"gfp_rref p=5 {label} d=5 {system.shape[0]}x{system.shape[1]}",
                 lambda: (system.copy(), 5, inv5),
-                [("numba", K.gfp_rref_numba if has else None), ("numpy", K.gfp_rref_numpy)],
+                K.gfp_rref,
                 args.repeats,
             )
         )
 
-    width = max(len(r["case"]) for r in rows)
-    print(f"{'case':<{width}}  {'numba (ms)':>12}  {'numpy (ms)':>12}  {'speedup':>8}")
-    for r in rows:
-        nb, npy = r["numba"], r["numpy"]
-        nb_s = f"{nb * 1e3:12.2f}" if nb is not None else f"{'-':>12}"
-        ratio = f"{npy / nb:7.1f}x" if nb else f"{'-':>8}"
-        print(f"{r['case']:<{width}}  {nb_s}  {npy * 1e3:12.2f}  {ratio}")
+    width = max(len(case) for case, _ in rows)
+    print(f"{'case':<{width}}  {'time (ms)':>12}")
+    for case, secs in rows:
+        print(f"{case:<{width}}  {secs * 1e3:12.2f}")
 
 
 if __name__ == "__main__":

@@ -4,56 +4,28 @@ GF(2) matrices are stored as packed bit rows: one uint64 word holds 64
 columns, bit j of word w being column 64*w + j.  Row operations are whole-word
 XORs.  GF(p) matrices are int64 arrays of canonical residues.
 
-Each kernel has two implementations: a numba @njit version and a pure-numpy
-vectorized fallback.  The active backend is chosen at import time; setting
-the environment variable TLSCHUR_PURE_NUMPY=1 (or a failed numba import)
-selects the fallback.  Both implementations are importable by name so the
-benchmark and the parity tests can compare them directly.
-
-Two numpy fallbacks run on BLAS.  gf2_matmul_numpy multiplies the unpacked
-0/1 operands as float32, exact while the inner dimension stays below 2^24.
-gfp_rref_numpy is a blocked Gauss-Jordan elimination with delayed reduction
-(after Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008): the
-columns go in panels of _PANEL; the column-by-column loop finds the pivots
-of a panel among the rows with a nonzero there, and one float64 product
-clears the pivot columns of all other rows, added unreduced to the int64
-storage.  Only the next panel and the pivot rows are reduced mod p before
-they are read.  Products of reduced entries are at most _PANEL*(p-1)^2 and
-must stay below 2^53; an entry gains at most ncols*(p-1)^2 before its
-reduction and must stay below 2^63.  A modulus that breaks either bound is
-rejected with ValueError before any work.  RREF is unique, so the result
-equals the unblocked loop's bit for bit.
+Each kernel is written once, in numpy, and two of them run on BLAS.
+gf2_matmul multiplies the unpacked 0/1 operands as float32, exact while the
+inner dimension stays below 2^24.  gfp_rref is a blocked Gauss-Jordan
+elimination with delayed reduction (after Dumas, Giorgi and Pernet,
+FFLAS-FFPACK, ACM TOMS 35(3), 2008): the columns go in panels of _PANEL; the
+column-by-column loop finds the pivots of a panel among the rows with a
+nonzero there, and one float64 product clears the pivot columns of all other
+rows, added unreduced to the int64 storage.  Only the next panel and the
+pivot rows are reduced mod p before they are read.  Products of reduced
+entries are at most _PANEL*(p-1)^2 and must stay below 2^53; an entry gains
+at most ncols*(p-1)^2 before its reduction and must stay below 2^63.  A
+modulus that breaks either bound is rejected with ValueError before any
+work.  RREF is unique, so the result equals the unblocked loop's bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_PURE_ENV = os.environ.get("TLSCHUR_PURE_NUMPY", "")
-_WANT_NUMBA = _PURE_ENV in ("", "0")
-
-try:  # pragma: no cover - exercised implicitly by backend selection
-    if _WANT_NUMBA:
-        from numba import njit
-
-        HAS_NUMBA = True
-    else:
-        HAS_NUMBA = False
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-if not HAS_NUMBA:
-    def njit(*args, **kwargs):  # type: ignore[no-redef]
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
+# there is one backend; HAS_NUMBA and active_backend() stay for the reports
+# that record which kernels produced a measurement
+HAS_NUMBA = False
 
 # column panel width of the blocked GF(p) elimination, and the budget in bytes
 # for the transient arrays of one chunk of a BLAS product
@@ -67,7 +39,7 @@ def _float_product(a, b):
 
 
 # ---------------------------------------------------------------------------
-# packing helpers (numpy only)
+# packing helpers
 
 def pack_rows(dense: np.ndarray) -> np.ndarray:
     """Pack a 0/1 uint8 matrix into uint64 words, 64 columns per word."""
@@ -89,40 +61,7 @@ def unpack_rows(packed: np.ndarray, ncols: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # GF(2) reduced row echelon form
 
-@njit(cache=True)
-def gf2_rref_numba(rows, ncols):  # pragma: no cover - numba-compiled
-    nrows, nwords = rows.shape
-    cap = nrows if nrows < ncols else ncols
-    pivots = np.empty(cap, dtype=np.int64)
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        w = col >> 6
-        b = np.uint64(col & 63)
-        one = np.uint64(1)
-        piv = -1
-        for r in range(rank, nrows):
-            if (rows[r, w] >> b) & one:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            for j in range(w, nwords):
-                t = rows[rank, j]
-                rows[rank, j] = rows[piv, j]
-                rows[piv, j] = t
-        for r in range(nrows):
-            if r != rank and ((rows[r, w] >> b) & one):
-                for j in range(w, nwords):
-                    rows[r, j] ^= rows[rank, j]
-        pivots[rank] = col
-        rank += 1
-    return rank, pivots[:rank]
-
-
-def gf2_rref_numpy(rows, ncols):
+def gf2_rref(rows, ncols):
     nrows, nwords = rows.shape
     pivots = []
     rank = 0
@@ -150,19 +89,7 @@ def gf2_rref_numpy(rows, ncols):
 # ---------------------------------------------------------------------------
 # GF(2) matrix product: out[i] = XOR of rows of b selected by bits of a[i]
 
-@njit(cache=True)
-def gf2_matmul_numba(a, a_ncols, b, out):  # pragma: no cover - numba-compiled
-    m = a.shape[0]
-    wb = b.shape[1]
-    one = np.uint64(1)
-    for i in range(m):
-        for k in range(a_ncols):
-            if (a[i, k >> 6] >> np.uint64(k & 63)) & one:
-                for j in range(wb):
-                    out[i, j] ^= b[k, j]
-
-
-def gf2_matmul_numpy(a, a_ncols, b, out):
+def gf2_matmul(a, a_ncols, b, out):
     # 0/1 float32 products are exact while each sum has fewer than 2^24 terms
     if a_ncols >= 2**24:
         raise ValueError(f"gf2_matmul: {a_ncols} columns exceed the float32 bound 2^24")
@@ -178,41 +105,6 @@ def gf2_matmul_numpy(a, a_ncols, b, out):
 
 # ---------------------------------------------------------------------------
 # GF(p) reduced row echelon form (int64 residues, inverse lookup table)
-
-@njit(cache=True)
-def gfp_rref_numba(m, p, inv):  # pragma: no cover - numba-compiled
-    nrows, ncols = m.shape
-    cap = nrows if nrows < ncols else ncols
-    pivots = np.empty(cap, dtype=np.int64)
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = -1
-        for r in range(rank, nrows):
-            if m[r, col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            for j in range(col, ncols):
-                t = m[rank, j]
-                m[rank, j] = m[piv, j]
-                m[piv, j] = t
-        s = inv[m[rank, col]]
-        if s != 1:
-            for j in range(col, ncols):
-                m[rank, j] = (m[rank, j] * s) % p
-        for r in range(nrows):
-            c = m[r, col]
-            if r != rank and c != 0:
-                for j in range(col, ncols):
-                    m[r, j] = (m[r, j] - c * m[rank, j]) % p
-        pivots[rank] = col
-        rank += 1
-    return rank, pivots[:rank]
-
 
 def _gfp_rref_loop(m, p, inv):
     """Column-by-column Gauss-Jordan on canonical residues, in place.
@@ -246,7 +138,7 @@ def _gfp_rref_loop(m, p, inv):
     return rank, np.asarray(pivots, dtype=np.int64), order[:rank]
 
 
-def gfp_rref_numpy(m, p, inv):
+def gfp_rref(m, p, inv):
     nrows, ncols = m.shape
     # float64 products of reduced factors are exact below 2^53; the unreduced
     # products add at most ncols*(p-1)^2 to an int64 entry in all
@@ -310,56 +202,7 @@ def gfp_rref_numpy(m, p, inv):
 # characteristic polynomial mod p: Hessenberg similarity reduction, then the
 # leading-principal-minor recurrence; returns coeffs[j] of t^j, length n + 1
 
-@njit(cache=True)
-def gfp_charpoly_numba(a, p, inv):  # pragma: no cover - numba-compiled
-    n = a.shape[0]
-    h = a.copy()
-    for c in range(n - 2):
-        piv = -1
-        for r in range(c + 1, n):
-            if h[r, c] != 0:
-                piv = r
-                break
-        if piv < 0:
-            continue
-        if piv != c + 1:
-            for j in range(n):
-                t = h[piv, j]
-                h[piv, j] = h[c + 1, j]
-                h[c + 1, j] = t
-            for i in range(n):
-                t = h[i, piv]
-                h[i, piv] = h[i, c + 1]
-                h[i, c + 1] = t
-        s = inv[h[c + 1, c]]
-        for r in range(c + 2, n):
-            f = (h[r, c] * s) % p
-            if f != 0:
-                for j in range(c, n):
-                    h[r, j] = (h[r, j] - f * h[c + 1, j]) % p
-                for i in range(n):
-                    h[i, c + 1] = (h[i, c + 1] + f * h[i, r]) % p
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
-    for k in range(1, n + 1):
-        dk = h[k - 1, k - 1]
-        for j in range(k):
-            polys[k, j + 1] = polys[k - 1, j]
-        for j in range(k):
-            polys[k, j] = (polys[k, j] - dk * polys[k - 1, j]) % p
-        prod_sub = 1
-        for i in range(k - 1, 0, -1):
-            prod_sub = (prod_sub * h[i, i - 1]) % p
-            if prod_sub == 0:
-                break
-            coef = (h[i - 1, k - 1] * prod_sub) % p
-            if coef != 0:
-                for j in range(i):
-                    polys[k, j] = (polys[k, j] - coef * polys[i - 1, j]) % p
-    return polys[n].copy()
-
-
-def gfp_charpoly_numpy(a, p, inv):
+def gfp_charpoly(a, p, inv):
     n = a.shape[0]
     h = a.astype(np.int64).copy()
     for c in range(n - 2):
@@ -390,22 +233,5 @@ def gfp_charpoly_numpy(a, p, inv):
     return polys[n] % p
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-
-if HAS_NUMBA:
-    BACKEND = "numba"
-    gf2_rref = gf2_rref_numba
-    gf2_matmul = gf2_matmul_numba
-    gfp_rref = gfp_rref_numba
-    gfp_charpoly = gfp_charpoly_numba
-else:
-    BACKEND = "numpy"
-    gf2_rref = gf2_rref_numpy
-    gf2_matmul = gf2_matmul_numpy
-    gfp_rref = gfp_rref_numpy
-    gfp_charpoly = gfp_charpoly_numpy
-
-
 def active_backend() -> str:
-    return BACKEND
+    return "numpy"

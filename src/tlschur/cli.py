@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("decomp", help="decomposition matrix of S(2,d), even d")
+    p = sub.add_parser("decomp", help="decomposition matrix of S(2,d), even d, in characteristic 2 (p = 2)")
     p.add_argument("--d", type=_even, required=True)
     p.add_argument("--format", choices=("csv", "json", "pretty"), default="csv")
     p.add_argument("-o", "--output", default=None)
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
     p.add_argument("-o", "--output", default=None)
 
-    p = sub.add_parser("projective", help="column and dominant dimension class of P(m)")
+    p = sub.add_parser("projective", help="column and dominant dimension class of P(m) in characteristic 2 (p = 2)")
     p.add_argument("--d", type=_even, required=True)
     p.add_argument("--m", type=_even, required=True)
     p.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")

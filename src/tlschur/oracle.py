@@ -166,7 +166,8 @@ def _generator_rows(field, dim: int, right_mults, unit: tuple) -> Matrix:
             if not sp.contains(eye.select_rows([i])):
                 new_idx = i
                 break
-        assert new_idx is not None, "span below dim but all basis rows inside"
+        if new_idx is None:
+            raise CertificationError("span below dim but all basis rows inside")
         gens.append(new_idx)
         sp.close([right_mults(g) for g in gens])
     return Matrix.identity(field, dim).select_rows(gens)
@@ -266,7 +267,8 @@ class ExplicitModule:
         alg = self.algebra
         f = alg.field
         ident = Matrix.identity(f, self.dim)
-        assert self.act_element(alg.unit) == ident, "unit does not act as identity"
+        if self.act_element(alg.unit) != ident:
+            raise CertificationError("unit does not act as identity")
         if deep:
             pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
         else:
@@ -276,7 +278,8 @@ class ExplicitModule:
         for i, j in pairs:
             lhs = self.actions[i] @ self.actions[j]
             rhs = self.act_element([f.coerce(x) for x in alg.structure[i, j]])
-            assert lhs == rhs, f"structure constants violated at ({i},{j})"
+            if lhs != rhs:
+                raise CertificationError(f"structure constants violated at ({i},{j})")
 
 
 @dataclass
@@ -291,7 +294,8 @@ class ModuleMap:
         for i in range(self.source.algebra.dim):
             lhs = self.source.actions[i] @ self.matrix
             rhs = self.matrix @ self.target.actions[i]
-            assert lhs == rhs, f"map does not intertwine basis element {i}"
+            if lhs != rhs:
+                raise CertificationError(f"map does not intertwine basis element {i}")
 
 
 def tensor_module(alg: ExplicitAlgebra) -> ExplicitModule:
@@ -308,7 +312,8 @@ def regular_module(alg: ExplicitAlgebra) -> ExplicitModule:
 
 
 def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
-    assert a.algebra is b.algebra
+    if a.algebra is not b.algebra:
+        raise ValueError("direct_sum needs two modules over the same algebra")
     acts = [Matrix.block_diag([x, y]) for x, y in zip(a.actions, b.actions)]
     return ExplicitModule(a.algebra, acts, label=f"({a.label})+({b.label})")
 
@@ -416,7 +421,8 @@ def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModul
     ut = U.transpose()
     for a in parent.actions:
         sol = ut.solve_many((U @ a).transpose())
-        assert sol is not None, "closure failed: action leaves the computed subspace"
+        if sol is None:
+            raise CertificationError("closure failed: action leaves the computed subspace")
         acts.append(sol.transpose())
     sub = ExplicitModule(alg, acts)
     return sub, ModuleMap(sub, parent, U)
@@ -721,7 +727,8 @@ def relative_domdim(
     at_least(cap) when the cap is reached first.
     """
     alg = m.algebra
-    assert q.algebra is alg
+    if q.algebra is not alg:
+        raise ValueError("relative_domdim needs two modules over the same algebra")
     if cap is None:
         cap = 4 * alg.degree if alg.degree else 4 * max(1, q.dim)
     if cap < 1:

@@ -42,7 +42,8 @@ def decomp_row(m: int) -> frozenset[int]:
         t = m // 2
         a = {2 * s for s in decomp_row(t)}
         b = {2 * s for s in decomp_row(t - 1)}
-        assert not (a & b), f"doubling overlap at m={m}"
+        if a & b:
+            raise RuntimeError(f"doubling overlap at m={m}")
         return frozenset(a | b)
     t = (m - 1) // 2
     return frozenset({2 * s + 1 for s in decomp_row(t)})
@@ -136,7 +137,7 @@ def tilting_delta_mults(m: int) -> frozenset[int]:
     """Weights s with a standard factor Delta(s) in the tilting module T(m).
 
     All multiplicities are at most 1, so the multiset is a set; this is
-    asserted when merging.
+    checked when merging.
     """
     if m < 0:
         raise ValueError("weight must be nonnegative")
@@ -151,7 +152,8 @@ def tilting_delta_mults(m: int) -> frozenset[int]:
         out: set[int] = set()
         for t in tilting_delta_mults(s - 1):
             pair = {2 * t, 2 * t + 2}
-            assert not (out & pair), f"tilting multiplicity above 1 at m={m}"
+            if out & pair:
+                raise RuntimeError(f"tilting multiplicity above 1 at m={m}")
             out |= pair
         return frozenset(out)
     s = (m - 1) // 2

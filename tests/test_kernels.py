@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -101,7 +103,7 @@ def test_gf2_matmul_rejects_float32_overflow():
     # rejected before any work, so the operands can stay tiny
     a = np.zeros((1, 1), dtype=np.uint64)
     with pytest.raises(ValueError, match="float32"):
-        K.gf2_matmul_numpy(a, 1 << 24, a, np.zeros((1, 1), dtype=np.uint64))
+        K.gf2_matmul(a, 1 << 24, a, np.zeros((1, 1), dtype=np.uint64))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -134,7 +136,7 @@ def test_gfp_rref_against_reference(p, seed):
 def _check_blocked_rref(a, p):
     ref, ref_rank, ref_pivots = ref_rref_mod(a.tolist(), p)
     work = a.copy()
-    rank, pivots = K.gfp_rref_numpy(work, p, inv_table(p))
+    rank, pivots = K.gfp_rref(work, p, inv_table(p))
     assert rank == ref_rank
     assert pivots.dtype == np.int64 and list(pivots) == ref_pivots
     assert np.array_equal(work, np.array(ref, dtype=np.int64).reshape(a.shape))
@@ -176,7 +178,7 @@ def test_gfp_rref_rejects_overflowing_modulus(p, ncols, bound):
     # the bounds are checked before any work, so a dummy inverse table will do
     m = np.zeros((1, ncols), dtype=np.int64)
     with pytest.raises(ValueError, match=bound):
-        K.gfp_rref_numpy(m, p, np.zeros(1, dtype=np.int64))
+        K.gfp_rref(m, p, np.zeros(1, dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -225,44 +227,9 @@ def test_charpoly_companion(p):
     assert np.array_equal(coeffs % p, want)
 
 
-@pytest.mark.skipif(not K.HAS_NUMBA, reason="numba backend not active")
-class TestBackendParity:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_gf2_rref(self, seed):
-        rng = np.random.default_rng(seed)
-        nr, nc = rng.integers(1, 80, size=2)
-        dense = rng.integers(0, 2, size=(nr, nc)).astype(np.uint8)
-        a, b = K.pack_rows(dense), K.pack_rows(dense)
-        ra, pa = K.gf2_rref_numba(a, int(nc))
-        rb, pb = K.gf2_rref_numpy(b, int(nc))
-        assert ra == rb and list(pa) == list(pb)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("p", (3, 5))
-    def test_gfp_rref(self, p):
-        rng = np.random.default_rng(p)
-        a = rng.integers(0, p, size=(23, 31)).astype(np.int64)
-        x, y = a.copy(), a.copy()
-        ra, pa = K.gfp_rref_numba(x, p, inv_table(p))
-        rb, pb = K.gfp_rref_numpy(y, p, inv_table(p))
-        assert ra == rb and list(pa) == list(pb)
-        assert np.array_equal(x, y)
-
-    @pytest.mark.parametrize("p", PRIMES)
-    @pytest.mark.parametrize("n", [1, 7, 20, 33])
-    def test_gfp_charpoly(self, p, n):
-        rng = np.random.default_rng(7 * p + n)
-        a = rng.integers(0, p, size=(n, n)).astype(np.int64)
-        ca = K.gfp_charpoly_numba(a.copy(), p, inv_table(p))
-        cb = K.gfp_charpoly_numpy(a.copy(), p, inv_table(p))
-        assert np.array_equal(ca % p, cb % p)
-
-    def test_gf2_matmul(self):
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, 2, size=(40, 90)).astype(np.uint8)
-        b = rng.integers(0, 2, size=(90, 130)).astype(np.uint8)
-        oa = np.zeros((40, 3), dtype=np.uint64)
-        ob = np.zeros((40, 3), dtype=np.uint64)
-        K.gf2_matmul_numba(K.pack_rows(a), 90, K.pack_rows(b), oa)
-        K.gf2_matmul_numpy(K.pack_rows(a), 90, K.pack_rows(b), ob)
-        assert np.array_equal(oa, ob)
+def test_kernel_contract():
+    # the oracle benchmark wraps these module attributes by name and records the backend
+    for name in ("gf2_rref", "gf2_matmul", "gfp_rref", "gfp_charpoly"):
+        assert inspect.isfunction(getattr(K, name)), name
+    assert K.active_backend() == "numpy"
+    assert K.HAS_NUMBA is False

@@ -178,6 +178,15 @@ def test_hom_space_checks_its_inputs():
         hom_space(q, q)
 
 
+def test_module_operations_reject_mixed_algebras():
+    a = tensor_module(schur_algebra(classical_char2(2)))
+    b = tensor_module(schur_algebra(quantum_ell2(2)))
+    with pytest.raises(ValueError, match="same algebra"):
+        direct_sum(a, b)
+    with pytest.raises(ValueError, match="same algebra"):
+        relative_domdim(regular_module(a.algebra), b)
+
+
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 def test_regular_hom_basis_matches_solver(make):
     alg = schur_algebra(make(2))
@@ -385,6 +394,25 @@ def test_greedy_certification_survives_optimized_mode():
         "act = Matrix.hstack([E.matrix for E in end_q])\n"
         "try:\n"
         "    _greedy_generating_rows(f, Matrix.identity(f, q.dim), 1, act, Matrix.identity(f, e), q.dim)\n"
+        "except CertificationError:\n"
+        "    print(__debug__, 'raised')\n"
+    )
+    out = _run_optimized(code)
+    assert out[:2] == ["False", "raised"], out[-1]
+
+
+def test_module_map_check_survives_optimized_mode():
+    # E_01 sends the weight-(2, 0) word 11 to the weight-(1, 1) word 12, so it
+    # does not commute with the weight idempotents of the algebra
+    code = (
+        "from tlschur.hecke import classical_char2\n"
+        "from tlschur.linalg import Matrix\n"
+        "from tlschur.oracle import CertificationError, ModuleMap, schur_algebra, tensor_module\n"
+        "q = tensor_module(schur_algebra(classical_char2(2)))\n"
+        "f = q.algebra.field\n"
+        "m = Matrix.from_rows(f, [[int(i == 0 and j == 1) for j in range(q.dim)] for i in range(q.dim)])\n"
+        "try:\n"
+        "    ModuleMap(q, q, m).check()\n"
         "except CertificationError:\n"
         "    print(__debug__, 'raised')\n"
     )
