@@ -38,10 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .domdim import INFINITY, Infinity
 from .hecke import BLESSED_CONFIGS, HeckeElement, HeckeParams, kernel_generator, phi
-from .linalg import Matrix, RowSpace, _inverses, flatten, kernel_from_rref, reduced_basis, unflatten
+from .linalg import Matrix, RowSpace, flatten, kernel_from_rref, reduced_basis, unflatten
 from .permutations import symmetric_group
 from .tensor_action import (
     CertificationError,
@@ -203,22 +202,16 @@ class ExplicitModule:
     """Right module over an ExplicitAlgebra: one action matrix per basis element."""
 
     def __init__(self, algebra: ExplicitAlgebra, actions: list[Matrix], label: str = ""):
-        assert len(actions) == algebra.dim
+        if len(actions) != algebra.dim:
+            raise ValueError(f"a module needs {algebra.dim} action matrices, one per basis element; got {len(actions)}")
         self.algebra = algebra
         self.dim = actions[0].nrows if actions else 0
         for a in actions:
-            assert a.nrows == self.dim and a.ncols == self.dim
+            if a.nrows != self.dim or a.ncols != self.dim:
+                raise ValueError(f"action matrices must all be {self.dim}x{self.dim}; got {a.nrows}x{a.ncols}")
         self.actions = actions
         self.label = label
         self.is_regular = False
-
-    def act_element(self, coords) -> Matrix:
-        f = self.algebra.field
-        acc = Matrix.zeros(f, self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c != f.zero:
-                acc = acc + self.actions[i].scale(c)
-        return acc
 
     def element_actions(self, rows: Matrix) -> list[Matrix]:
         """Action matrices of the elements with the given coordinate rows."""
@@ -266,8 +259,7 @@ class ExplicitModule:
         """act(unit) = identity, and action respects the structure constants."""
         alg = self.algebra
         f = alg.field
-        ident = Matrix.identity(f, self.dim)
-        if self.act_element(alg.unit) != ident:
+        if self.element_actions(Matrix.from_rows(f, [list(alg.unit)]))[0] != Matrix.identity(f, self.dim):
             raise CertificationError("unit does not act as identity")
         if deep:
             pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
@@ -275,10 +267,9 @@ class ExplicitModule:
             rng = random.Random(alg.dim * 31 + 7)
             k = min(alg.dim * alg.dim, 48)
             pairs = [(rng.randrange(alg.dim), rng.randrange(alg.dim)) for _ in range(k)]
-        for i, j in pairs:
-            lhs = self.actions[i] @ self.actions[j]
-            rhs = self.act_element([f.coerce(x) for x in alg.structure[i, j]])
-            if lhs != rhs:
+        products = Matrix.from_dense(f, np.stack([alg.structure[i, j] for i, j in pairs]))
+        for (i, j), rhs in zip(pairs, self.element_actions(products)):
+            if self.actions[i] @ self.actions[j] != rhs:
                 raise CertificationError(f"structure constants violated at ({i},{j})")
 
 
@@ -518,88 +509,12 @@ class DomdimResult:
         return f"DomdimResult({self.encode()})"
 
 
-def _left_mults(field, structure, rows: Matrix) -> list[Matrix]:
-    """Left multiplication by each element with the given coordinate rows: row t holds x*b_t."""
-    dim = structure.shape[0]
-    return unflatten(rows @ Matrix.from_dense(field, structure.reshape(dim, dim * dim)), dim, dim)
-
-
 def _coord_products(field, structure, xrows: Matrix, yrows: Matrix) -> Matrix:
     """All pairwise products x*y of elements given by coordinate rows, x-major."""
-    return Matrix.vstack([yrows @ left for left in _left_mults(field, structure, xrows)])
-
-
-def _span_nilpotent(field, structure, rows: Matrix) -> bool:
-    """Whether the span of the coordinate rows is multiplicatively nilpotent.
-
-    Squares the span repeatedly: T^(2^j) is the span of products of exactly
-    2^j factors, and a nilpotent subspace has all products of dim+1 factors
-    zero (the subalgebra it generates has nilpotency index <= dim+1), so the
-    chain must hit zero within ceil(log2(dim+1)) doublings.
-    """
     dim = structure.shape[0]
-    cur = rows
-    doublings = max(1, int(np.ceil(np.log2(dim + 1)))) + 1
-    for _ in range(doublings):
-        if cur.nrows == 0:
-            return True
-        prods = _coord_products(field, structure, cur, cur)
-        R, rank, _ = prods.rref()
-        cur = R.select_rows(range(rank))
-    return cur.nrows == 0
-
-
-def _charpoly_coeff_stage(field, structure, w_rows: Matrix, m: int) -> Matrix:
-    """Refine a subspace by vanishing of a characteristic polynomial coefficient.
-
-    Returns the rows x in span(w_rows) with the coefficient of t^(dim-m) in
-    the characteristic polynomial of left multiplication by x*b_j vanishing
-    for every basis element b_j.  On the subspace cut out by the lower
-    p-power coefficients this condition is linear over the prime field, and
-    it always contains the radical (x*b_j is nilpotent there, so its whole
-    characteristic polynomial is t^dim).
-    """
-    p = field.p
-    dim = structure.shape[0]
-    idx = dim - m
-    inv = _inverses(p)
-    # column block j of C holds b_j * b_s in row s
-    c = Matrix.from_dense(field, structure.transpose(1, 0, 2).reshape(dim, dim * dim))
-    cond = np.zeros((w_rows.nrows, dim), dtype=np.int64)
-    for t, ax in enumerate(_left_mults(field, structure, w_rows)):
-        # charpoly(A_x @ A_y) = charpoly of left mult by x*y (same spectrum)
-        z = (ax @ c).dense().astype(np.int64).reshape(dim, dim, dim)
-        for j in range(dim):
-            cond[t, j] = _kernels.gfp_charpoly(z[:, j, :], p, inv)[idx]
-    lam = Matrix.from_dense(field, cond).transpose().kernel_basis_matrix()
-    return lam @ w_rows
-
-
-def _nilpotent_radical_rows(field, structure) -> Matrix | None:
-    """Jacobson radical as coordinate rows, or None if not certified.
-
-    Starts from the radical of the trace form of the regular representation
-    (associative, symmetric, so its radical is an ideal containing the
-    Jacobson radical; in characteristic zero they are equal).  Over GF(p)
-    the trace form can degenerate, and the candidate is refined by the
-    vanishing of the p^k-th characteristic polynomial coefficients, one
-    power at a time.  Every candidate is only returned after direct
-    verification that its span is nilpotent, so callers may rely on the
-    result without trusting the refinement chain itself.
-    """
-    dim = structure.shape[0]
-    s = Matrix.from_dense(field, structure.reshape(dim, dim * dim))
-    # trace of left multiplication by b_k, then Gram[s, t] = trace of b_s b_t
-    trace = s @ flatten([Matrix.identity(field, dim)]).transpose()
-    cur = (s.reshape(dim * dim, dim) @ trace).reshape(dim, dim).kernel_basis_matrix()
-    power = field.p
-    while True:
-        if _span_nilpotent(field, structure, cur):
-            return cur
-        if power > dim or cur.nrows == 0:
-            return None
-        cur = _charpoly_coeff_stage(field, structure, cur, power)
-        power *= field.p
+    # left multiplication table of each x: row s holds x*b_s
+    lefts = unflatten(xrows @ Matrix.from_dense(field, structure.reshape(dim, dim * dim)), dim, dim)
+    return Matrix.vstack([yrows @ left for left in lefts])
 
 
 def _post_composition_action(homs: list[ModuleMap], end_q: list[ModuleMap]) -> Matrix:
@@ -616,7 +531,7 @@ def _post_composition_action(homs: list[ModuleMap], end_q: list[ModuleMap]) -> M
     return coords.transpose().reshape(h, e * h)
 
 
-def _greedy_generating_rows(field, kb: Matrix, g: int, act: Matrix, radical_rows, target: int) -> Matrix:
+def _greedy_generating_rows(field, kb: Matrix, g: int, act: Matrix, target: int) -> Matrix:
     """Few coefficient rows whose hom combinations generate over End(Q).
 
     The hom space has a basis whose i-th element has the coordinates kb[i]
@@ -629,9 +544,7 @@ def _greedy_generating_rows(field, kb: Matrix, g: int, act: Matrix, radical_rows
     not just subsets (one generic element covers several isotypic strands at
     once); candidates are drawn at random and kept by marginal span gain,
     with a scan of the hom basis as fallback, so the loop terminates with a
-    verified generating set.  Seeding with Hom*J for the certified-nilpotent
-    radical J is sound: the span N of the chosen orbits is an End(Q)-
-    submodule, and Hom = N + Hom*J collapses to Hom = N by iteration.
+    verified generating set: the rank of the chosen orbits reaches target.
     """
     h, a = kb.nrows, act.nrows
     e = act.ncols // a
@@ -644,18 +557,6 @@ def _greedy_generating_rows(field, kb: Matrix, g: int, act: Matrix, radical_rows
         return [Matrix.from_dense(field, x) for x in comp.reshape(n, e, g * a)]
 
     acc = RowSpace(field, g * a)
-    base = []
-    if radical_rows is not None and radical_rows.nrows:
-        w = radical_rows.nrows
-        # actions of the radical elements, side by side: a x w*a
-        by_l = act.dense().reshape(a, e, a).transpose(1, 0, 2).reshape(e, a * a)
-        rad = (radical_rows @ Matrix.from_dense(field, by_l)).dense().reshape(w, a, a)
-        rad = Matrix.from_dense(field, rad.transpose(1, 0, 2).reshape(a, w * a))
-        seed = (kb.reshape(h * g, a) @ rad).dense().reshape(h, g, w, a).transpose(0, 2, 1, 3)
-        acc.insert(Matrix.from_dense(field, seed.reshape(h * w, g * a)))
-        if acc.dim >= target:
-            raise CertificationError("Hom = Hom*J contradicts nilpotency of J")
-        base = [acc.basis]
     rng = np.random.default_rng(0xD0D + 131 * h + e)
     chosen: list[tuple[Matrix, Matrix]] = []
     while acc.dim < target:
@@ -687,7 +588,7 @@ def _greedy_generating_rows(field, kb: Matrix, g: int, act: Matrix, radical_rows
         for i in list(kept):
             if len(kept) == 1:
                 break
-            trial = base + [chosen[j][1] for j in kept if j != i]
+            trial = [chosen[j][1] for j in kept if j != i]
             if Matrix.vstack(trial).rank() == target:
                 kept.remove(i)
     return Matrix.vstack([chosen[i][0] for i in kept])
@@ -741,10 +642,6 @@ def relative_domdim(
     if end_struct is None:
         end_struct, _, _ = _structure_constants(alg.field, [em.matrix for em in end_q])
         q._end_struct = end_struct
-    end_radical = getattr(q, "_end_radical", "unset")
-    if end_radical == "unset":
-        end_radical = _nilpotent_radical_rows(alg.field, end_struct)
-        q._end_radical = end_radical
     cur = m
     coef_ctx = None
     if cur.is_regular:
@@ -774,7 +671,7 @@ def relative_domdim(
             kb, g, act = Matrix.identity(alg.field, q.dim), 1, Matrix.hstack([em.matrix for em in end_q])
         else:
             kb, g, act = Matrix.identity(alg.field, len(hom_cur)), 1, _post_composition_action(hom_cur, end_q)
-        gen_rows = _greedy_generating_rows(alg.field, kb, g, act, end_radical, len(hom_cur))
+        gen_rows = _greedy_generating_rows(alg.field, kb, g, act, len(hom_cur))
         comps = unflatten(gen_rows @ flatten(hm.matrix for hm in hom_cur), cur.dim, q.dim)
         if progress:
             progress(f"step {steps + 1}: module dim {cur.dim}, hom dim {len(hom_cur)}, multiplicity {len(comps)}")

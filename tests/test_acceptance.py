@@ -5,7 +5,6 @@ after its assertions and budget check.  Budgets are wall-clock seconds; the
 kernels are plain numpy, so nothing needs warming before the timing starts.
 """
 
-import os
 import time
 from importlib import resources
 from math import comb
@@ -100,10 +99,6 @@ def test_criterion_03_oracle_regular_domdim(d, budget):
     _pass(3, f"oracle regular domdim == {d} for both configs in {elapsed:.2f}s (budget {budget:.0f}s)")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("TLSCHUR_STRETCH"),
-    reason="set TLSCHUR_STRETCH=1 for the degree-6 check (about 90 s on the numpy backend, 2 cores)",
-)
 def test_criterion_03_stretch_degree_6():
     t0 = time.perf_counter()
     params = BLESSED_CONFIGS["gf2-u1"](6)

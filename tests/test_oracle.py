@@ -19,11 +19,9 @@ from tlschur.oracle import (
     ExplicitAlgebra,
     ExplicitModule,
     _check_idempotents,
-    _coord_products,
     _greedy_generating_rows,
     _post_composition_action,
     _regular_hom_basis,
-    _span_nilpotent,
     cokernel,
     cyclic_submodule,
     direct_sum,
@@ -305,7 +303,7 @@ def test_generating_combinations_generate(make):
     homs = _regular_hom_basis(reg, q)
     end_q = hom_space(q, q, verify=False)
     act = Matrix.hstack([E.matrix for E in end_q])
-    rows = _greedy_generating_rows(alg.field, Matrix.identity(alg.field, q.dim), 1, act, None, len(homs))
+    rows = _greedy_generating_rows(alg.field, Matrix.identity(alg.field, q.dim), 1, act, len(homs))
     flat = flatten(h.matrix for h in homs)
     span = RowSpace(alg.field, flat.ncols)
     span.insert(flatten(F @ E.matrix for F in unflatten(rows @ flat, reg.dim, q.dim) for E in end_q))
@@ -335,24 +333,6 @@ def test_generic_orbit_data_matches_regular(make):
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-def test_end_radical_certified(make):
-    params = make(4)
-    alg = schur_algebra(params)
-    q = tensor_module(alg)
-    relative_domdim(standard_module(params, 4, algebra=alg), q)  # populates the caches
-    struct = q._end_struct
-    rad = q._end_radical
-    assert rad is not None and rad.nrows == 9  # dim of the radical of End at d = 4
-    assert _span_nilpotent(alg.field, struct, rad)
-    # two-sided ideal: products with the full endomorphism basis stay inside
-    eye = Matrix.identity(alg.field, struct.shape[0])
-    span = RowSpace(alg.field, struct.shape[0])
-    span.insert(rad)
-    assert span.residual_rank(_coord_products(alg.field, struct, rad, eye)) == 0
-    assert span.residual_rank(_coord_products(alg.field, struct, eye, rad)) == 0
-
-
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 def test_selection_agrees_with_universal_chain(make, monkeypatch):
     params = make(2)
     alg = schur_algebra(params)
@@ -369,10 +349,30 @@ def test_selection_agrees_with_universal_chain(make, monkeypatch):
     monkeypatch.setattr(
         oracle,
         "_greedy_generating_rows",
-        lambda field, kb, g, act, radical_rows, target: Matrix.identity(field, kb.nrows),
+        lambda field, kb, g, act, target: Matrix.identity(field, kb.nrows),
     )
     universal = [relative_domdim(m, q) for m in targets()]
     assert [r.encode() for r in chosen] == [r.encode() for r in universal]
+
+
+# (module dim, hom dim, multiplicity) of each coresolution step of the regular
+# module at d = 4; a generating set that stops being small shows up here
+@pytest.mark.parametrize(
+    "make,steps",
+    [
+        (classical_char2, [(35, 16, 5), (45, 54, 6), (51, 30, 6), (45, 54, 6)]),
+        (quantum_ell2, [(35, 16, 5), (45, 54, 6), (51, 30, 6), (45, 54, 5)]),
+    ],
+    ids=IDS,
+)
+def test_regular_coresolution_multiplicities_degree_4(make, steps):
+    alg = schur_algebra(make(4))
+    lines = []
+    res = relative_domdim(regular_module(alg), tensor_module(alg), progress=lines.append)
+    assert res.matches(4)
+    assert lines == [
+        f"step {n}: module dim {dm}, hom dim {dh}, multiplicity {g}" for n, (dm, dh, g) in enumerate(steps, start=1)
+    ]
 
 
 def _run_optimized(code: str) -> list[str]:
@@ -383,22 +383,40 @@ def _run_optimized(code: str) -> list[str]:
 
 
 def test_greedy_certification_survives_optimized_mode():
-    # all of End(Q) as the "radical" puts Hom*J = Hom, which nilpotency forbids
+    # a target one above dim Hom(A, Q) = dim Q cannot be reached by any orbits
     code = (
         "from tlschur.hecke import classical_char2\n"
         "from tlschur.linalg import Matrix\n"
         "from tlschur.oracle import CertificationError, _greedy_generating_rows, hom_space, schur_algebra, tensor_module\n"
         "q = tensor_module(schur_algebra(classical_char2(2)))\n"
         "end_q = hom_space(q, q, verify=False)\n"
-        "f, e = q.algebra.field, len(end_q)\n"
+        "f = q.algebra.field\n"
         "act = Matrix.hstack([E.matrix for E in end_q])\n"
         "try:\n"
-        "    _greedy_generating_rows(f, Matrix.identity(f, q.dim), 1, act, Matrix.identity(f, e), q.dim)\n"
-        "except CertificationError:\n"
-        "    print(__debug__, 'raised')\n"
+        "    _greedy_generating_rows(f, Matrix.identity(f, q.dim), 1, act, q.dim + 1)\n"
+        "except CertificationError as exc:\n"
+        "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
     )
     out = _run_optimized(code)
-    assert out[:2] == ["False", "raised"], out[-1]
+    assert out[:3] == ["False", "raised", "orbits_fail_to_span_the_hom_space"], out[-1]
+
+
+def test_module_constructor_checks_survive_optimized_mode():
+    # 9 action matrices for the 10-dimensional algebra at d = 2, then one of the wrong size
+    code = (
+        "from tlschur.hecke import classical_char2\n"
+        "from tlschur.linalg import Matrix\n"
+        "from tlschur.oracle import ExplicitModule, schur_algebra, tensor_module\n"
+        "alg = schur_algebra(classical_char2(2))\n"
+        "q = tensor_module(alg)\n"
+        "for acts in (q.actions[:-1], q.actions[:-1] + [Matrix.identity(alg.field, 3)]):\n"
+        "    try:\n"
+        "        ExplicitModule(alg, acts)\n"
+        "    except ValueError:\n"
+        "        print(__debug__, 'raised')\n"
+    )
+    out = _run_optimized(code)
+    assert out[:4] == ["False", "raised", "False", "raised"], out[-1]
 
 
 def test_module_map_check_survives_optimized_mode():
