@@ -309,15 +309,6 @@ def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     return ExplicitModule(a.algebra, acts, label=f"({a.label})+({b.label})")
 
 
-def power_module(m: ExplicitModule, k: int) -> ExplicitModule:
-    if k == 0:
-        alg = m.algebra
-        zero = Matrix.zeros(alg.field, 0, 0)
-        return ExplicitModule(alg, [zero] * alg.dim, label=f"({m.label})^0")
-    acts = [Matrix.block_diag([a] * k) for a in m.actions]
-    return ExplicitModule(m.algebra, acts, label=f"({m.label})^{k}")
-
-
 def hom_space(m: ExplicitModule, n: ExplicitModule, verify: bool = True) -> list[ModuleMap]:
     """Basis of module maps m -> n, solved weight space by weight space.
 
@@ -364,18 +355,6 @@ def _regular_hom_basis(m: ExplicitModule, q: ExplicitModule) -> list[ModuleMap]:
     return out
 
 
-def universal_left_approximation(m: ExplicitModule, q: ExplicitModule) -> tuple[ModuleMap, int]:
-    """Stacked basis maps m -> q^k for k = dim Hom(m, q)."""
-    homs = hom_space(m, q)
-    k = len(homs)
-    target = power_module(q, k)
-    if k == 0:
-        mat = Matrix.zeros(m.algebra.field, m.dim, 0)
-    else:
-        mat = Matrix.hstack([h.matrix for h in homs])
-    return ModuleMap(m, target, mat), k
-
-
 def _cokernel_projection(R: Matrix, rank: int, pivots: tuple) -> tuple[Matrix, Matrix]:
     """Projection onto the quotient by the row space of an rref, and a section.
 
@@ -389,14 +368,6 @@ def _cokernel_projection(R: Matrix, rank: int, pivots: tuple) -> tuple[Matrix, M
     free = [j for j in range(R.ncols) if j not in pivset]
     sigma = Matrix.identity(R.field, R.ncols).select_rows(free)
     return pi_m, sigma
-
-
-def cokernel(f: ModuleMap) -> tuple[ExplicitModule, ModuleMap]:
-    """Quotient of the target by the image, with the projection onto it."""
-    pi_m, sigma = _cokernel_projection(*f.matrix.rref())
-    acts = [sigma @ a @ pi_m for a in f.target.actions]
-    mod = ExplicitModule(f.source.algebra, acts, label=f"coker({f.source.label})")
-    return mod, ModuleMap(f.target, mod, pi_m)
 
 
 def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModule, ModuleMap]:
@@ -594,17 +565,20 @@ def _greedy_generating_rows(field, kb: Matrix, g: int, act: Matrix, target: int)
     return Matrix.vstack([chosen[i][0] for i in kept])
 
 
-def _try_split(f_components: list[Matrix], cur: ExplicitModule, q: ExplicitModule, split_limit: int) -> bool | None:
+# a finite verdict never needs the split test, so skipping it above this size
+# of dim Q * dim M only turns some infinite answers into at_least(cap)
+_SPLIT_LIMIT = 8192
+
+
+def _try_split(f_components: list[Matrix], cur: ExplicitModule, q: ExplicitModule) -> bool | None:
     """Exact retraction test: does some combination of Hom(Q, cur) give a left inverse.
 
-    Returns None (test skipped) above the size limit; a finite verdict never
-    needs this test, so skipping only converts some infinite answers into
-    at_least(cap).
+    Returns None (test skipped) when dim Q * dim cur exceeds _SPLIT_LIMIT.
     """
     field = cur.algebra.field
     dm = cur.dim
     dq = q.dim
-    if dq * dm > split_limit:
+    if dq * dm > _SPLIT_LIMIT:
         return None
     hom_back = hom_space(q, cur, verify=False)
     if not hom_back:
@@ -619,7 +593,6 @@ def relative_domdim(
     q: ExplicitModule,
     cap: int | None = None,
     progress=None,
-    split_limit: int = 8192,
 ) -> DomdimResult:
     """Length of the longest exact add(Q)-coresolution of m detectable up to cap.
 
@@ -679,7 +652,7 @@ def relative_domdim(
         R, rank, pivots = f_stack.rref()
         if rank != cur.dim:
             raise CertificationError("generating subset lost injectivity")
-        if _try_split(comps, cur, q, split_limit):
+        if _try_split(comps, cur, q):
             return DomdimResult.infinite()
         steps += 1
         if steps >= cap:

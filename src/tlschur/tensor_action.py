@@ -232,55 +232,32 @@ def commutant_basis(generators: list[Matrix], progress=None) -> list[Matrix]:
     return unflatten(reduced_basis(Matrix.from_dense(f, np.concatenate(rows))), n, n)
 
 
-def _flat_on(mats: list[Matrix], coords: np.ndarray) -> Matrix:
-    """Row-major flattenings of the matrices, restricted to the given positions."""
-    return Matrix.from_dense(mats[0].field, np.stack([m.dense().reshape(-1)[coords] for m in mats]))
+def algebra_closure_dim(generators: list[Matrix]) -> tuple[int, RowSpace]:
+    """Dimension and span of the unital algebra generated by matrices on V^(tensor d).
 
-
-def matrix_span(mats: list[Matrix], coords: np.ndarray | None = None) -> RowSpace:
-    if coords is None:
-        coords = np.arange(mats[0].nrows * mats[0].ncols)
-    sp = RowSpace(mats[0].field, coords.size)
-    sp.insert(_flat_on(mats, coords))
-    return sp
-
-
-def algebra_closure_dim(generators: list[Matrix], cap: int | None = None) -> tuple[int, list[Matrix]]:
-    """Dimension and basis of the unital algebra generated by matrices on V^(tensor d).
-
-    Repeatedly multiplies the current spanning set by the generators until
-    the span stabilizes.  Returns (dimension, list of independent products).
     The generators must preserve weight (CertificationError otherwise), so
-    spans are compared on the weight-diagonal entries only.
+    every product is block diagonal and the span lives on the weight-diagonal
+    entries.  On those coordinates right multiplication by g is one linear
+    operator, sending entry (i, k) to entry (i, j) with coefficient g[k, j];
+    the span of the identity is closed under these operators.  Returns
+    (dimension, span on the weight-diagonal entries).
     """
+    if not generators:
+        raise ValueError("need at least one generator")
     f = generators[0].field
     n = generators[0].nrows
     _check_weight_preserving(generators)
-    coords = _weight_diagonal(n)
-    sp = RowSpace(f, coords.size)
-    basis: list[Matrix] = []
-
-    def try_add(m: Matrix) -> bool:
-        if sp.insert(_flat_on([m], coords)):
-            basis.append(m)
-            return True
-        return False
-
-    try_add(Matrix.identity(f, n))
+    wt, classes = _weights(n), weight_classes(n)
+    ops = []
     for g in generators:
-        try_add(g)
-    frontier = list(basis)
-    while frontier:
-        new: list[Matrix] = []
-        for m in frontier:
-            for g in generators:
-                prod = m @ g
-                if try_add(prod):
-                    new.append(prod)
-                if cap is not None and len(basis) > cap:
-                    raise RuntimeError("algebra closure exceeded cap")
-        frontier = new
-    return len(basis), basis
+        # the entries (i, k) of row i are those with k of i's weight, in order
+        blocks = [g.select_rows(c).select_columns(c) for c in classes]
+        ops.append(Matrix.block_diag([blocks[w] for w in wt]))
+    diag = _weight_diagonal(n)
+    span = RowSpace(f, diag.size)
+    span.insert(flatten([Matrix.identity(f, n)]).select_columns(diag))
+    span.close(ops)
+    return span.dim, span
 
 
 def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
@@ -296,11 +273,12 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     tl_gens = tl_generator_matrices(params)
     if progress:
         progress("closing TL image")
-    tl_dim, tl_basis = algebra_closure_dim(tl_gens)
+    tl_dim, tl_span = algebra_closure_dim(tl_gens)
     if progress:
         progress("commutant of the TL action")
     comm = commutant_basis(hecke_generator_matrices(params), progress=progress)
-    comm_span = matrix_span(comm)
+    comm_span = RowSpace(params.field, n * n)
+    comm_span.insert(flatten(comm))
     if not comm_span.contains(flatten(weight_projections(params.field, n))):
         raise CertificationError("a weight projection is not in the commutant span")
     if progress:
@@ -308,11 +286,8 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     # everything commuting with the commutant commutes with the weight
     # projections, so it is block diagonal: the unknowns are the
     # weight-diagonal entries, and the TL image lives there too
-    comm2 = unflatten(intertwiner_rows(comm, comm, classes, classes, progress=progress), n, n)
-    diag = _weight_diagonal(n)
-    tl_span = matrix_span(tl_basis, diag)
-    c2_span = matrix_span(comm2, diag)
-    equal = tl_span.dim == c2_span.dim and tl_span.contains(_flat_on(comm2, diag))
+    comm2 = intertwiner_rows(comm, comm, classes, classes, progress=progress)
+    equal = tl_dim == comm2.nrows and tl_span.contains(comm2.select_columns(_weight_diagonal(n)))
     # products of commutant elements stay in the commutant span, all pairs:
     # vstack(comm) @ b read row-major as k rows is flatten(a @ b) over all a
     k, n2 = len(comm), comm_span.ncols
@@ -324,7 +299,7 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
         "u": params.field.fmt(params.u),
         "tl_image_dim": tl_dim,
         "commutant_dim": len(comm),
-        "double_commutant_dim": len(comm2),
+        "double_commutant_dim": comm2.nrows,
         "tl_image_equals_double_commutant": bool(equal),
         "commutant_closed_under_product": bool(closed),
     }

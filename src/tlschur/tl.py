@@ -45,14 +45,6 @@ class PlanarDiagram:
         raise AttributeError("PlanarDiagram is immutable")
 
     @staticmethod
-    def top_point(d: int, col: int) -> int:
-        return col
-
-    @staticmethod
-    def bottom_point(d: int, col: int) -> int:
-        return 2 * d - 1 - col
-
-    @staticmethod
     def identity(d: int) -> "PlanarDiagram":
         return PlanarDiagram(d, [(j, 2 * d - 1 - j) for j in range(d)])
 

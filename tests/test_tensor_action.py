@@ -5,13 +5,14 @@ import sys
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tlschur.fields import GF
 from tlschur.hecke import HeckeElement, HeckeParams, classical_char2, kernel_generator, quantum_ell2
 import tlschur
 from tlschur import tensor_action
-from tlschur.linalg import Matrix, unflatten
+from tlschur.linalg import Matrix, flatten, unflatten
 from tlschur.permutations import symmetric_group
 from tlschur.tensor_action import (
     CertificationError,
@@ -188,12 +189,49 @@ def test_report_rejects_projection_outside_commutant(monkeypatch):
         double_centralizer_report(p)
 
 
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-@pytest.mark.parametrize("d", [2, 3])
+def _check_closed_span(gens, span):
+    """The span holds 1 and the generators and is stable under right multiplication by each."""
+    f, n = gens[0].field, gens[0].nrows
+    diag = tensor_action._weight_diagonal(n)
+    assert span.contains(flatten([Matrix.identity(f, n), *gens]).select_columns(diag))
+    # the span as matrices: each row scattered back onto the weight-diagonal entries
+    rows = np.zeros((span.dim, n * n), dtype=np.int64)
+    rows[:, diag] = span.basis.dense()
+    elems = unflatten(Matrix.from_dense(f, rows), n, n)
+    products = flatten(x @ g for x in elems for g in gens)
+    assert products.select_columns(np.setdiff1d(np.arange(n * n), diag)).is_zero()
+    assert span.contains(products.select_columns(diag))
+
+
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_tl_image_dimension(make, d):
-    p = make(d)
-    dim, basis = algebra_closure_dim([tl_action(p, s) for s in range(1, d)] or [Matrix.identity(p.field, 1 << d)])
-    assert dim == catalan(d)
+    gens = [tl_action(make(d), s) for s in range(1, d)]
+    dim, span = algebra_closure_dim(gens)
+    assert dim == span.dim == catalan(d)
+    _check_closed_span(gens, span)
+
+
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+def test_closure_of_one_nonsymmetric_generator(make):
+    # the TL generators are symmetric matrices, T_1 T_2 is not: the algebra
+    # it generates is spanned by its powers g^0, ..., g^8 (dim V^(tensor 3) = 8)
+    p = make(3)
+    g = hecke_action(p, 1) @ hecke_action(p, 2)
+    assert g != g.transpose()
+    dim, span = algebra_closure_dim([g])
+    powers = [Matrix.identity(p.field, 8)]
+    for _ in range(8):
+        powers.append(powers[-1] @ g)
+    assert dim == span.dim == flatten(powers).rank()
+    _check_closed_span([g], span)
+
+
+def test_closure_needs_a_generator():
+    with pytest.raises(ValueError, match="need at least one generator"):
+        algebra_closure_dim([])
+    with pytest.raises(ValueError, match="need at least one generator"):
+        double_centralizer_report(HeckeParams(1, GF(2), 1))
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
