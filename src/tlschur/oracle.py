@@ -10,7 +10,9 @@ one pair of weight spaces of V^(tensor d) at a time (tensor_action).  The
 weight idempotents e_a, stored as coordinate rows and certified orthogonal
 with sum 1, split every module into weight spaces M e_a.  A module map is
 block diagonal in weight-adapted bases, so hom_space takes only those blocks
-as unknowns.  Every basis equals the one the full system would give.
+as unknowns.  Every basis equals the one the full system would give.  The
+split test solves its retraction equations on the weight-diagonal blocks
+only, in those bases, and certifies a "yes" in the given bases.
 
 relative_domdim iterates left approximations into add(Q) for Q the tensor
 module: if the approximation is not injective the accumulated count is the
@@ -309,34 +311,45 @@ def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     return ExplicitModule(a.algebra, acts, label=f"({a.label})+({b.label})")
 
 
-def hom_space(m: ExplicitModule, n: ExplicitModule, verify: bool = True) -> list[ModuleMap]:
-    """Basis of module maps m -> n, solved weight space by weight space.
+def _graded_hom_rows(m: ExplicitModule, n: ExplicitModule) -> tuple[Matrix, list[range], list[range]]:
+    """Module maps m -> n in weight-adapted bases, and the weight parts of m and n.
 
     A module map commutes with the weight idempotents, so in weight-adapted
     bases it is block diagonal, Y = diag(Y_a): only those entries are
-    unknowns of the generator intertwiner system.  The maps are taken back
-    to the given bases as X = C_m Y B_n, and the result is the reduced
-    basis of their span, which is the basis kernel_from_rref gives for the
-    full system.
+    unknowns of the generator intertwiner system.  Returns its kernel basis
+    as rows of flattened m.dim x n.dim matrices Y (intertwiner_rows).
+    """
+    left, m_parts = m.graded_generator_actions()
+    right, n_parts = n.graded_generator_actions()
+    return intertwiner_rows(left, right, m_parts, n_parts), m_parts, n_parts
+
+
+def _to_given_bases(ys: Matrix, cm: Matrix, bn: Matrix) -> np.ndarray:
+    """X_k = C_m Y_k B_n for every row Y_k of ys (a flattened m x n matrix), as a k x m x n array."""
+    k, m, n = ys.nrows, cm.nrows, bn.nrows
+    # right factor on the stacked Y_k, then the left factor on the Z_k side by side
+    z = (ys.reshape(k * m, n) @ bn).dense().reshape(k, m, n)
+    z = Matrix.from_dense(ys.field, z.transpose(1, 0, 2).reshape(m, k * n))
+    return (cm @ z).dense().reshape(m, k, n).transpose(1, 0, 2)
+
+
+def hom_space(m: ExplicitModule, n: ExplicitModule, verify: bool = True) -> list[ModuleMap]:
+    """Basis of module maps m -> n, solved weight space by weight space.
+
+    The maps Y of _graded_hom_rows are taken back to the given bases as
+    X = C_m Y B_n, and the result is the reduced basis of their span, which
+    is the basis kernel_from_rref gives for the full system.
     """
     if n.algebra is not m.algebra:
         raise ValueError("hom_space needs two modules over the same algebra")
     if m.dim == 0 or n.dim == 0:
         return []
-    f = m.algebra.field
-    left, m_parts = m.graded_generator_actions()
-    right, n_parts = n.graded_generator_actions()
-    ys = intertwiner_rows(left, right, m_parts, n_parts)
-    cm, bn = m.weight_basis()[1], n.weight_basis()[0]
+    ys = _graded_hom_rows(m, n)[0]
     k = ys.nrows
     if k == 0:
         return []
-    # X_k = C_m Y_k B_n for all k at once: right factor on the stacked Y_k,
-    # then the left factor on the Z_k side by side
-    z = (ys.reshape(k * m.dim, n.dim) @ bn).dense().reshape(k, m.dim, n.dim)
-    z = Matrix.from_dense(f, z.transpose(1, 0, 2).reshape(m.dim, k * n.dim))
-    x = (cm @ z).dense().reshape(m.dim, k, n.dim).transpose(1, 0, 2)
-    maps = reduced_basis(Matrix.from_dense(f, x.reshape(k, m.dim * n.dim)))
+    x = _to_given_bases(ys, m.weight_basis()[1], n.weight_basis()[0])
+    maps = reduced_basis(Matrix.from_dense(m.algebra.field, x.reshape(k, m.dim * n.dim)))
     out = [ModuleMap(m, n, mat) for mat in unflatten(maps, m.dim, n.dim)]
     if verify:
         for h in out:
@@ -346,13 +359,7 @@ def hom_space(m: ExplicitModule, n: ExplicitModule, verify: bool = True) -> list
 
 def _regular_hom_basis(m: ExplicitModule, q: ExplicitModule) -> list[ModuleMap]:
     """Hom(A, Q) = Q: the map for basis vector y sends b_i to y * act(b_i)."""
-    f = m.algebra.field
-    rows_per_basis = [a for a in q.actions]
-    out = []
-    for n in range(q.dim):
-        mat = Matrix.vstack([rows_per_basis[i].select_rows([n]) for i in range(m.algebra.dim)])
-        out.append(ModuleMap(m, q, mat))
-    return out
+    return [ModuleMap(m, q, Matrix.vstack([a.select_rows([n]) for a in q.actions])) for n in range(q.dim)]
 
 
 def _cokernel_projection(R: Matrix, rank: int, pivots: tuple) -> tuple[Matrix, Matrix]:
@@ -571,7 +578,16 @@ _SPLIT_LIMIT = 8192
 
 
 def _try_split(f_components: list[Matrix], cur: ExplicitModule, q: ExplicitModule) -> bool | None:
-    """Exact retraction test: does some combination of Hom(Q, cur) give a left inverse.
+    """Exact retraction test: does some r = (r_k) in Hom(Q, cur)^g give sum_k F_k r_k = id.
+
+    In weight-adapted bases (B, C of weight_basis) F_k reads F'_k = B_cur F_k C_q
+    and a basis map Y_j of Hom(Q, cur) is block diagonal, so block (a, a) of
+    F'_k Y_j is F'_k[a, a] Y_j[a, a] whatever F_k is.  sum_k F_k r_k - id is a
+    module endomorphism of cur, block diagonal in those bases, so only the
+    weight-diagonal blocks give equations: sum_a dim(cur e_a)^2 rows against
+    (dim cur)^2 for the full system, which implies them, so a "no" is exact.
+    A "yes" is certified in the given bases: the solved r must satisfy
+    hstack(F_k) @ vstack(r_k) == identity, or CertificationError is raised.
 
     Returns None (test skipped) when dim Q * dim cur exceeds _SPLIT_LIMIT.
     """
@@ -580,12 +596,39 @@ def _try_split(f_components: list[Matrix], cur: ExplicitModule, q: ExplicitModul
     dq = q.dim
     if dq * dm > _SPLIT_LIMIT:
         return None
-    hom_back = hom_space(q, cur, verify=False)
-    if not hom_back:
+    ys, q_parts, m_parts = _graded_hom_rows(q, cur)
+    h, g = ys.nrows, len(f_components)
+    if h == 0:
         return False
-    system = flatten(F @ B.matrix for F in f_components for B in hom_back).transpose()
-    ident = flatten([Matrix.identity(field, dm)]).transpose()
-    return system.solve_many(ident) is not None
+    bm, cq = cur.weight_basis()[0], q.weight_basis()[1]
+    f_stack = Matrix.hstack(f_components)
+    # F'_k = B_cur F_k C_q for all k at once, read as a dm x g x dq array
+    fg = ((bm @ f_stack).reshape(dm * g, dq) @ cq).dense().reshape(dm, g, dq)
+    yg = ys.dense().reshape(h, dq, dm)
+    # the equations of weight a: block (k, j) of vstack_k F'_k[a, a] @ hstack_j Y_j[a, a]
+    # is the m_a x m_a block of F'_k Y_j, read as m_a^2 rows of column (k, j)
+    rows, rhs = [], []
+    for qa, ma in zip(q_parts, m_parts):
+        na = len(ma)
+        if na == 0:
+            continue
+        if len(qa) == 0:
+            return False  # no map of Q reaches cur e_a, so no r restricts to the identity there
+        sq, sm = slice(qa.start, qa.stop), slice(ma.start, ma.stop)
+        fa = Matrix.from_dense(field, fg[sm, :, sq].transpose(1, 0, 2).reshape(g * na, len(qa)))
+        ya = Matrix.from_dense(field, yg[:, sq, sm].transpose(1, 0, 2).reshape(len(qa), h * na))
+        prod = (fa @ ya).dense().reshape(g, na, h, na).transpose(1, 3, 0, 2)
+        rows.append(prod.reshape(na * na, g * h))
+        rhs.append(np.eye(na, dtype=np.int64).reshape(na * na, 1))
+    system = Matrix.from_dense(field, np.concatenate(rows))
+    coeffs = system.solve_many(Matrix.from_dense(field, np.concatenate(rhs)))
+    if coeffs is None:
+        return False
+    # r'_k = sum_j c_kj Y_j, then r_k = C_q r'_k B_cur in the given bases, stacked
+    r = _to_given_bases(coeffs.reshape(g, h) @ ys, cq, bm).reshape(g * dq, dm)
+    if f_stack @ Matrix.from_dense(field, r) != Matrix.identity(field, dm):
+        raise CertificationError("the solved retraction is not a left inverse of the approximation")
+    return True
 
 
 def relative_domdim(

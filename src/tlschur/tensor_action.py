@@ -166,7 +166,9 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
     pos = np.full(m * n, -1, dtype=np.int64)
     pos[coords] = np.arange(coords.size)
     unknowns = [pos[x] for x in flat]
+    # the equation blocks that remain, with their first row in the system
     blocks = []
+    nrows = 0
     for a, b in zip(left, right):
         ad = a.dense().astype(np.int64)
         bd = b.dense().astype(np.int64)
@@ -176,13 +178,16 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
                 bkl = bd[np.ix_(cp[k], cp[l])]
                 if not rp[k].size * cp[l].size or not (akl.any() or bkl.any()):
                     continue
-                eq = np.zeros((rp[k].size * cp[l].size, coords.size), dtype=np.int64)
-                eq[:, unknowns[l]] += np.kron(akl, np.eye(cp[l].size, dtype=np.int64))
-                eq[:, unknowns[k]] -= np.kron(np.eye(rp[k].size, dtype=np.int64), bkl.T)
-                blocks.append(eq % f.p)
+                blocks.append((k, l, akl, bkl, nrows))
+                nrows += rp[k].size * cp[l].size
     if not blocks:
         return None, coords
-    return Matrix.from_dense(f, np.concatenate(blocks)), coords
+    system = np.zeros((nrows, coords.size), dtype=np.int64)
+    for k, l, akl, bkl, top in blocks:
+        eq = slice(top, top + rp[k].size * cp[l].size)
+        system[eq, unknowns[l]] += np.kron(akl, np.eye(cp[l].size, dtype=np.int64))
+        system[eq, unknowns[k]] -= np.kron(np.eye(rp[k].size, dtype=np.int64), bkl.T)
+    return Matrix.from_dense(f, system), coords
 
 
 def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts=None, col_parts=None, progress=None) -> Matrix:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tlschur
-from tlschur.domdim import FieldRegime, domdim_regular
+from tlschur.domdim import INFINITY, FieldRegime, domdim_regular
 from tlschur.fields import GF, QQ
 from tlschur.hecke import HeckeParams, classical_char2, quantum_ell2
 from tlschur.linalg import Matrix, RowSpace, flatten, unflatten
@@ -357,23 +357,56 @@ def test_coresolution_cokernels_are_modules(make, dims, monkeypatch):
 
 
 # (module dim, hom dim, multiplicity) of each coresolution step of the regular
-# module at d = 4; a generating set that stops being small shows up here
+# module; a generating set that stops being small shows up here.  The d = 5
+# cases are the benchmark's coresolution-d5 workload, which splits at its last step
 @pytest.mark.parametrize(
-    "make,steps",
+    "make,d,steps,verdict",
     [
-        (classical_char2, [(35, 16, 5), (45, 54, 6), (51, 30, 6), (45, 54, 6)]),
-        (quantum_ell2, [(35, 16, 5), (45, 54, 6), (51, 30, 6), (45, 54, 5)]),
+        pytest.param(classical_char2, 4, [(35, 16, 5), (45, 54, 6), (51, 30, 6), (45, 54, 6)], 4, id="gf2-u1"),
+        pytest.param(quantum_ell2, 4, [(35, 16, 5), (45, 54, 6), (51, 30, 6), (45, 54, 5)], 4, id="gf5-u2"),
+        pytest.param(classical_char2, 5, [(56, 32, 6), (136, 220, 7)], INFINITY, id="gf2-u1-d5"),
+        pytest.param(quantum_ell2, 5, [(56, 32, 6)], INFINITY, id="gf5-u2-d5"),
     ],
-    ids=IDS,
 )
-def test_regular_coresolution_multiplicities_degree_4(make, steps):
-    alg = schur_algebra(make(4))
+def test_regular_coresolution_multiplicities_degree_4(make, d, steps, verdict):
+    alg = schur_algebra(make(d))
     lines = []
     res = relative_domdim(regular_module(alg), tensor_module(alg), progress=lines.append)
-    assert res.matches(4)
+    assert res.matches(verdict)
     assert lines == [
         f"step {n}: module dim {dm}, hom dim {dh}, multiplicity {g}" for n, (dm, dh, g) in enumerate(steps, start=1)
     ]
+
+
+def _split_cases():
+    cases = [pytest.param(make, d, True, id=f"{cid}-d{d}") for d in (2, 3, 4) for make, cid in zip(GRADED, GRADED_IDS)]
+    # the regular module at d = 5 is a case of test_regular_coresolution_multiplicities_degree_4
+    return cases + [pytest.param(make, 5, False, id=f"{cid}-d5") for make, cid in zip(GRADED, GRADED_IDS)]
+
+
+@pytest.mark.parametrize("make,d,with_regular", _split_cases())
+def test_split_test_matches_dense(make, d, with_regular, dense_split, monkeypatch):
+    params = make(d)
+    alg = schur_algebra(params)
+    q = tensor_module(alg)
+    targets = [q] + [standard_module(params, m, algebra=alg) for m in range(d % 2, d + 1, 2)]
+    if with_regular:
+        targets.insert(0, regular_module(alg))
+    graded = oracle._try_split
+    answers = []
+
+    def both(f_components, cur, qq):
+        got = graded(f_components, cur, qq)
+        assert got == dense_split(f_components, cur, qq), (cur.dim, len(f_components))
+        answers.append(got)
+        return got
+
+    monkeypatch.setattr(oracle, "_try_split", both)
+    for mod in targets:
+        answers.clear()
+        res = relative_domdim(mod, q)
+        # every step runs the split test, and an infinite verdict is the split of the last one
+        assert len(answers) >= 1 and res.is_infinite == (answers[-1] is True), (mod.label, answers)
 
 
 def _run_optimized(code: str) -> list[str]:
@@ -463,3 +496,29 @@ def test_regular_domdim_large_prime_optimized_mode(p, u):
     )
     out = _run_optimized(code)
     assert out[:2] == ["False", "4"], out[-1]
+
+
+def test_split_certificate_survives_optimized_mode():
+    # F = 1 + E_01 is not a module map: its weight-diagonal blocks are those
+    # of the identity, so the diagonal equations solve with r = 1, and the
+    # certificate F @ r == 1 fails on the off-diagonal entry
+    code = (
+        "from tlschur.hecke import classical_char2\n"
+        "from tlschur.linalg import Matrix\n"
+        "from tlschur.oracle import CertificationError, _try_split, schur_algebra, tensor_module\n"
+        "q = tensor_module(schur_algebra(classical_char2(2)))\n"
+        "f = q.algebra.field\n"
+        "F = Matrix.from_rows(f, [[int(i == j or (i == 0 and j == 1)) for j in range(q.dim)] for i in range(q.dim)])\n"
+        "print(_try_split([Matrix.identity(f, q.dim)], q, q))\n"
+        "try:\n"
+        "    _try_split([F], q, q)\n"
+        "except CertificationError as exc:\n"
+        "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
+    )
+    out = _run_optimized(code)
+    assert out[:4] == [
+        "True",
+        "False",
+        "raised",
+        "the_solved_retraction_is_not_a_left_inverse_of_the_approximation",
+    ], out[-1]
