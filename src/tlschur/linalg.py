@@ -39,6 +39,12 @@ def _check_field(field) -> None:
         raise ValueError(f"exact matrices need a prime field GF(p), got {field.name}")
 
 
+def _require(ok: bool, what: str, mats: Sequence["Matrix"]) -> None:
+    """Raise ValueError naming the operands unless ok; unlike assert, this survives python -O."""
+    if not ok:
+        raise ValueError(f"{what} {list(mats)}")
+
+
 def _inverses(p: int) -> np.ndarray:
     if p not in _INV_CACHE:
         _INV_CACHE[p] = _inv_table(p)
@@ -143,21 +149,21 @@ class Matrix:
 
     @staticmethod
     def vstack(mats: Sequence["Matrix"]) -> "Matrix":
-        assert mats, "vstack of nothing"
+        _require(len(mats) > 0, "vstack of nothing", mats)
         f = mats[0].field
         ncols = mats[0].ncols
         for m in mats:
-            assert m.field == f and m.ncols == ncols
+            _require(m.field == f and m.ncols == ncols, "cannot vstack", mats)
         data = np.concatenate([m._d for m in mats], axis=0)
         return Matrix(f, sum(m.nrows for m in mats), ncols, data)
 
     @staticmethod
     def hstack(mats: Sequence["Matrix"]) -> "Matrix":
-        assert mats, "hstack of nothing"
+        _require(len(mats) > 0, "hstack of nothing", mats)
         f = mats[0].field
         nrows = mats[0].nrows
         for m in mats:
-            assert m.field == f and m.nrows == nrows
+            _require(m.field == f and m.nrows == nrows, "cannot hstack", mats)
         if f.p == 2:
             dense = np.concatenate([m.dense() for m in mats], axis=1)
             return Matrix.from_dense(f, dense)
@@ -166,7 +172,7 @@ class Matrix:
 
     @staticmethod
     def block_diag(mats: Sequence["Matrix"]) -> "Matrix":
-        assert mats, "block_diag of nothing"
+        _require(len(mats) > 0, "block_diag of nothing", mats)
         f = mats[0].field
         nr = sum(m.nrows for m in mats)
         nc = sum(m.ncols for m in mats)
@@ -181,12 +187,15 @@ class Matrix:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        assert self.field == other.field and self.nrows == other.nrows and self.ncols == other.ncols
+        same = self.field == other.field and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        _require(same, "cannot add", (self, other))
         if self.field.p == 2:
             return Matrix(self.field, self.nrows, self.ncols, self._d ^ other._d)
         return Matrix(self.field, self.nrows, self.ncols, (self._d + other._d) % self.field.p)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        same = self.field == other.field and (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        _require(same, "cannot subtract", (self, other))
         if self.field.p == 2:
             return self + other
         return Matrix(self.field, self.nrows, self.ncols, (self._d - other._d) % self.field.p)
@@ -198,8 +207,7 @@ class Matrix:
         return Matrix(self.field, self.nrows, self.ncols, (self._d * c) % self.field.p)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        assert self.field == other.field, "field mismatch"
-        assert self.ncols == other.nrows, "shape mismatch"
+        _require(self.field == other.field and self.ncols == other.nrows, "cannot multiply", (self, other))
         f = self.field
         if f.p == 2:
             out = np.zeros((self.nrows, other._d.shape[1]), np.uint64)
@@ -214,7 +222,7 @@ class Matrix:
         return Matrix(f, self.nrows, other.ncols, (self._d @ other._d) % f.p)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        assert self.field == other.field
+        _require(self.field == other.field, "cannot kron", (self, other))
         dense = np.kron(self.dense().astype(np.int64), other.dense().astype(np.int64))
         return Matrix.from_dense(self.field, dense % self.field.p)
 
@@ -260,7 +268,7 @@ class Matrix:
 
         Free variables are set to zero, so the solution is deterministic.
         """
-        assert rhs.nrows == self.nrows
+        _require(self.field == rhs.field and self.nrows == rhs.nrows, "cannot solve", (self, rhs))
         if rhs.ncols > 8192:
             # chunk wide right-hand sides to cap the augmented working set
             parts = []

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tlschur
 from tlschur import oracle
 from tlschur.linalg import Matrix, flatten, unflatten
 
@@ -42,3 +48,36 @@ def dense_split():
         return system.solve_many(ident) is not None
 
     return split
+
+
+@pytest.fixture(scope="session")
+def post_composition_action():
+    """Post-composition with End(Q) in hom-basis coordinates, via one linear solve.
+
+    The reference for the greedy's flat coordinates: row i, column block l
+    holds the coordinates of homs[i] o end_q[l] over the basis homs.
+    """
+
+    def action(homs, end_q):
+        h, e = len(homs), len(end_q)
+        bcols = flatten(homs).transpose()
+        pcols = flatten(hm @ em for hm in homs for em in end_q).transpose()
+        coords = bcols.solve_many(pcols)
+        if coords is None:
+            raise oracle.CertificationError("post-composition left the hom space")
+        return coords.transpose().reshape(h, e * h)
+
+    return action
+
+
+@pytest.fixture(scope="session")
+def run_optimized():
+    """Run a code string under python -O with this package importable: stdout words, then stderr."""
+
+    def run(code: str) -> list[str]:
+        src = str(Path(tlschur.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        return out.stdout.split() + [out.stderr]
+
+    return run

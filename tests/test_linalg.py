@@ -182,3 +182,35 @@ def test_large_matmul_blas_path_exact(f):
     got = (a @ b).dense()
     want = (a.dense().astype(np.int64) @ b.dense().astype(np.int64)) % f.p
     assert np.array_equal(got, want)
+
+
+def test_mismatched_operands_raise():
+    rng = random.Random(11)
+    a, b = rand_matrix(GF5, 3, 3, rng), rand_matrix(GF5, 1, 3, rng)
+    # numpy would broadcast the 1x3 row over the 3x3 matrix
+    for op in (lambda: a - b, lambda: a + b, lambda: a @ b, lambda: Matrix.hstack([a, b]), lambda: a.solve_many(b)):
+        with pytest.raises(ValueError, match="GF\\(5\\), 1x3"):
+            op()
+    c = rand_matrix(GF(7), 3, 3, rng)
+    for op in (lambda: a - c, lambda: a @ c, lambda: Matrix.vstack([a, c]), lambda: a.kron(c)):
+        with pytest.raises(ValueError, match="GF\\(7\\)"):
+            op()
+    for stack in (Matrix.vstack, Matrix.hstack, Matrix.block_diag):
+        with pytest.raises(ValueError, match="of nothing"):
+            stack([])
+
+
+def test_shape_checks_survive_optimized_mode(run_optimized):
+    # without the checks the product would come back 3x5 and the stack 61x60 with dirty padding bits
+    code = (
+        "from tlschur.fields import GF2\n"
+        "from tlschur.linalg import Matrix\n"
+        "for op in (lambda: Matrix.identity(GF2, 3) @ Matrix.identity(GF2, 5),\n"
+        "           lambda: Matrix.vstack([Matrix.zeros(GF2, 60, 60), Matrix.identity(GF2, 64).select_rows([0])])):\n"
+        "    try:\n"
+        "        print(op())\n"
+        "    except ValueError:\n"
+        "        print(__debug__, 'raised')\n"
+    )
+    out = run_optimized(code)
+    assert out[:4] == ["False", "raised", "False", "raised"], out[-1]

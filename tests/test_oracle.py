@@ -1,14 +1,9 @@
-import os
 import random
-import subprocess
-import sys
 from math import comb
-from pathlib import Path
 
 import pytest
 
-import tlschur
-from tlschur.domdim import INFINITY, FieldRegime, domdim_regular
+from tlschur.domdim import INFINITY, FieldRegime, domdim_regular, domdim_standard
 from tlschur.fields import GF, QQ
 from tlschur.hecke import HeckeParams, classical_char2, quantum_ell2
 from tlschur.linalg import Matrix, RowSpace, flatten, unflatten
@@ -20,7 +15,6 @@ from tlschur.oracle import (
     ExplicitModule,
     _check_idempotents,
     _greedy_generating_rows,
-    _post_composition_action,
     _regular_hom_basis,
     cyclic_submodule,
     direct_sum,
@@ -284,7 +278,7 @@ def test_generating_combinations_generate(make):
     homs = _regular_hom_basis(reg, q)
     end_q = hom_space(q, q, verify=False)
     act = Matrix.hstack([E.matrix for E in end_q])
-    rows = _greedy_generating_rows(alg.field, Matrix.identity(alg.field, q.dim), 1, act, len(homs))
+    rows = _greedy_generating_rows(Matrix.identity(alg.field, q.dim), act)
     flat = flatten(h.matrix for h in homs)
     span = RowSpace(alg.field, flat.ncols)
     span.insert(flatten(F @ E.matrix for F in unflatten(rows @ flat, reg.dim, q.dim) for E in end_q))
@@ -294,23 +288,19 @@ def test_generating_combinations_generate(make):
     assert rows.nrows < len(homs)
 
 
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-def test_generic_orbit_data_matches_regular(make):
-    params = make(2)
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+@pytest.mark.parametrize("d", [3, 4])
+def test_greedy_rows_agree_in_hom_and_flat_coordinates(make, d, post_composition_action):
+    # the first step of any module but the regular one runs the greedy on the
+    # flattened maps; in hom-basis coordinates it must pick the same rows
+    params = make(d)
     alg = schur_algebra(params)
     q = tensor_module(alg)
-    reg = regular_module(alg)
-    homs = _regular_hom_basis(reg, q)
-    end_q = hom_space(q, q, verify=False)
-    act_g = _post_composition_action(homs, end_q)
-    act_r = Matrix.hstack([E.matrix for E in end_q])
-    h, e = len(homs), len(end_q)
-    assert (act_g.nrows, act_g.ncols) == (h, e * h) and (act_r.nrows, act_r.ncols) == (h, e * q.dim)
-    # both coordinate systems must assign each orbit row the same rank profile
-    for i in range(h):
-        ra = act_g.select_rows([i]).reshape(e, h).rank()
-        rb = act_r.select_rows([i]).reshape(e, q.dim).rank()
-        assert ra == rb
+    end_q = [E.matrix for E in hom_space(q, q, verify=False)]
+    for mod in [q] + [standard_module(params, m, algebra=alg) for m in range(d % 2, d + 1, 2)]:
+        homs = [h.matrix for h in hom_space(mod, q, verify=False)]
+        in_homs = _greedy_generating_rows(Matrix.identity(alg.field, len(homs)), post_composition_action(homs, end_q))
+        assert _greedy_generating_rows(flatten(homs), Matrix.hstack(end_q)) == in_homs, mod.label
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
@@ -330,7 +320,7 @@ def test_selection_agrees_with_universal_chain(make, monkeypatch):
     monkeypatch.setattr(
         oracle,
         "_greedy_generating_rows",
-        lambda field, kb, g, act, target: Matrix.identity(field, kb.nrows),
+        lambda kb, act: Matrix.identity(kb.field, kb.nrows),
     )
     universal = [relative_domdim(m, q) for m in targets()]
     assert [r.encode() for r in chosen] == [r.encode() for r in universal]
@@ -378,6 +368,33 @@ def test_regular_coresolution_multiplicities_degree_4(make, d, steps, verdict):
     ]
 
 
+# the same for Q and the standard modules at d = 4, whose first step runs the
+# greedy on the flattened hom maps instead of the regular module's vectors of Q
+def _generic_steps(last):
+    return {
+        "tensor space": [(16, 14, 1)],
+        "Delta(0)": [(1, 2, 1), (15, 12, 2)],
+        "Delta(2)": [(3, 3, 1), (13, 11, 1), (3, 3, 1)],
+        "Delta(4)": [(5, 1, 1), (11, 13, 2), (21, 15, 2), (11, 13, last)],
+    }
+
+
+@pytest.mark.parametrize("make,steps", [(classical_char2, _generic_steps(2)), (quantum_ell2, _generic_steps(1))], ids=IDS)
+def test_generic_coresolution_multiplicities_degree_4(make, steps):
+    params = make(4)
+    alg = schur_algebra(params)
+    q = tensor_module(alg)
+    regime = FieldRegime(quantum_char_is_2=True)
+    cases = [(q, INFINITY)] + [(standard_module(params, m, algebra=alg), domdim_standard(4, m, regime)) for m in (0, 2, 4)]
+    for mod, verdict in cases:
+        lines = []
+        assert relative_domdim(mod, q, progress=lines.append).matches(verdict), mod.label
+        assert lines == [
+            f"step {n}: module dim {dm}, hom dim {dh}, multiplicity {g}"
+            for n, (dm, dh, g) in enumerate(steps[mod.label], start=1)
+        ], mod.label
+
+
 def _split_cases():
     cases = [pytest.param(make, d, True, id=f"{cid}-d{d}") for d in (2, 3, 4) for make, cid in zip(GRADED, GRADED_IDS)]
     # the regular module at d = 5 is a case of test_regular_coresolution_multiplicities_degree_4
@@ -409,33 +426,22 @@ def test_split_test_matches_dense(make, d, with_regular, dense_split, monkeypatc
         assert len(answers) >= 1 and res.is_infinite == (answers[-1] is True), (mod.label, answers)
 
 
-def _run_optimized(code: str) -> list[str]:
-    src = str(Path(tlschur.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
-    return out.stdout.split() + [out.stderr]
-
-
-def test_greedy_certification_survives_optimized_mode():
-    # a target one above dim Hom(A, Q) = dim Q cannot be reached by any orbits
+def test_greedy_certification_survives_optimized_mode(run_optimized):
+    # under a zero action every orbit is zero, so no pick spans the hom space
     code = (
-        "from tlschur.hecke import classical_char2\n"
+        "from tlschur.fields import GF2\n"
         "from tlschur.linalg import Matrix\n"
-        "from tlschur.oracle import CertificationError, _greedy_generating_rows, hom_space, schur_algebra, tensor_module\n"
-        "q = tensor_module(schur_algebra(classical_char2(2)))\n"
-        "end_q = hom_space(q, q, verify=False)\n"
-        "f = q.algebra.field\n"
-        "act = Matrix.hstack([E.matrix for E in end_q])\n"
+        "from tlschur.oracle import CertificationError, _greedy_generating_rows\n"
         "try:\n"
-        "    _greedy_generating_rows(f, Matrix.identity(f, q.dim), 1, act, q.dim + 1)\n"
+        "    _greedy_generating_rows(Matrix.identity(GF2, 4), Matrix.zeros(GF2, 4, 8))\n"
         "except CertificationError as exc:\n"
         "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
     )
-    out = _run_optimized(code)
+    out = run_optimized(code)
     assert out[:3] == ["False", "raised", "orbits_fail_to_span_the_hom_space"], out[-1]
 
 
-def test_module_constructor_checks_survive_optimized_mode():
+def test_module_constructor_checks_survive_optimized_mode(run_optimized):
     # 9 action matrices for the 10-dimensional algebra at d = 2, then one of the wrong size
     code = (
         "from tlschur.hecke import classical_char2\n"
@@ -449,11 +455,11 @@ def test_module_constructor_checks_survive_optimized_mode():
         "    except ValueError:\n"
         "        print(__debug__, 'raised')\n"
     )
-    out = _run_optimized(code)
+    out = run_optimized(code)
     assert out[:4] == ["False", "raised", "False", "raised"], out[-1]
 
 
-def test_module_map_check_survives_optimized_mode():
+def test_module_map_check_survives_optimized_mode(run_optimized):
     # E_01 sends the weight-(2, 0) word 11 to the weight-(1, 1) word 12, so it
     # does not commute with the weight idempotents of the algebra
     code = (
@@ -468,7 +474,7 @@ def test_module_map_check_survives_optimized_mode():
         "except CertificationError:\n"
         "    print(__debug__, 'raised')\n"
     )
-    out = _run_optimized(code)
+    out = run_optimized(code)
     assert out[:2] == ["False", "raised"], out[-1]
 
 
@@ -486,7 +492,7 @@ def test_regular_domdim_large_prime(p, u, d):
 
 
 @pytest.mark.parametrize("p,u", LARGE, ids=["gf257-u16", "gf1009-u469"])
-def test_regular_domdim_large_prime_optimized_mode(p, u):
+def test_regular_domdim_large_prime_optimized_mode(p, u, run_optimized):
     code = (
         "from tlschur.fields import GF\n"
         "from tlschur.hecke import HeckeParams\n"
@@ -494,11 +500,11 @@ def test_regular_domdim_large_prime_optimized_mode(p, u):
         f"alg = schur_algebra(HeckeParams(4, GF({p}), {u}))\n"
         "print(__debug__, relative_domdim(regular_module(alg), tensor_module(alg)).encode())\n"
     )
-    out = _run_optimized(code)
+    out = run_optimized(code)
     assert out[:2] == ["False", "4"], out[-1]
 
 
-def test_split_certificate_survives_optimized_mode():
+def test_split_certificate_survives_optimized_mode(run_optimized):
     # F = 1 + E_01 is not a module map: its weight-diagonal blocks are those
     # of the identity, so the diagonal equations solve with r = 1, and the
     # certificate F @ r == 1 fails on the off-diagonal entry
@@ -515,7 +521,7 @@ def test_split_certificate_survives_optimized_mode():
         "except CertificationError as exc:\n"
         "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
     )
-    out = _run_optimized(code)
+    out = run_optimized(code)
     assert out[:4] == [
         "True",
         "False",
