@@ -109,7 +109,8 @@ class HeckeElement:
         return HeckeElement.basis(params, Permutation.transposition(params.d, i))
 
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        assert self.params == other.params
+        if self.params != other.params:
+            raise ValueError(f"elements over different parameters: {self.params} and {other.params}")
         f = self.params.field
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
@@ -147,7 +148,8 @@ class HeckeElement:
         return HeckeElement(p, out)
 
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        assert self.params == other.params
+        if self.params != other.params:
+            raise ValueError(f"elements over different parameters: {self.params} and {other.params}")
         p = self.params
         f = p.field
         out = HeckeElement.zero(p)

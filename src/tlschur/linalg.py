@@ -326,12 +326,33 @@ def reduced_basis(rows: Matrix) -> Matrix:
 
 def flatten(mats: Iterable[Matrix]) -> Matrix:
     """Row-major flattenings of equally shaped matrices, stacked one per row."""
-    return Matrix.vstack([m.reshape(1, m.nrows * m.ncols) for m in mats])
+    mats = list(mats)
+    _require(len(mats) > 0, "flatten of nothing", mats)
+    f, shape = mats[0].field, (mats[0].nrows, mats[0].ncols)
+    for m in mats:
+        _require(m.field == f and (m.nrows, m.ncols) == shape, "cannot flatten", mats)
+    # one dense stack, packed or reduced once
+    return Matrix.from_dense(f, np.stack([m.dense() for m in mats]).reshape(len(mats), shape[0] * shape[1]))
 
 
 def unflatten(rows: Matrix, nrows: int, ncols: int) -> list[Matrix]:
     """Inverse of flatten: each row read as an nrows x ncols matrix."""
-    return [rows.select_rows([r]).reshape(nrows, ncols) for r in range(rows.nrows)]
+    dense = rows.dense().reshape(rows.nrows, nrows, ncols)
+    return [Matrix.from_dense(rows.field, m) for m in dense]
+
+
+def flat_products(a: Matrix, rights: Matrix) -> Matrix:
+    """flatten(a @ b for b in bs), given rights = Matrix.hstack(bs) of square bs.
+
+    One product a @ rights holds every a @ b side by side; row i of it is the
+    i-th rows of all of them, so reading it as (row, factor, column) and
+    swapping the first two axes gives the flattenings, one factor per row.
+    """
+    n = rights.nrows
+    _require(n > 0 and rights.ncols % n == 0, "rights are not square blocks", (a, rights))
+    k = rights.ncols // n
+    side = (a @ rights).dense().reshape(a.nrows, k, n).transpose(1, 0, 2)
+    return Matrix.from_dense(a.field, side.reshape(k, a.nrows * n))
 
 
 class RowSpace:
@@ -369,9 +390,10 @@ class RowSpace:
         return (rows - coeffs @ self.basis).rank()
 
     def contains(self, rows: Matrix) -> bool:
+        """Whether every row lies in the span: its residual modulo the basis is zero."""
         if self.dim == 0:
             return rows.is_zero()
-        return self.residual_rank(rows) == 0
+        return (rows - rows.select_columns(self._pivots) @ self.basis).is_zero()
 
     def close(self, mats: Sequence[Matrix]) -> None:
         """Grow to the smallest space stable under right multiplication by each of mats."""

@@ -1,7 +1,7 @@
 """Independent oracle: explicit finite-dimensional algebras and modules.
 
 The Schur algebra S_q(2, d) is realized concretely as the commutant of the
-Hecke generator action on V^(tensor d), with structure constants solved from
+Hecke generator action on V^(tensor d), with structure constants read off
 the faithful matrices.  Modules are row-vector spaces with one action matrix
 per algebra basis element, composing as act(xy) = act(x) @ act(y).
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .domdim import Infinity, encode_extnat
 from .hecke import BLESSED_CONFIGS, HeckeElement, HeckeParams, kernel_generator, phi
-from .linalg import Matrix, RowSpace, flatten, kernel_from_rref, reduced_basis, unflatten
+from .linalg import Matrix, RowSpace, flat_products, flatten, kernel_from_rref, reduced_basis, unflatten
 from .permutations import symmetric_group
 from .tensor_action import (
     CertificationError,
@@ -97,24 +97,43 @@ class ExplicitAlgebra:
 
 
 def _structure_constants(field, basis: list[Matrix], extra: list[Matrix] = ()):
-    """Solve every pairwise product against the basis; error if not closed.
+    """Coordinates of every pairwise product in the basis; error if not closed.
 
-    Returns the structure constants, the coordinates of the identity, and
-    the coordinate rows of the extra matrices, solved next to the identity.
+    Coordinates in a fixed basis are unique, so they are read off, not
+    solved for: with T the flattened basis at the pivot columns of its rref,
+    a flat matrix x = y @ flatten(basis) has y = x[:, pivots] @ T^(-1).  The
+    products come one left factor at a time (flat_products), and each chunk
+    is certified by y @ flatten(basis) == x.  A dependent basis raises
+    CertificationError, a product outside the span RuntimeError.
+
+    Returns the structure constants c with b_i b_j = sum_k c[i,j,k] b_k,
+    the coordinates of the identity, and the coordinate rows of the extra
+    matrices, read off next to the identity (CertificationError if one of
+    them is outside the span).
     """
     dim = len(basis)
-    bmat = flatten(basis).transpose()
-    pmat = flatten(a @ b for a in basis for b in basis).transpose()
-    sol = bmat.solve_many(pmat)
-    if sol is None:
-        raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
-    c = sol.dense().astype(np.int64).reshape(dim, dim, dim).transpose(1, 2, 0).copy()
-    icols = flatten([Matrix.identity(field, basis[0].nrows), *extra]).transpose()
-    usol = bmat.solve_many(icols)
-    if usol is None:
+    flat = flatten(basis)
+    _, rank, pivots = flat.rref()
+    if rank < dim:
+        raise CertificationError("the basis matrices are linearly dependent")
+    t_inv = flat.select_columns(pivots).solve_many(Matrix.identity(field, dim))
+
+    def coords(x: Matrix) -> Matrix | None:
+        y = x.select_columns(pivots) @ t_inv
+        return y if y @ flat == x else None
+
+    rights = Matrix.hstack(basis)
+    c = np.empty((dim, dim, dim), dtype=np.int64)
+    for i, a in enumerate(basis):
+        y = coords(flat_products(a, rights))
+        if y is None:
+            raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
+        c[i] = y.dense()
+    y = coords(flatten([Matrix.identity(field, basis[0].nrows), *extra]))
+    if y is None:
         raise CertificationError("the identity or a weight projection is not in the span of the basis")
-    unit = tuple(usol.entry(i, 0) for i in range(dim))
-    return c, unit, usol.transpose().select_rows(range(1, 1 + len(extra)))
+    unit = tuple(y.entry(0, k) for k in range(dim))
+    return c, unit, y.select_rows(range(1, 1 + len(extra)))
 
 
 def _check_idempotents(field, structure, unit: tuple, rows: Matrix) -> None:
@@ -646,8 +665,9 @@ def relative_domdim(
     if cached is None:
         end_q = [em.matrix for em in hom_space(q, q, verify=False)]
         struct = _structure_constants(field, end_q)[0].reshape(len(end_q), -1)
-        cached = q._end_cache = (end_q, Matrix.hstack(end_q), Matrix.from_dense(field, struct))
-    end_q, act, table = cached
+        cached = q._end_cache = (Matrix.hstack(end_q), Matrix.from_dense(field, struct))
+    end_stack, table = cached
+    act = end_stack
     if m.is_regular:
         kb, homs = Matrix.identity(field, q.dim), flatten(hm.matrix for hm in _regular_hom_basis(m, q))
     else:
@@ -683,12 +703,12 @@ def relative_domdim(
         sig_blocks = [sigma.select_columns(range(s * dq, (s + 1) * dq)) for s in range(g)]
         cur = ExplicitModule(alg, [Matrix.hstack([sb @ ab for sb in sig_blocks]) @ pi_m for ab in q.actions])
         # Hom(coker, Q) from left exactness of Hom(-, Q) on the presentation
-        kb = flatten(F @ E for F in comps for E in end_q).transpose().kernel_basis_matrix()
+        kb = Matrix.vstack([flat_products(F, end_stack) for F in comps]).transpose().kernel_basis_matrix()
         if kb.nrows == 0:
             return DomdimResult.exact(steps)
         # the induced map on the cokernel is sigma @ vstack_s(H_s); flattening
         # makes all of them one product of the kernel basis with sigma_s E_j
-        homs = kb @ flatten(sb @ E for sb in sig_blocks for E in end_q)
+        homs = kb @ Matrix.vstack([flat_products(sb, end_stack) for sb in sig_blocks])
         act = table
 
 

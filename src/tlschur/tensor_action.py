@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hecke import HeckeElement, HeckeParams
-from .linalg import Matrix, RowSpace, flatten, reduced_basis, unflatten
+from .linalg import Matrix, RowSpace, flat_products, flatten, reduced_basis, unflatten
 from .permutations import Permutation
 
 
@@ -151,9 +151,12 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
     rows row_parts[k] and columns col_parts[k] (each part list must
     partition its side), and only those entries are unknowns.  Output block
     (k, l) of a X - X b is a_kl X_l - X_k b_kl; blocks where both a_kl and
-    b_kl vanish give no equation.  Returns (system, coords): coords lists
-    the row-major positions of the unknowns in increasing order, one system
-    column each; system is None when no equation remains.
+    b_kl vanish give no equation.  Each system entry is one a_kl term minus
+    one b_kl term, so it lies in [-(p-1), p-1]: the dense array is built in
+    the narrowest signed type that holds that range (int8 up to p = 127,
+    int16 up to 32749), never int64.  Returns (system, coords): coords
+    lists the row-major positions of the unknowns in increasing order, one
+    system column each; system is None when no equation remains.
     """
     f = left[0].field
     m, n = left[0].nrows, right[0].nrows
@@ -167,11 +170,12 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
     pos[coords] = np.arange(coords.size)
     unknowns = [pos[x] for x in flat]
     # the equation blocks that remain, with their first row in the system
+    dt = np.min_scalar_type(-(f.p - 1))
     blocks = []
     nrows = 0
     for a, b in zip(left, right):
-        ad = a.dense().astype(np.int64)
-        bd = b.dense().astype(np.int64)
+        ad = a.dense().astype(dt)
+        bd = b.dense().astype(dt)
         for k in range(len(rp)):
             for l in range(len(rp)):
                 akl = ad[np.ix_(rp[k], rp[l])]
@@ -182,11 +186,11 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
                 nrows += rp[k].size * cp[l].size
     if not blocks:
         return None, coords
-    system = np.zeros((nrows, coords.size), dtype=np.int64)
+    system = np.zeros((nrows, coords.size), dtype=dt)
     for k, l, akl, bkl, top in blocks:
         eq = slice(top, top + rp[k].size * cp[l].size)
-        system[eq, unknowns[l]] += np.kron(akl, np.eye(cp[l].size, dtype=np.int64))
-        system[eq, unknowns[k]] -= np.kron(np.eye(rp[k].size, dtype=np.int64), bkl.T)
+        system[eq, unknowns[l]] += np.kron(akl, np.eye(cp[l].size, dtype=dt))
+        system[eq, unknowns[k]] -= np.kron(np.eye(rp[k].size, dtype=dt), bkl.T)
     return Matrix.from_dense(f, system), coords
 
 
@@ -293,11 +297,10 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     # weight-diagonal entries, and the TL image lives there too
     comm2 = intertwiner_rows(comm, comm, classes, classes, progress=progress)
     equal = tl_dim == comm2.nrows and tl_span.contains(comm2.select_columns(_weight_diagonal(n)))
-    # products of commutant elements stay in the commutant span, all pairs:
-    # vstack(comm) @ b read row-major as k rows is flatten(a @ b) over all a
-    k, n2 = len(comm), comm_span.ncols
-    stacked = Matrix.vstack(comm)
-    closed = comm_span.contains(Matrix.vstack([(stacked @ b).reshape(k, n2) for b in comm]))
+    # products of commutant elements stay in the commutant span, all pairs,
+    # checked one left factor at a time
+    rights = Matrix.hstack(comm)
+    closed = all(comm_span.contains(flat_products(a, rights)) for a in comm)
     return {
         "d": d,
         "field": params.field.name,

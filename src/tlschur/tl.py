@@ -213,7 +213,8 @@ class TLElement:
         return TLElement(params, {PlanarDiagram.cup_cap(params.d, i): params.field.one})
 
     def __add__(self, other: "TLElement") -> "TLElement":
-        assert self.params == other.params
+        if self.params != other.params:
+            raise ValueError(f"elements over different parameters: {self.params} and {other.params}")
         f = self.params.field
         out = dict(self.coeffs)
         for dg, c in other.coeffs.items():
@@ -229,7 +230,8 @@ class TLElement:
         return TLElement(self.params, {dg: f.mul(v, c) for dg, v in self.coeffs.items()})
 
     def __mul__(self, other: "TLElement") -> "TLElement":
-        assert self.params == other.params
+        if self.params != other.params:
+            raise ValueError(f"elements over different parameters: {self.params} and {other.params}")
         f = self.params.field
         delta = self.params.delta
         out: dict = {}

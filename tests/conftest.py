@@ -1,8 +1,10 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tlschur
@@ -68,6 +70,87 @@ def post_composition_action():
         return coords.transpose().reshape(h, e * h)
 
     return action
+
+
+@pytest.fixture(scope="session")
+def solved_structure_constants():
+    """Structure constants by one solve of all dim^2 products against the basis.
+
+    The reference for the oracle's pivot read-off, which must match it bit
+    for bit: returns (c, unit, extra rows) with b_i b_j = sum_k c[i,j,k] b_k,
+    or None if a product or an extra matrix leaves the span.
+    """
+
+    def solve(field, basis, extra=()):
+        dim = len(basis)
+        bmat = flatten(basis).transpose()
+        sol = bmat.solve_many(flatten(a @ b for a in basis for b in basis).transpose())
+        usol = bmat.solve_many(flatten([Matrix.identity(field, basis[0].nrows), *extra]).transpose())
+        if sol is None or usol is None:
+            return None
+        c = sol.dense().astype(np.int64).reshape(dim, dim, dim).transpose(1, 2, 0)
+        unit = tuple(usol.entry(i, 0) for i in range(dim))
+        return c, unit, usol.transpose().select_rows(range(1, 1 + len(extra)))
+
+    return solve
+
+
+@pytest.fixture(scope="session")
+def wide_intertwiner_system():
+    """The int64 build of a X = X b on block-diagonal unknowns, one equation block per nonzero pair of blocks.
+
+    The reference for tensor_action.intertwiner_system, which builds the same
+    dense array in a narrow integer type; returns the reduced Matrix, or None
+    when no equation remains.
+    """
+
+    def build(left, right, row_parts, col_parts):
+        f = left[0].field
+        n = right[0].nrows
+        flat = [(np.asarray(r)[:, None] * n + np.asarray(c)[None, :]).ravel() for r, c in zip(row_parts, col_parts)]
+        coords = np.sort(np.concatenate(flat))
+        unknowns = [np.searchsorted(coords, x) for x in flat]
+        blocks = []
+        for a, b in zip(left, right):
+            ad, bd = a.dense().astype(np.int64), b.dense().astype(np.int64)
+            for k, (rk, ck) in enumerate(zip(row_parts, col_parts)):
+                for l, (rl, cl) in enumerate(zip(row_parts, col_parts)):
+                    akl, bkl = ad[np.ix_(rk, rl)], bd[np.ix_(ck, cl)]
+                    if not len(rk) * len(cl) or not (akl.any() or bkl.any()):
+                        continue
+                    eq = np.zeros((len(rk) * len(cl), coords.size), dtype=np.int64)
+                    eq[:, unknowns[l]] += np.kron(akl, np.eye(len(cl), dtype=np.int64))
+                    eq[:, unknowns[k]] -= np.kron(np.eye(len(rk), dtype=np.int64), bkl.T)
+                    blocks.append(eq)
+        return Matrix.from_dense(f, np.concatenate(blocks)) if blocks else None
+
+    return build
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """Run fn(*args) under tracemalloc: (result, peak MiB allocated during the call).
+
+    numpy reports every array buffer to tracemalloc, so the peak counts the
+    dense arrays the call builds, deterministically: memory held before the
+    call is not counted.
+    """
+
+    def run(fn, *args, **kwargs):
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            out = fn(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        return out, (peak - base) / 2**20
+
+    return run
 
 
 @pytest.fixture(scope="session")

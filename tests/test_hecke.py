@@ -149,3 +149,21 @@ def test_multiply_by_generator_matches_basis_product():
         got = HeckeElement.basis(p, w).multiply_by_generator(i)
         want = HeckeElement.basis(p, w) * HeckeElement.generator(p, i)
         assert got == want
+
+
+def test_mixed_parameters_raise_in_optimized_mode(run_optimized):
+    # without the checks a sum or product over two parameter sets comes back silently
+    code = (
+        "from tlschur.hecke import HeckeElement, classical_char2, quantum_ell2\n"
+        "from tlschur.tl import TLElement\n"
+        "a, b = HeckeElement.one(classical_char2(3)), HeckeElement.one(quantum_ell2(3))\n"
+        "x, y = TLElement.one(a.params.tl_params()), TLElement.one(b.params.tl_params())\n"
+        "for u, v in ((a, b), (x, y)):\n"
+        "    for op in ('__add__', '__mul__'):\n"
+        "        try:\n"
+        "            getattr(u, op)(v)\n"
+        "        except ValueError:\n"
+        "            print(__debug__, 'raised')\n"
+    )
+    out = run_optimized(code)
+    assert out[:8] == ["False", "raised"] * 4, out[-1]

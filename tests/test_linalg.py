@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tlschur.fields import GF, GF2, GF5
-from tlschur.linalg import Matrix, RowSpace
+from tlschur.linalg import Matrix, RowSpace, flat_products, flatten, unflatten
 
 FIELDS = [GF2, GF5, GF(3)]
 IDS = [f.name for f in FIELDS]
@@ -150,6 +150,37 @@ def test_row_space_and_residual_rank(f):
     assert sp.dim == Matrix.vstack([a, b]).rank()
     assert sp.contains(a) and sp.contains(b)
     assert sp.contains(a.select_rows([0]) + b.select_rows([1]))
+    small = RowSpace(f, 6)
+    small.insert(a)
+    rows = [rand_matrix(f, 1, 6, rng) for _ in range(8)] + [a.select_rows([1]).scale(2)]
+    assert [small.contains(r) for r in rows] == [small.residual_rank(r) == 0 for r in rows]
+    assert not all(small.contains(r) for r in rows) and small.contains(rows[-1])
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_flatten_round_trip(f):
+    rng = random.Random(11)
+    # 7 x 70 spans several packed GF(2) words per row and per flattening
+    for nrows, ncols in [(1, 1), (3, 5), (7, 70)]:
+        mats = [rand_matrix(f, nrows, ncols, rng) for _ in range(4)]
+        flat = flatten(mats)
+        assert (flat.nrows, flat.ncols) == (4, nrows * ncols)
+        assert [flat.select_rows([i]) for i in range(4)] == [m.reshape(1, nrows * ncols) for m in mats]
+        assert unflatten(flat, nrows, ncols) == mats
+    with pytest.raises(ValueError, match="flatten"):
+        flatten([rand_matrix(f, 2, 3, rng), rand_matrix(f, 3, 2, rng)])
+    with pytest.raises(ValueError, match="flatten"):
+        flatten([])
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_flat_products_flattens_each_product(f):
+    rng = random.Random(12)
+    bs = [rand_matrix(f, 5, 5, rng) for _ in range(3)]
+    for a in (rand_matrix(f, 5, 5, rng), rand_matrix(f, 2, 5, rng)):
+        assert flat_products(a, Matrix.hstack(bs)) == flatten(a @ b for b in bs)
+    with pytest.raises(ValueError, match="square"):
+        flat_products(a, rand_matrix(f, 5, 7, rng))
 
 
 def test_gf2_packing_odd_widths():

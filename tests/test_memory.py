@@ -1,0 +1,44 @@
+"""Peak memory of the oracle's largest stages at d=5, traced by tracemalloc.
+
+numpy reports every array buffer to tracemalloc, so these peaks are exact
+and repeatable, unlike process RSS.  Today's peaks (MiB, gf2-u1 / gf5-u2):
+structure constants of S(2, 5) 2.0 / 4.5, the double centralizer report
+1.9 / 21.3, the regular dominant dimension with its End(Q) 39.0 / 36.6.
+Building all dim^2 products at once, or the intertwiner systems in int64,
+puts each stage over its bound on at least one config (10.1 / 101.6,
+26.3 / 101.1 and 114.8 / 52.3).
+"""
+
+import pytest
+
+from tlschur.hecke import classical_char2, quantum_ell2
+from tlschur.oracle import _structure_constants, regular_module, relative_domdim, schur_algebra, tensor_module
+from tlschur.tensor_action import double_centralizer_report, weight_projections
+
+CONFIGS = [classical_char2, quantum_ell2]
+IDS = ["gf2-u1", "gf5-u2"]
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+def test_structure_constants_peak(make, traced_peak_mb):
+    alg = schur_algebra(make(5))
+    projections = weight_projections(alg.field, alg.basis[0].nrows)
+    (c, _, _), peak = traced_peak_mb(_structure_constants, alg.field, alg.basis, projections)
+    assert (c == alg.structure).all()
+    assert peak <= 16, f"{peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+def test_double_centralizer_report_peak(make, traced_peak_mb):
+    report, peak = traced_peak_mb(double_centralizer_report, make(5))
+    assert report["commutant_closed_under_product"] and report["tl_image_equals_double_commutant"]
+    assert peak <= 48, f"{peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+def test_regular_domdim_peak(make, traced_peak_mb):
+    # a fresh Q, so End(Q) and its structure constants are built inside the trace
+    alg = schur_algebra(make(5))
+    got, peak = traced_peak_mb(relative_domdim, regular_module(alg), tensor_module(alg))
+    assert got.encode() == "infinity"
+    assert peak <= 64, f"{peak:.1f} MiB"

@@ -1,6 +1,7 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from tlschur.domdim import INFINITY, FieldRegime, domdim_regular, domdim_standard
@@ -16,6 +17,7 @@ from tlschur.oracle import (
     _check_idempotents,
     _greedy_generating_rows,
     _regular_hom_basis,
+    _structure_constants,
     cyclic_submodule,
     direct_sum,
     hom_space,
@@ -25,7 +27,7 @@ from tlschur.oracle import (
     standard_module,
     tensor_module,
 )
-from tlschur.tensor_action import double_centralizer_report
+from tlschur.tensor_action import double_centralizer_report, weight_projections
 from tlschur.tl import catalan
 
 CONFIGS = [classical_char2, quantum_ell2]
@@ -135,6 +137,58 @@ def test_hom_space_matches_dense(make, d, dense_intertwiners):
     for src, dst in cases:
         got = [h.matrix for h in hom_space(src, dst)]
         assert got == dense_intertwiners(src.generator_actions(), dst.generator_actions()), (src.label, dst.label)
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_structure_constants_match_solve(make, d, solved_structure_constants):
+    # S(2, d) with its weight projections, then End(Q) on its own
+    alg = schur_algebra(make(d))
+    q = tensor_module(alg)
+    end_q = [em.matrix for em in hom_space(q, q, verify=False)]
+    for basis, extra in ((alg.basis, weight_projections(alg.field, q.dim)), (end_q, [])):
+        c, unit, rows = _structure_constants(alg.field, basis, extra)
+        want_c, want_unit, want_rows = solved_structure_constants(alg.field, basis, extra)
+        assert c.dtype == np.int64 and np.array_equal(c, want_c)
+        assert unit == want_unit and rows == want_rows
+
+
+def _matrix_units(f):
+    e00, e01, e10 = ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]])
+    return [Matrix.from_rows(f, m) for m in (e00, e01, e10)]
+
+
+@pytest.mark.parametrize("f", [GF(2), GF(5)], ids=["GF(2)", "GF(5)"])
+def test_structure_constants_reject_bad_bases(f, solved_structure_constants):
+    e00, e01, e10 = _matrix_units(f)
+    # E_01 E_10 = E_00 leaves span{E_01, E_10}
+    with pytest.raises(RuntimeError, match="not closed") as exc:
+        _structure_constants(f, [e01, e10])
+    assert exc.type is RuntimeError
+    assert solved_structure_constants(f, [e01, e10]) is None
+    with pytest.raises(CertificationError, match="dependent"):
+        _structure_constants(f, [e00, e00 + e00 + e00])
+    # span{E_00} is closed but holds no identity
+    with pytest.raises(CertificationError, match="identity"):
+        _structure_constants(f, [e00])
+    assert solved_structure_constants(f, [e00]) is None
+
+
+def test_structure_constant_checks_survive_optimized_mode(run_optimized):
+    code = (
+        "from tlschur.fields import GF\n"
+        "from tlschur.linalg import Matrix\n"
+        "from tlschur.oracle import _structure_constants\n"
+        "f = GF(5)\n"
+        "e00, e01, e10 = (Matrix.from_rows(f, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]))\n"
+        "for basis in ([e01, e10], [e00, e00.scale(2)], [e00]):\n"
+        "    try:\n"
+        "        _structure_constants(f, basis)\n"
+        "    except RuntimeError as exc:\n"
+        "        print(__debug__, type(exc).__name__)\n"
+    )
+    out = run_optimized(code)
+    assert out[:6] == ["False", "RuntimeError", "False", "CertificationError", "False", "CertificationError"], out[-1]
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)

@@ -25,6 +25,7 @@ from tlschur.tensor_action import (
     hecke_generator_matrices,
     permutation_action,
     intertwiner_rows,
+    intertwiner_system,
     tl_action,
     weight_classes,
     word_index,
@@ -145,6 +146,30 @@ def test_double_commutant_matches_dense(make, d, dense_intertwiners):
     graded = unflatten(intertwiner_rows(comm, comm, classes, classes), n, n)
     assert graded == dense_intertwiners(comm, comm)
     assert len(graded) == catalan(d)
+
+
+@pytest.mark.parametrize("p", [2, 5, 127, 131, 1009])
+def test_intertwiner_system_matches_int64_build(p, wide_intertwiner_system, monkeypatch):
+    # entries 0 and p - 1 reach both ends of [-(p - 1), p - 1]; int8 gives way to int16 at p = 131
+    f = GF(p)
+    rng = random.Random(p)
+    pick = [0, 0, 1, p - 1, p - 1]
+
+    def rand(n):
+        return Matrix.from_rows(f, [[rng.choice(pick) for _ in range(n)] for _ in range(n)])
+
+    built = []
+    from_dense = Matrix.from_dense
+    monkeypatch.setattr(Matrix, "from_dense", staticmethod(lambda field, dense: built.append(dense) or from_dense(field, dense)))
+    left, right = [rand(8), rand(8)], [rand(4), rand(4)]
+    for rows, cols in (([range(8)], [range(4)]), ([[0, 3], [1, 2, 4, 5], [6, 7]], [[0], [1, 2], [3]])):
+        built.clear()
+        system, coords = intertwiner_system(left, right, rows, cols)
+        assert system == wide_intertwiner_system(left, right, [list(r) for r in rows], [list(c) for c in cols])
+        want_coords = sorted(i * 4 + j for r, c in zip(rows, cols) for i in r for j in c)
+        assert coords.tolist() == want_coords
+        assert built[0].dtype == (np.int8 if p < 128 else np.int16)
+        assert built[0].min() == -(p - 1) and built[0].max() == p - 1
 
 
 def test_weight_classes():
