@@ -201,7 +201,7 @@ def gfp_rref(m, p, inv):
 # ---------------------------------------------------------------------------
 # characteristic polynomial mod p: Hessenberg similarity reduction, then the
 # leading-principal-minor recurrence; returns coeffs[j] of t^j, length n + 1.
-# No oracle stage calls it; it stays for oraclebench, which traces it by name
+# The oracle's idempotent splitting of End(Q) takes its eigenvalues from it
 
 def gfp_charpoly(a, p, inv):
     n = a.shape[0]

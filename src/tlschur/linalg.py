@@ -377,23 +377,19 @@ class RowSpace:
         self._pivots = pivots
         return self.dim > before
 
-    def residual_rank(self, rows: Matrix) -> int:
-        """Rank of rows modulo the current basis.
-
-        The basis is in reduced echelon form, so each candidate's
-        elimination coefficients are just its entries at the pivot columns;
-        one product clears all of them at once.
-        """
+    def reduce(self, rows: Matrix) -> Matrix:
+        """Residuals of rows modulo the basis: its rref makes the entries at its pivots the coefficients."""
         if self.dim == 0:
-            return rows.rank()
-        coeffs = rows.select_columns(self._pivots)
-        return (rows - coeffs @ self.basis).rank()
+            return rows
+        return rows - rows.select_columns(self._pivots) @ self.basis
+
+    def residual_rank(self, rows: Matrix) -> int:
+        """Rank of rows modulo the current basis."""
+        return self.reduce(rows).rank()
 
     def contains(self, rows: Matrix) -> bool:
         """Whether every row lies in the span: its residual modulo the basis is zero."""
-        if self.dim == 0:
-            return rows.is_zero()
-        return (rows - rows.select_columns(self._pivots) @ self.basis).is_zero()
+        return self.reduce(rows).is_zero()
 
     def close(self, mats: Sequence[Matrix]) -> None:
         """Grow to the smallest space stable under right multiplication by each of mats."""

@@ -34,14 +34,12 @@ def dense_intertwiners():
 def dense_split():
     """The flat split test: Hom(Q, M) from hom_space and the full (dim M)^2 retraction system.
 
-    The reference the weight-diagonal split test in the oracle must agree
-    with: some combination of F_k o X_j over the slots k and a hom basis X_j
-    equals the identity.  None when dim Q * dim M exceeds the split limit.
+    Whether some combination of F_k o X_j over the maps F_k: M -> Q and a
+    hom basis X_j of Hom(Q, M) equals the identity, that is, whether the
+    stacked map M -> Q^g is a split monomorphism.
     """
 
     def split(f_components, cur, q):
-        if q.dim * cur.dim > oracle._SPLIT_LIMIT:
-            return None
         hom_back = oracle.hom_space(q, cur, verify=False)
         if not hom_back:
             return False
@@ -53,10 +51,38 @@ def dense_split():
 
 
 @pytest.fixture(scope="session")
+def universal_domdim(dense_split):
+    """relative_domdim through universal approximations: the reference for the minimal ones.
+
+    Each step maps M to Q^h by a whole basis of Hom(M, Q): the verdict is
+    the step count when that map is not injective and infinity when it
+    splits (dense_split); otherwise its cokernel is the next module.
+    Returns the encoded verdict, ">=cap" when cap steps stay injective.
+    """
+
+    def run(m, q, cap):
+        for steps in range(cap):
+            homs = [h.matrix for h in oracle.hom_space(m, q)]
+            if not homs:
+                return steps
+            R, rank, pivots = Matrix.hstack(homs).rref()
+            if rank < m.dim:
+                return steps
+            if dense_split(homs, m, q):
+                return "infinity"
+            pi, sigma = oracle._cokernel_projection(R, rank, pivots)
+            blocks = [sigma.select_columns(range(s * q.dim, (s + 1) * q.dim)) for s in range(len(homs))]
+            m = oracle.ExplicitModule(m.algebra, [Matrix.hstack([b @ a for b in blocks]) @ pi for a in q.actions])
+        return f">={cap}"
+
+    return run
+
+
+@pytest.fixture(scope="session")
 def post_composition_action():
     """Post-composition with End(Q) in hom-basis coordinates, via one linear solve.
 
-    The reference for the greedy's flat coordinates: row i, column block l
+    The reference for the top lifts' flat coordinates: row i, column block l
     holds the coordinates of homs[i] o end_q[l] over the basis homs.
     """
 

@@ -21,10 +21,11 @@ from tlschur.domdim import (
     hn_dimension,
 )
 from tlschur.fields import GF, GF2, GF5
-from tlschur.hecke import BLESSED_CONFIGS
+from tlschur.hecke import BLESSED_CONFIGS, HeckeParams
 from tlschur.linalg import Matrix
 from tlschur.oracle import (
     _relations_verdicts,
+    _tensor_end,
     direct_sum,
     regular_module,
     relative_domdim,
@@ -109,6 +110,22 @@ def test_criterion_03_stretch_degree_6():
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     _pass(3, f"stretch: oracle regular domdim == 6 over GF(2) in {elapsed:.1f}s")
+
+
+def test_criterion_03_infinite_half_degree_6():
+    # GF(3) with u = 1 is not in quantum characteristic 2: the regular module
+    # and Delta(0) = T(0), a summand of Q there, lie in add(Q)
+    t0 = time.perf_counter()
+    params = HeckeParams(6, GF(3), 1)
+    alg = schur_algebra(params)
+    q = tensor_module(alg)
+    assert 0 in _tensor_end(q).weights
+    for mod in (regular_module(alg), standard_module(params, 0, algebra=alg)):
+        res = relative_domdim(mod, q)
+        assert res.is_infinite, (mod.label, res)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 600.0
+    _pass(3, f"stretch: regular module and Delta(0) at d=6 over GF(3) u=1 are certified infinite in {elapsed:.1f}s")
 
 
 def test_criterion_04_oracle_tilting_domdim_and_factor_two(setups_d4):

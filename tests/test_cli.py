@@ -136,10 +136,10 @@ def test_verify_degree_2(capsys):
     assert run(["verify", "--d", "2", "--config", "gf2-u1"]) == 0
     lines = out_of(capsys).splitlines()
     verdicts = [json.loads(ln) for ln in lines]
-    assert len(verdicts) == 12
+    assert len(verdicts) == 13
     ids = [v["check_id"] for v in verdicts]
     assert ids == sorted(ids)
-    assert "oracle_regular_domdim" in ids
+    assert {"oracle_regular_domdim", "oracle_delta0_not_summand"} <= set(ids)
     assert all(v["pass"] for v in verdicts)
     assert all(v["d"] == 2 and v["config"] == "gf2-u1" for v in verdicts)
 

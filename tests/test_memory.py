@@ -3,10 +3,11 @@
 numpy reports every array buffer to tracemalloc, so these peaks are exact
 and repeatable, unlike process RSS.  Today's peaks (MiB, gf2-u1 / gf5-u2):
 structure constants of S(2, 5) 2.0 / 4.5, the double centralizer report
-1.9 / 21.3, the regular dominant dimension with its End(Q) 39.0 / 36.6.
-Building all dim^2 products at once, or the intertwiner systems in int64,
-puts each stage over its bound on at least one config (10.1 / 101.6,
-26.3 / 101.1 and 114.8 / 52.3).
+1.9 / 21.3, the regular dominant dimension with its End(Q) and the split of
+End(Q) into primitive idempotents 3.8 / 16.2 (39.0 / 36.6 before minimal
+approximations).  Building all dim^2 products at once, or the intertwiner
+systems in int64, puts each stage over its bound on at least one config
+(10.1 / 101.6, 26.3 / 101.1 and 114.8 / 52.3).
 """
 
 import pytest

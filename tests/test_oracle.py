@@ -15,9 +15,10 @@ from tlschur.oracle import (
     ExplicitAlgebra,
     ExplicitModule,
     _check_idempotents,
-    _greedy_generating_rows,
     _regular_hom_basis,
     _structure_constants,
+    _tensor_end,
+    _top_lifts,
     cyclic_submodule,
     direct_sum,
     hom_space,
@@ -29,6 +30,7 @@ from tlschur.oracle import (
 )
 from tlschur.tensor_action import double_centralizer_report, weight_projections
 from tlschur.tl import catalan
+from tlschur.weights import tilting_delta_mults
 
 CONFIGS = [classical_char2, quantum_ell2]
 IDS = ["gf2-u1", "gf5-u2"]
@@ -325,63 +327,53 @@ def test_direct_sum_min_law(make):
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 def test_generating_combinations_generate(make):
-    params = make(3)
-    alg = schur_algebra(params)
+    # the top lifts h_i e_k of the regular module's hom space, as maps into Q
+    alg = schur_algebra(make(3))
     q = tensor_module(alg)
     reg = regular_module(alg)
+    end = _tensor_end(q)
     homs = _regular_hom_basis(reg, q)
-    end_q = hom_space(q, q, verify=False)
-    act = Matrix.hstack([E.matrix for E in end_q])
-    rows = _greedy_generating_rows(Matrix.identity(alg.field, q.dim), act)
-    flat = flatten(h.matrix for h in homs)
-    span = RowSpace(alg.field, flat.ncols)
-    span.insert(flatten(F @ E.matrix for F in unflatten(rows @ flat, reg.dim, q.dim) for E in end_q))
-    # chosen combinations generate the full hom space over the endomorphisms
+    picks = _top_lifts(Matrix.identity(alg.field, q.dim), end.stack, end.idempotents, end.radical)
+    projections = unflatten(end.idempotents @ flatten(end.basis), q.dim, q.dim)
+    lifts = [homs[i].matrix @ projections[k] for k, i in picks]
+    span = RowSpace(alg.field, reg.dim * q.dim)
+    span.insert(flatten(F @ E for F in lifts for E in end.basis))
+    # the lifts generate the full hom space over the endomorphisms
     assert span.dim == len(homs)
     # and genuinely compress: fewer maps than the hom dimension
-    assert rows.nrows < len(homs)
+    assert len(picks) < len(homs)
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
 @pytest.mark.parametrize("d", [3, 4])
 def test_greedy_rows_agree_in_hom_and_flat_coordinates(make, d, post_composition_action):
-    # the first step of any module but the regular one runs the greedy on the
-    # flattened maps; in hom-basis coordinates it must pick the same rows
+    # the first step of any module but the regular one lifts the top from the
+    # flattened maps; in hom-basis coordinates it must pick the same lifts
     params = make(d)
     alg = schur_algebra(params)
     q = tensor_module(alg)
-    end_q = [E.matrix for E in hom_space(q, q, verify=False)]
+    end = _tensor_end(q)
     for mod in [q] + [standard_module(params, m, algebra=alg) for m in range(d % 2, d + 1, 2)]:
         homs = [h.matrix for h in hom_space(mod, q, verify=False)]
-        in_homs = _greedy_generating_rows(Matrix.identity(alg.field, len(homs)), post_composition_action(homs, end_q))
-        assert _greedy_generating_rows(flatten(homs), Matrix.hstack(end_q)) == in_homs, mod.label
+        act = post_composition_action(homs, end.basis)
+        in_homs = _top_lifts(Matrix.identity(alg.field, len(homs)), act, end.idempotents, end.radical)
+        assert _top_lifts(flatten(homs), end.stack, end.idempotents, end.radical) == in_homs, mod.label
 
 
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-def test_selection_agrees_with_universal_chain(make, monkeypatch):
-    params = make(2)
-    alg = schur_algebra(params)
-    q = tensor_module(alg)
-
-    def targets():
-        return [
-            regular_module(alg),
-            standard_module(params, 0, algebra=alg),
-            standard_module(params, 2, algebra=alg),
-        ]
-
-    chosen = [relative_domdim(m, q) for m in targets()]
-    monkeypatch.setattr(
-        oracle,
-        "_greedy_generating_rows",
-        lambda kb, act: Matrix.identity(kb.field, kb.nrows),
-    )
-    universal = [relative_domdim(m, q) for m in targets()]
-    assert [r.encode() for r in chosen] == [r.encode() for r in universal]
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+def test_selection_agrees_with_universal_chain(make, universal_domdim):
+    # minimal approximations against every hom basis map and the dense split test
+    for d in (2, 3):
+        params = make(d)
+        alg = schur_algebra(params)
+        q = tensor_module(alg)
+        targets = [regular_module(alg), q] + [standard_module(params, m, algebra=alg) for m in range(d % 2, d + 1, 2)]
+        for mod in targets:
+            assert relative_domdim(mod, q).encode() == universal_domdim(mod, q, 4 * d), (d, mod.label)
 
 
 # dims of the cokernels after each of the four injective steps at d = 4
-@pytest.mark.parametrize("make,dims", [(classical_char2, [45, 51, 45, 51]), (quantum_ell2, [45, 51, 45, 35])], ids=IDS)
+@pytest.mark.parametrize("make,dims", [(classical_char2, [9, 3, 9, 27]), (quantum_ell2, [9, 3, 9, 15])], ids=IDS)
 def test_coresolution_cokernels_are_modules(make, dims, monkeypatch):
     alg = schur_algebra(make(4))
     q = tensor_module(alg)
@@ -400,16 +392,37 @@ def test_coresolution_cokernels_are_modules(make, dims, monkeypatch):
         mod.validate(deep=True)
 
 
-# (module dim, hom dim, multiplicity) of each coresolution step of the regular
-# module; a generating set that stops being small shows up here.  The d = 5
-# cases are the benchmark's coresolution-d5 workload, which splits at its last step
+def _step_lines(steps, d):
+    # (module dim, hom dim, multiplicity of each T(m) from m = d down) per step
+    return [
+        f"step {n}: module dim {dm}, hom dim {dh}, approximation "
+        + ", ".join(f"T({d - 2 * k})^{c}" for k, c in enumerate(mults))
+        for n, (dm, dh, mults) in enumerate(steps, start=1)
+    ]
+
+
+# the progress lines of each coresolution step of the regular module; an
+# approximation that stops being minimal shows up here.  The d = 5 cases are
+# the benchmark's coresolution-d5 workload
 @pytest.mark.parametrize(
     "make,d,steps,verdict",
     [
-        pytest.param(classical_char2, 4, [(35, 16, 5), (45, 54, 6), (51, 30, 6), (45, 54, 6)], 4, id="gf2-u1"),
-        pytest.param(quantum_ell2, 4, [(35, 16, 5), (45, 54, 6), (51, 30, 6), (45, 54, 5)], 4, id="gf5-u2"),
-        pytest.param(classical_char2, 5, [(56, 32, 6), (136, 220, 7)], INFINITY, id="gf2-u1-d5"),
-        pytest.param(quantum_ell2, 5, [(56, 32, 6)], INFINITY, id="gf5-u2-d5"),
+        pytest.param(
+            classical_char2,
+            4,
+            [(35, 16, (5, 1)), (9, 9, (0, 3)), (3, 6, (0, 3)), (9, 9, (3, 3)), (27, 18, (3, 6))],
+            4,
+            id="gf2-u1",
+        ),
+        pytest.param(
+            quantum_ell2,
+            4,
+            [(35, 16, (5, 1)), (9, 9, (0, 3)), (3, 6, (0, 3)), (9, 9, (3, 0)), (15, 3, (3, 0))],
+            4,
+            id="gf5-u2",
+        ),
+        pytest.param(classical_char2, 5, [(56, 32, (6, 4, 0)), (8, 20, (0, 0, 4))], INFINITY, id="gf2-u1-d5"),
+        pytest.param(quantum_ell2, 5, [(56, 32, (6, 4, 2))], INFINITY, id="gf5-u2-d5"),
     ],
 )
 def test_regular_coresolution_multiplicities_degree_4(make, d, steps, verdict):
@@ -417,24 +430,27 @@ def test_regular_coresolution_multiplicities_degree_4(make, d, steps, verdict):
     lines = []
     res = relative_domdim(regular_module(alg), tensor_module(alg), progress=lines.append)
     assert res.matches(verdict)
-    assert lines == [
-        f"step {n}: module dim {dm}, hom dim {dh}, multiplicity {g}" for n, (dm, dh, g) in enumerate(steps, start=1)
-    ]
+    assert lines == _step_lines(steps, d)
 
 
-# the same for Q and the standard modules at d = 4, whose first step runs the
-# greedy on the flattened hom maps instead of the regular module's vectors of Q
-def _generic_steps(last):
-    return {
-        "tensor space": [(16, 14, 1)],
-        "Delta(0)": [(1, 2, 1), (15, 12, 2)],
-        "Delta(2)": [(3, 3, 1), (13, 11, 1), (3, 3, 1)],
-        "Delta(4)": [(5, 1, 1), (11, 13, 2), (21, 15, 2), (11, 13, last)],
+# the same for Q and the standard modules at d = 4, whose first step lifts the
+# top from the flattened hom maps instead of the regular module's vectors of Q:
+# the chains run through the standard modules Delta(4) -> Delta(2) -> Delta(0)
+_DELTA_CHAIN = [(5, 1, (1, 0)), (3, 3, (0, 1)), (1, 2, (0, 1))]
+
+
+@pytest.mark.parametrize(
+    "make,tail",
+    [(classical_char2, [(3, 3, (1, 1)), (9, 6, (1, 2))]), (quantum_ell2, [(3, 3, (1, 0)), (5, 1, (1, 0))])],
+    ids=IDS,
+)
+def test_generic_coresolution_multiplicities_degree_4(make, tail):
+    steps = {
+        "tensor space": [(16, 14, (1, 2))],
+        "Delta(0)": _DELTA_CHAIN[2:] + tail,
+        "Delta(2)": _DELTA_CHAIN[1:] + tail,
+        "Delta(4)": _DELTA_CHAIN + tail,
     }
-
-
-@pytest.mark.parametrize("make,steps", [(classical_char2, _generic_steps(2)), (quantum_ell2, _generic_steps(1))], ids=IDS)
-def test_generic_coresolution_multiplicities_degree_4(make, steps):
     params = make(4)
     alg = schur_algebra(params)
     q = tensor_module(alg)
@@ -443,10 +459,7 @@ def test_generic_coresolution_multiplicities_degree_4(make, steps):
     for mod, verdict in cases:
         lines = []
         assert relative_domdim(mod, q, progress=lines.append).matches(verdict), mod.label
-        assert lines == [
-            f"step {n}: module dim {dm}, hom dim {dh}, multiplicity {g}"
-            for n, (dm, dh, g) in enumerate(steps[mod.label], start=1)
-        ], mod.label
+        assert lines == _step_lines(steps[mod.label], 4), mod.label
 
 
 def _split_cases():
@@ -457,42 +470,44 @@ def _split_cases():
 
 @pytest.mark.parametrize("make,d,with_regular", _split_cases())
 def test_split_test_matches_dense(make, d, with_regular, dense_split, monkeypatch):
+    # a module is in add(Q) iff its minimal approximation is an isomorphism:
+    # one step of relative_domdim says infinity exactly when the universal
+    # approximation by every hom basis map splits, for every module of a chain
     params = make(d)
     alg = schur_algebra(params)
     q = tensor_module(alg)
     targets = [q] + [standard_module(params, m, algebra=alg) for m in range(d % 2, d + 1, 2)]
     if with_regular:
         targets.insert(0, regular_module(alg))
-    graded = oracle._try_split
-    answers = []
-
-    def both(f_components, cur, qq):
-        got = graded(f_components, cur, qq)
-        assert got == dense_split(f_components, cur, qq), (cur.dim, len(f_components))
-        answers.append(got)
-        return got
-
-    monkeypatch.setattr(oracle, "_try_split", both)
     for mod in targets:
-        answers.clear()
-        res = relative_domdim(mod, q)
-        # every step runs the split test, and an infinite verdict is the split of the last one
-        assert len(answers) >= 1 and res.is_infinite == (answers[-1] is True), (mod.label, answers)
+        chain = [mod]
+
+        def recording(*args, **kwargs):
+            chain.append(ExplicitModule(*args, **kwargs))
+            return chain[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "ExplicitModule", recording)
+            res = relative_domdim(mod, q)
+        answers = [relative_domdim(cur, q, cap=1).is_infinite for cur in chain]
+        assert answers == [dense_split([h.matrix for h in hom_space(cur, q)], cur, q) for cur in chain], mod.label
+        # only the last module of a chain can be in add(Q), and then the verdict is infinite
+        assert answers == [False] * (len(chain) - 1) + [res.is_infinite], (mod.label, answers)
 
 
 def test_greedy_certification_survives_optimized_mode(run_optimized):
-    # under a zero action every orbit is zero, so no pick spans the hom space
+    # under a zero action every lift and orbit is zero, so no lift spans the hom space
     code = (
         "from tlschur.fields import GF2\n"
         "from tlschur.linalg import Matrix\n"
-        "from tlschur.oracle import CertificationError, _greedy_generating_rows\n"
+        "from tlschur.oracle import CertificationError, _top_lifts\n"
         "try:\n"
-        "    _greedy_generating_rows(Matrix.identity(GF2, 4), Matrix.zeros(GF2, 4, 8))\n"
+        "    _top_lifts(Matrix.identity(GF2, 4), Matrix.zeros(GF2, 4, 8), Matrix.identity(GF2, 2), Matrix.zeros(GF2, 0, 2))\n"
         "except CertificationError as exc:\n"
         "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
     )
     out = run_optimized(code)
-    assert out[:3] == ["False", "raised", "orbits_fail_to_span_the_hom_space"], out[-1]
+    assert out[:3] == ["False", "raised", "the_lifted_top_does_not_generate_the_hom_space"], out[-1]
 
 
 def test_module_constructor_checks_survive_optimized_mode(run_optimized):
@@ -559,19 +574,19 @@ def test_regular_domdim_large_prime_optimized_mode(p, u, run_optimized):
 
 
 def test_split_certificate_survives_optimized_mode(run_optimized):
-    # F = 1 + E_01 is not a module map: its weight-diagonal blocks are those
-    # of the identity, so the diagonal equations solve with r = 1, and the
-    # certificate F @ r == 1 fails on the off-diagonal entry
+    # the locality test of a corner reads x on the top weight line k u as u x = phi(x) u;
+    # an action that moves the line fails that certificate
     code = (
-        "from tlschur.hecke import classical_char2\n"
+        "import numpy as np\n"
+        "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix\n"
-        "from tlschur.oracle import CertificationError, _try_split, schur_algebra, tensor_module\n"
-        "q = tensor_module(schur_algebra(classical_char2(2)))\n"
-        "f = q.algebra.field\n"
-        "F = Matrix.from_rows(f, [[int(i == j or (i == 0 and j == 1)) for j in range(q.dim)] for i in range(q.dim)])\n"
-        "print(_try_split([Matrix.identity(f, q.dim)], q, q))\n"
+        "from tlschur.oracle import CertificationError, _is_local\n"
+        "f = GF(5)\n"
+        "c = np.ones((1, 1, 1), dtype=np.int64)\n"
+        "one, u = Matrix.identity(f, 1), Matrix.from_rows(f, [[1, 0]])\n"
+        "print(_is_local(f, c, one, u, u))\n"
         "try:\n"
-        "    _try_split([F], q, q)\n"
+        "    _is_local(f, c, one, u, Matrix.from_rows(f, [[1, 1]]))\n"
         "except CertificationError as exc:\n"
         "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
     )
@@ -580,5 +595,76 @@ def test_split_certificate_survives_optimized_mode(run_optimized):
         "True",
         "False",
         "raised",
-        "the_solved_retraction_is_not_a_left_inverse_of_the_approximation",
+        "an_endomorphism_moves_the_top_weight_line_of_a_summand",
     ], out[-1]
+
+
+def _tensor_multiplicities(d: int) -> dict[int, int]:
+    """Multiplicity of each T(m) in V^(tensor d) at p = 2, from the Delta-characters and tilting_delta_mults."""
+    delta = {m: comb(d, (d - m) // 2) - (comb(d, (d - m) // 2 - 1) if m < d else 0) for m in range(d % 2, d + 1, 2)}
+    mults = {}
+    for m in sorted(delta, reverse=True):
+        mults[m] = delta[m] - sum(a for n, a in mults.items() if m in tilting_delta_mults(n))
+    return {m: a for m, a in mults.items() if a}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_tensor_summands_match_tilting_closed_forms(d):
+    end = _tensor_end(tensor_module(schur_algebra(classical_char2(d))))
+    want = _tensor_multiplicities(d)
+    assert end.weights == sorted(want, reverse=True)
+    assert dict(zip(end.weights, end.mults)) == want
+    assert end.dims == [sum(n + 1 for n in tilting_delta_mults(m)) for m in end.weights]
+    assert sum(a * t for a, t in zip(end.mults, end.dims)) == 1 << d
+    assert end.radical.nrows == catalan(d) - sum(a * a for a in end.mults)
+
+
+# (highest weight, multiplicity, dim) of the summands T(m) of V^(tensor d)
+@pytest.mark.parametrize(
+    "make,d,summands",
+    [
+        pytest.param(quantum_ell2, 2, [(2, 1, 4)], id="gf5-u2-d2"),
+        pytest.param(quantum_ell2, 3, [(3, 1, 4), (1, 2, 2)], id="gf5-u2-d3"),
+        pytest.param(quantum_ell2, 4, [(4, 1, 8), (2, 2, 4)], id="gf5-u2-d4"),
+        pytest.param(quantum_ell2, 5, [(5, 1, 6), (3, 4, 4), (1, 5, 2)], id="gf5-u2-d5"),
+        pytest.param(quantum_ell2, 6, [(6, 1, 12), (4, 4, 8), (2, 5, 4)], id="gf5-u2-d6"),
+        pytest.param(gf7_u3, 2, [(2, 1, 3), (0, 1, 1)], id="gf7-u3-d2"),
+        pytest.param(gf7_u3, 3, [(3, 1, 6), (1, 1, 2)], id="gf7-u3-d3"),
+        pytest.param(gf7_u3, 4, [(4, 1, 6), (2, 3, 3), (0, 1, 1)], id="gf7-u3-d4"),
+        pytest.param(gf7_u3, 5, [(5, 1, 6), (3, 4, 6), (1, 1, 2)], id="gf7-u3-d5"),
+        pytest.param(gf7_u3, 6, [(6, 1, 12), (4, 4, 6), (2, 9, 3), (0, 1, 1)], id="gf7-u3-d6"),
+    ],
+)
+def test_tensor_summands_pinned(make, d, summands):
+    end = _tensor_end(tensor_module(schur_algebra(make(d))))
+    assert list(zip(end.weights, end.mults, end.dims)) == summands
+
+
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+def test_primitive_idempotents_split_tensor_space(make):
+    alg = schur_algebra(make(4))
+    q = tensor_module(alg)
+    end = _tensor_end(q)
+    f = alg.field
+    mats = unflatten(end.primitive @ flatten(end.basis), q.dim, q.dim)
+    assert len(mats) == sum(end.mults)
+    for i, a in enumerate(mats):
+        for j, b in enumerate(mats):
+            assert a @ b == (a if i == j else Matrix.zeros(f, q.dim, q.dim)), (i, j)
+    total = mats[0]
+    for a in mats[1:]:
+        total = total + a
+    assert total == Matrix.identity(f, q.dim)
+    assert [a.rank() for a in mats] == [t for t, a in zip(end.dims, end.mults) for _ in range(a)]
+
+
+def test_tensor_end_rejects_other_modules():
+    params = classical_char2(3)
+    alg = schur_algebra(params)
+    q = tensor_module(alg)
+    others = [regular_module(alg), standard_module(params, 1, algebra=alg), _change_basis(q, 3)]
+    for other in others:
+        with pytest.raises(ValueError, match="tensor_module"):
+            _tensor_end(other)
+        with pytest.raises(ValueError, match="tensor_module"):
+            relative_domdim(regular_module(alg), other)
