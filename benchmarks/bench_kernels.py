@@ -8,8 +8,10 @@ GF(5), sparse systems whose fill-in random dense squares do not show:
 * the dense 2048x1024 system a (x) I - I (x) a^T on all 32^2 unknowns.  The
   oracle no longer solves it (hom_space solves per weight); it stays as an
   anchor for the dense kernel.
-* the weight-graded system that hom_space(Q, Q) eliminates: only the
-  C(10, 5) = 252 weight-diagonal entries are unknowns.
+* the weight-graded system that hom_space(Q, Q) solves: only the
+  C(10, 5) = 252 weight-diagonal entries are unknowns.  It is timed twice:
+  one gfp_rref of the whole system, and the streamed elimination that
+  intertwiner_rows runs, RowSpace.from_dense on the narrow int8 array.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 256,512,1024] [--p 5] [--repeats 5]
@@ -22,7 +24,8 @@ import numpy as np
 
 from tlschur import BLESSED_CONFIGS, schur_algebra, tensor_module
 from tlschur import _kernels as K
-from tlschur.linalg import Matrix
+from tlschur.fields import GF
+from tlschur.linalg import Matrix, RowSpace
 from tlschur.tensor_action import intertwiner_system
 
 
@@ -51,10 +54,10 @@ def endq_system() -> np.ndarray:
 
 
 def graded_endq_system() -> np.ndarray:
-    """The weight-graded End(Q) system that hom_space(Q, Q) eliminates, d=5, gf5-u2."""
+    """The weight-graded End(Q) system that hom_space(Q, Q) solves, d=5, gf5-u2, in its narrow integer type."""
     acts, parts = tensor_module(schur_algebra(BLESSED_CONFIGS["gf5-u2"](5))).graded_generator_actions()
     system, _ = intertwiner_system(acts, acts, parts, parts)
-    return system.dense()
+    return system
 
 
 def main():
@@ -94,7 +97,8 @@ def main():
     )
 
     inv5 = inv_table(5)
-    for label, system in (("End(Q)", endq_system()), ("graded End(Q)", graded_endq_system())):
+    graded = graded_endq_system()
+    for label, system in (("End(Q)", endq_system()), ("graded End(Q)", graded.astype(np.int64) % 5)):
         rows.append(
             bench_case(
                 f"gfp_rref p=5 {label} d=5 {system.shape[0]}x{system.shape[1]}",
@@ -103,6 +107,8 @@ def main():
                 args.repeats,
             )
         )
+    label = f"RowSpace.from_dense p=5 graded End(Q) d=5 {graded.shape[0]}x{graded.shape[1]}"
+    rows.append(bench_case(label, lambda: (GF(5), graded), RowSpace.from_dense, args.repeats))
 
     width = max(len(case) for case, _ in rows)
     print(f"{'case':<{width}}  {'time (ms)':>12}")

@@ -51,6 +51,12 @@ class HeckeParams:
         return self.field.mul(ui, ui)
 
     @property
+    def quantum_char_is_2(self) -> bool:
+        """Whether 1 + q = 0 in the field, the regime of the finite dominant dimensions."""
+        f = self.field
+        return f.add(f.one, self.q) == f.zero
+
+    @property
     def delta(self):
         """Loop parameter -u - u^(-1) of the image Temperley-Lieb algebra."""
         f = self.field

@@ -22,6 +22,10 @@ from . import _kernels
 from .fields import GF
 
 _MAX_GFP_MATMUL = 2**62
+# bytes of the row block that RowSpace.from_dense copies into a Matrix at a
+# time: int64 residues over GF(p), so a 252-column block holds 260 rows, and
+# uint8 bits over GF(2), which holds eight times as many
+_BLOCK_BYTES = 512 << 10
 
 
 def _inv_table(p: int) -> np.ndarray:
@@ -356,32 +360,65 @@ def flat_products(a: Matrix, rights: Matrix) -> Matrix:
 
 
 class RowSpace:
-    """Incremental row space: insert rows, keep an rref basis, test membership."""
+    """Incremental row space: insert rows, keep an rref basis, test membership.
+
+    basis holds the reduced row echelon form of the span, one row per
+    dimension, and pivots its pivot columns.  The rref of a span is unique,
+    so inserting rows in any blocks gives the basis of one elimination of
+    them all.
+    """
 
     def __init__(self, field, ncols: int):
         self.field = field
         self.ncols = ncols
         self.basis = Matrix.zeros(field, 0, ncols)
-        self._pivots: tuple = ()
+        self.pivots: tuple = ()
+
+    @staticmethod
+    def from_dense(field, dense: np.ndarray) -> "RowSpace":
+        """Row space of an integer array, inserted in row blocks of at most _BLOCK_BYTES.
+
+        Only one block at a time is copied and reduced mod p, so a narrow
+        int8 array is never held whole as int64.
+        """
+        space = RowSpace(field, dense.shape[1])
+        width = 1 if field.p == 2 else 8
+        step = max(1, _BLOCK_BYTES // (width * dense.shape[1]))
+        for lo in range(0, dense.shape[0], step):
+            space.insert(Matrix.from_dense(field, dense[lo : lo + step]))
+        return space
 
     @property
     def dim(self) -> int:
         return self.basis.nrows
 
     def insert(self, rows: Matrix) -> bool:
-        """Add rows; returns True if the dimension grew."""
-        before = self.dim
-        stacked = Matrix.vstack([self.basis, rows]) if self.dim else rows
-        R, rank, pivots = stacked.rref()
-        self.basis = R.select_rows(range(rank))
-        self._pivots = pivots
-        return self.dim > before
+        """Add rows; returns True if the dimension grew.
+
+        Only the nonzero residuals modulo the basis are eliminated.  They
+        vanish at its pivots, so their rref, once its own pivot columns are
+        cleared from the basis, merges with it by pivot into the new rref.
+        """
+        res = self.reduce(rows)
+        res = res.select_rows(np.flatnonzero(res._d.any(axis=1)))
+        if res.nrows == 0:
+            return False
+        R, rank, pivots = res.rref()
+        basis = R.select_rows(range(rank))
+        if self.dim:
+            cleared = self.basis - self.basis.select_columns(pivots) @ basis
+            merged = self.pivots + pivots
+            order = sorted(range(len(merged)), key=merged.__getitem__)
+            basis = Matrix.vstack([cleared, basis]).select_rows(order)
+            pivots = tuple(merged[i] for i in order)
+        self.basis, self.pivots = basis, pivots
+        return True
 
     def reduce(self, rows: Matrix) -> Matrix:
         """Residuals of rows modulo the basis: its rref makes the entries at its pivots the coefficients."""
         if self.dim == 0:
             return rows
-        return rows - rows.select_columns(self._pivots) @ self.basis
+        return rows - rows.select_columns(self.pivots) @ self.basis
 
     def residual_rank(self, rows: Matrix) -> int:
         """Rank of rows modulo the current basis."""

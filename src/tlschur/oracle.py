@@ -806,7 +806,7 @@ def verify_suite(d: int, config: str, cap: int | None = None, progress=None) -> 
     if not 2 <= d <= 6:
         raise ValueError("verification is supported for 2 <= d <= 6")
     params = BLESSED_CONFIGS[config](d)
-    regime = FieldRegime(quantum_char_is_2=True)
+    regime = FieldRegime(quantum_char_is_2=params.quantum_char_is_2)
     out = _relations_verdicts(d, config, params)
 
     dz = double_centralizer_report(params, progress=progress)

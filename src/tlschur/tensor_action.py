@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hecke import HeckeElement, HeckeParams
-from .linalg import Matrix, RowSpace, flat_products, flatten, reduced_basis, unflatten
+from .linalg import Matrix, RowSpace, flat_products, flatten, kernel_from_rref, reduced_basis, unflatten
 from .permutations import Permutation
 
 
@@ -154,9 +154,10 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
     b_kl vanish give no equation.  Each system entry is one a_kl term minus
     one b_kl term, so it lies in [-(p-1), p-1]: the dense array is built in
     the narrowest signed type that holds that range (int8 up to p = 127,
-    int16 up to 32749), never int64.  Returns (system, coords): coords
-    lists the row-major positions of the unknowns in increasing order, one
-    system column each; system is None when no equation remains.
+    int16 up to 32749), never int64, and returned as it is: entries are
+    not reduced mod p.  Returns (system, coords): coords lists the row-major
+    positions of the unknowns in increasing order, one system column each;
+    system is None when no equation remains.
     """
     f = left[0].field
     m, n = left[0].nrows, right[0].nrows
@@ -191,14 +192,16 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
         eq = slice(top, top + rp[k].size * cp[l].size)
         system[eq, unknowns[l]] += np.kron(akl, np.eye(cp[l].size, dtype=dt))
         system[eq, unknowns[k]] -= np.kron(np.eye(rp[k].size, dtype=dt), bkl.T)
-    return Matrix.from_dense(f, system), coords
+    return system, coords
 
 
 def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts=None, col_parts=None, progress=None) -> Matrix:
     """Basis of the matrices X with a @ X == X @ b for every pair (a, b), flattened row-major.
 
-    The system and the parts are those of intertwiner_system; the basis is
-    the one kernel_from_rref gives, embedded in the full flattening.
+    The system and the parts are those of intertwiner_system.  Its rows go
+    into one RowSpace block by block (RowSpace.from_dense), and the basis
+    is the one kernel_from_rref gives for the rref of the whole system,
+    embedded in the full flattening.
     """
     f = left[0].field
     system, coords = intertwiner_system(left, right, row_parts, col_parts)
@@ -206,8 +209,9 @@ def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts=None, co
         kernel = Matrix.identity(f, coords.size)
     else:
         if progress:
-            progress(f"solving {system.nrows}x{system.ncols} kernel")
-        kernel = system.kernel_basis_matrix()
+            progress(f"solving {system.shape[0]}x{system.shape[1]} kernel")
+        space = RowSpace.from_dense(f, system)
+        kernel = kernel_from_rref(space.basis, space.dim, space.pivots)
     out = np.zeros((kernel.nrows, left[0].nrows * right[0].nrows), dtype=np.int64)
     out[:, coords] = kernel.dense()
     return Matrix.from_dense(f, out)

@@ -136,6 +136,41 @@ def test_kron_mixed_product(f):
     assert (a @ b).kron(c @ d) == (a.kron(c)) @ (b.kron(d))
 
 
+@pytest.mark.parametrize("f", [GF2, GF5, GF(7)], ids=["GF(2)", "GF(5)", "GF(7)"])
+def test_row_space_blocks_match_one_rref(f):
+    # rows of rank 9 in 30 columns, with zero and repeated rows: most blocks
+    # are partly or wholly in the span already
+    rng = random.Random(f.p)
+    gens = rand_matrix(f, 9, 30, rng)
+    rows = Matrix.vstack([rand_matrix(f, 40, 9, rng) @ gens, Matrix.zeros(f, 3, 30), gens.select_rows([2, 2])])
+    rows = rows.select_rows(rng.sample(range(rows.nrows), rows.nrows))
+    R, rank, pivots = rows.rref()
+    for _ in range(5):
+        cuts = sorted(rng.sample(range(1, rows.nrows), rng.randrange(1, 12)))
+        sp = RowSpace(f, 30)
+        for lo, hi in zip([0] + cuts, cuts + [rows.nrows]):
+            sp.insert(rows.select_rows(range(lo, hi)))
+        assert sp.basis == R.select_rows(range(rank))
+        assert sp.pivots == pivots
+
+
+@pytest.mark.parametrize("f", FIELDS, ids=IDS)
+def test_row_space_insert_of_span_eliminates_nothing(f, monkeypatch):
+    rng = random.Random(9)
+    sp = RowSpace(f, 8)
+    a = rand_matrix(f, 3, 8, rng)
+    assert sp.insert(a)
+    basis = sp.basis
+
+    def no_rref(self):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(Matrix, "rref", no_rref)
+    assert not sp.insert(rand_matrix(f, 5, 3, rng) @ a)
+    assert not sp.insert(Matrix.zeros(f, 2, 8))
+    assert sp.basis == basis
+
+
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
 def test_row_space_and_residual_rank(f):
     rng = random.Random(8)

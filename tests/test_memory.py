@@ -2,19 +2,22 @@
 
 numpy reports every array buffer to tracemalloc, so these peaks are exact
 and repeatable, unlike process RSS.  Today's peaks (MiB, gf2-u1 / gf5-u2):
-structure constants of S(2, 5) 2.0 / 4.5, the double centralizer report
-1.9 / 21.3, the regular dominant dimension with its End(Q) and the split of
-End(Q) into primitive idempotents 3.8 / 16.2 (39.0 / 36.6 before minimal
-approximations).  Building all dim^2 products at once, or the intertwiner
-systems in int64, puts each stage over its bound on at least one config
-(10.1 / 101.6, 26.3 / 101.1 and 114.8 / 52.3).
+structure constants of S(2, 5) 2.0 / 4.0, the double centralizer report
+1.7 / 4.4 (1.9 / 21.3 before the intertwiner systems were streamed in row
+blocks), its double-commutant solve alone 1.6 / 3.4 (1.8 / 20.3), the
+regular dominant dimension with its End(Q) and the split of End(Q) into
+primitive idempotents 3.8 / 6.7 (3.8 / 16.2 unstreamed, 39.0 / 36.6 before
+minimal approximations).  Building all dim^2 products at once, or the
+intertwiner systems in int64, puts each stage over its bound on at least
+one config (10.1 / 101.6, 26.3 / 101.1 and 114.8 / 52.3).
 """
 
 import pytest
 
 from tlschur.hecke import classical_char2, quantum_ell2
 from tlschur.oracle import _structure_constants, regular_module, relative_domdim, schur_algebra, tensor_module
-from tlschur.tensor_action import double_centralizer_report, weight_projections
+from tlschur.tensor_action import double_centralizer_report, intertwiner_rows, weight_classes, weight_projections
+from tlschur.tl import catalan
 
 CONFIGS = [classical_char2, quantum_ell2]
 IDS = ["gf2-u1", "gf5-u2"]
@@ -34,6 +37,16 @@ def test_double_centralizer_report_peak(make, traced_peak_mb):
     report, peak = traced_peak_mb(double_centralizer_report, make(5))
     assert report["commutant_closed_under_product"] and report["tl_image_equals_double_commutant"]
     assert peak <= 48, f"{peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+def test_double_commutant_solve_peak(make, traced_peak_mb):
+    # the 2324 x 252 system goes through one RowSpace in row blocks, never whole as int64
+    comm = schur_algebra(make(5)).basis
+    classes = weight_classes(32)
+    rows, peak = traced_peak_mb(intertwiner_rows, comm, comm, classes, classes)
+    assert rows.nrows == catalan(5)
+    assert peak <= 6, f"{peak:.1f} MiB"
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)

@@ -668,3 +668,27 @@ def test_tensor_end_rejects_other_modules():
             _tensor_end(other)
         with pytest.raises(ValueError, match="tensor_module"):
             relative_domdim(regular_module(alg), other)
+
+
+@pytest.mark.parametrize(
+    "params, qchar2",
+    [
+        (classical_char2(2), True),
+        (quantum_ell2(2), True),
+        (HeckeParams(2, GF(257), 16), True),
+        (HeckeParams(2, GF(3), 1), False),
+        (HeckeParams(2, GF(7), 3), False),
+    ],
+    ids=["gf2-u1", "gf5-u2", "gf257-u16", "gf3-u1", "gf7-u3"],
+)
+def test_quantum_characteristic_two_is_one_plus_q_zero(params, qchar2):
+    assert params.quantum_char_is_2 is qchar2
+
+
+def test_verify_regime_follows_params(monkeypatch):
+    # GF(257) u=16 is no blessed config, but q = -1: the finite closed form applies at even d
+    params = HeckeParams(2, GF(257), 16)
+    monkeypatch.setattr(oracle, "BLESSED_CONFIGS", {"gf257-u16": lambda d: params})
+    rows = {r["check_id"]: r for r in oracle.verify_suite(2, "gf257-u16")}
+    assert rows["oracle_regular_domdim"]["expected"] == domdim_regular(2, FieldRegime(quantum_char_is_2=True))
+    assert all(r["pass"] for r in rows.values()), [r for r in rows.values() if not r["pass"]]

@@ -12,7 +12,8 @@ from tlschur.fields import GF
 from tlschur.hecke import HeckeElement, HeckeParams, classical_char2, kernel_generator, quantum_ell2
 import tlschur
 from tlschur import tensor_action
-from tlschur.linalg import Matrix, flatten, unflatten
+from tlschur.linalg import Matrix, RowSpace, flatten, unflatten
+from tlschur.oracle import schur_algebra, tensor_module
 from tlschur.permutations import symmetric_group
 from tlschur.tensor_action import (
     CertificationError,
@@ -148,8 +149,29 @@ def test_double_commutant_matches_dense(make, d, dense_intertwiners):
     assert len(graded) == catalan(d)
 
 
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+def test_streamed_kernel_matches_one_elimination(make, monkeypatch):
+    # the d=5 double-commutant and End(Q) systems exceed one block, so they are really split
+    params = make(5)
+    f, n = params.field, 32
+    comm = commutant_basis(hecke_generator_matrices(params))
+    classes = weight_classes(n)
+    acts, parts = tensor_module(schur_algebra(params)).graded_generator_actions()
+    inserts = []
+    insert = RowSpace.insert
+    monkeypatch.setattr(RowSpace, "insert", lambda self, rows: inserts.append(rows.nrows) or insert(self, rows))
+    for left, right, rows, cols in ((comm, comm, classes, classes), (acts, acts, parts, parts)):
+        system, coords = intertwiner_system(left, right, rows, cols)
+        inserts.clear()
+        streamed = intertwiner_rows(left, right, rows, cols)
+        assert len(inserts) > 1 and sum(inserts) == system.shape[0]
+        assert streamed.select_columns(coords.tolist()) == Matrix.from_dense(f, system).kernel_basis_matrix()
+        outside = np.setdiff1d(np.arange(n * n), coords)
+        assert streamed.select_columns(outside.tolist()).is_zero()
+
+
 @pytest.mark.parametrize("p", [2, 5, 127, 131, 1009])
-def test_intertwiner_system_matches_int64_build(p, wide_intertwiner_system, monkeypatch):
+def test_intertwiner_system_matches_int64_build(p, wide_intertwiner_system):
     # entries 0 and p - 1 reach both ends of [-(p - 1), p - 1]; int8 gives way to int16 at p = 131
     f = GF(p)
     rng = random.Random(p)
@@ -158,18 +180,15 @@ def test_intertwiner_system_matches_int64_build(p, wide_intertwiner_system, monk
     def rand(n):
         return Matrix.from_rows(f, [[rng.choice(pick) for _ in range(n)] for _ in range(n)])
 
-    built = []
-    from_dense = Matrix.from_dense
-    monkeypatch.setattr(Matrix, "from_dense", staticmethod(lambda field, dense: built.append(dense) or from_dense(field, dense)))
     left, right = [rand(8), rand(8)], [rand(4), rand(4)]
     for rows, cols in (([range(8)], [range(4)]), ([[0, 3], [1, 2, 4, 5], [6, 7]], [[0], [1, 2], [3]])):
-        built.clear()
         system, coords = intertwiner_system(left, right, rows, cols)
-        assert system == wide_intertwiner_system(left, right, [list(r) for r in rows], [list(c) for c in cols])
+        wide = wide_intertwiner_system(left, right, [list(r) for r in rows], [list(c) for c in cols])
+        assert Matrix.from_dense(f, system) == wide
         want_coords = sorted(i * 4 + j for r, c in zip(rows, cols) for i in r for j in c)
         assert coords.tolist() == want_coords
-        assert built[0].dtype == (np.int8 if p < 128 else np.int16)
-        assert built[0].min() == -(p - 1) and built[0].max() == p - 1
+        assert system.dtype == (np.int8 if p < 128 else np.int16)
+        assert system.min() == -(p - 1) and system.max() == p - 1
 
 
 def test_weight_classes():
