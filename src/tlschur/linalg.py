@@ -273,16 +273,6 @@ class Matrix:
         Free variables are set to zero, so the solution is deterministic.
         """
         _require(self.field == rhs.field and self.nrows == rhs.nrows, "cannot solve", (self, rhs))
-        if rhs.ncols > 8192:
-            # chunk wide right-hand sides to cap the augmented working set
-            parts = []
-            for lo in range(0, rhs.ncols, 8192):
-                cols = range(lo, min(lo + 8192, rhs.ncols))
-                part = self.solve_many(rhs.select_columns(cols))
-                if part is None:
-                    return None
-                parts.append(part)
-            return Matrix.hstack(parts)
         aug = Matrix.hstack([self, rhs])
         R, rank, pivots = aug.rref()
         if any(p >= self.ncols for p in pivots):
@@ -419,10 +409,6 @@ class RowSpace:
         if self.dim == 0:
             return rows
         return rows - rows.select_columns(self.pivots) @ self.basis
-
-    def residual_rank(self, rows: Matrix) -> int:
-        """Rank of rows modulo the current basis."""
-        return self.reduce(rows).rank()
 
     def contains(self, rows: Matrix) -> bool:
         """Whether every row lies in the span: its residual modulo the basis is zero."""

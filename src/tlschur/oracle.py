@@ -30,8 +30,10 @@ hom basis, so finite verdicts and step counts do not depend on the choice
 minimal approximation of a module in add(Q) is an isomorphism, so a zero
 cokernel is exactly the split case.  Hom spaces after the first step come
 from left exactness: for a presentation M' -> sum_s Q e_s -> M -> 0,
-Hom(M, Q) is the (H_s) in the e_s End(Q) with sum_s F_s H_s = 0, which
-keeps every elimination small.
+Hom(M, Q) is the (H_s) in the e_s End(Q) with sum_s F_s H_s = 0, solved
+for their coefficients in bases of the e_s End(Q), which keeps every
+elimination small.  Every hom space is held as flattened maps, on which
+End(Q) acts by its own matrices.
 """
 
 from __future__ import annotations
@@ -114,18 +116,17 @@ def _coordinate_reader(field, basis: list[Matrix]):
     return coords
 
 
-def _structure_constants(field, basis: list[Matrix], extra: list[Matrix] = ()):
+def _structure_constants(field, basis: list[Matrix], coords, extra: list[Matrix] = ()):
     """Coordinates of every pairwise product in the basis; error if not closed.
 
     The products come one left factor at a time (flat_products), each chunk
-    read off by _coordinate_reader; a product outside the span raises
-    RuntimeError.  Returns the structure constants c with
+    read off by coords, the basis's _coordinate_reader; a product outside
+    the span raises RuntimeError.  Returns the structure constants c with
     b_i b_j = sum_k c[i,j,k] b_k, the coordinates of the identity, and the
     coordinate rows of the extra matrices, read off next to the identity
     (CertificationError if one of them is outside the span).
     """
     dim = len(basis)
-    coords = _coordinate_reader(field, basis)
     rights = Matrix.hstack(basis)
     c = np.empty((dim, dim, dim), dtype=np.int64)
     for i, a in enumerate(basis):
@@ -189,7 +190,8 @@ def schur_algebra(params: HeckeParams, progress=None) -> ExplicitAlgebra:
     if progress:
         progress(f"structure constants on dim {len(basis)}")
     f = params.field
-    structure, unit, idempotents = _structure_constants(f, basis, weight_projections(f, basis[0].nrows))
+    coords = _coordinate_reader(f, basis)
+    structure, unit, idempotents = _structure_constants(f, basis, coords, weight_projections(f, basis[0].nrows))
     _check_idempotents(f, structure, unit, idempotents)
     gen_rows = _generator_rows(f, structure, unit)
     alg = _SCHUR_CACHE[key] = ExplicitAlgebra(f, basis, structure, unit, gen_rows, idempotents, degree=params.d)
@@ -340,9 +342,10 @@ def hom_space(m: ExplicitModule, n: ExplicitModule, verify: bool = True) -> list
     return out
 
 
-def _regular_hom_basis(m: ExplicitModule, q: ExplicitModule) -> list[ModuleMap]:
-    """Hom(A, Q) = Q: the map for basis vector y sends b_i to y * act(b_i)."""
-    return [ModuleMap(m, q, Matrix.vstack([a.select_rows([n]) for a in q.actions])) for n in range(q.dim)]
+def _regular_hom_basis(q: ExplicitModule) -> Matrix:
+    """Hom(A, Q) = Q, one flattened map per row: the map for y sends b_i to y * act(b_i)."""
+    acts = np.stack([a.dense() for a in q.actions])  # (i, y, column)
+    return Matrix.from_dense(q.algebra.field, acts.transpose(1, 0, 2).reshape(q.dim, -1))
 
 
 def _cokernel_projection(R: Matrix, rank: int, pivots: tuple) -> tuple[Matrix, Matrix]:
@@ -369,12 +372,13 @@ def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModul
     sp.close(parent.generator_actions())
     U = sp.basis
     acts = []
-    ut = U.transpose()
+    # U is in rref, so the coordinates of a vector of its span are its entries at the pivots
     for a in parent.actions:
-        sol = ut.solve_many((U @ a).transpose())
-        if sol is None:
+        ua = U @ a
+        x = ua.select_columns(sp.pivots)
+        if x @ U != ua:
             raise CertificationError("closure failed: action leaves the computed subspace")
-        acts.append(sol.transpose())
+        acts.append(x)
     sub = ExplicitModule(alg, acts)
     return sub, ModuleMap(sub, parent, U)
 
@@ -479,24 +483,24 @@ def _row_basis(rows: Matrix) -> Matrix:
 class TensorEnd:
     """End(Q) of the tensor module Q, split into indecomposable summands T(m).
 
-    basis holds the E_l of hom_space(Q, Q), stack = hstack(E_l), structure
-    the c with E_i E_j = sum_k c[i,j,k] E_k, and table = c as e x e*e (its
-    column block l is right multiplication by E_l).  primitive holds
-    orthogonal primitive idempotents with sum 1 by class, in decreasing
+    basis holds the E_l of hom_space(Q, Q) and primitive the coordinate rows
+    of orthogonal primitive idempotents with sum 1, by class in decreasing
     highest weight: class k has mults[k] summands T(weights[k]) of dimension
-    dims[k], and its first primitive in idempotents.  radical spans J.
+    dims[k].  The rest are endomorphisms of Q as matrices, side by side in
+    hstacks, the form in which relative_domdim acts with them: tops holds
+    the first primitive e_k of each class, complements[k] a row basis of
+    Q(1 - e_k), radical a basis of J, and corners[k] a basis of e_k End(Q).
     """
 
     basis: list[Matrix]
-    stack: Matrix
-    structure: np.ndarray
-    table: Matrix
     primitive: Matrix
     weights: list[int]
     mults: list[int]
     dims: list[int]
-    idempotents: Matrix
+    tops: Matrix
+    complements: list[Matrix]
     radical: Matrix
+    corners: list[Matrix]
 
 
 def _corner(field, structure, row: Matrix) -> Matrix:
@@ -583,10 +587,9 @@ def _tensor_end(q: ExplicitModule) -> TensorEnd:
         raise ValueError("relative dominant dimension is taken relative to tensor_module(algebra) only")
     field, dq = alg.field, q.dim
     basis = [h.matrix for h in hom_space(q, q, verify=False)]
-    e = len(basis)
-    c, unit, _ = _structure_constants(field, basis)
-    stack, flat, coords = Matrix.hstack(basis), flatten(basis), _coordinate_reader(field, basis)
-    classes = weight_classes(dq)
+    e, flat, coords = len(basis), flatten(basis), _coordinate_reader(field, basis)
+    c, unit, _ = _structure_constants(field, basis, coords)
+    stack, classes = Matrix.hstack(basis), weight_classes(dq)
     rng = np.random.default_rng(e)
     found: dict[int, list] = {}
     todo = [Matrix.from_rows(field, [list(unit)])]
@@ -615,58 +618,62 @@ def _tensor_end(q: ExplicitModule) -> TensorEnd:
         raise CertificationError("the top scalars of End(Q) do not have full rank")
     primitive = Matrix.vstack([mem[0] for a in order for mem in found[a]])
     _check_idempotents(field, c, unit, primitive)
-    table, weights = Matrix.from_dense(field, c.reshape(e, e * e)), [dq.bit_length() - 1 - 2 * a for a in order]
-    mults, dims = [len(found[a]) for a in order], [found[a][0][1].rank() for a in order]
-    reps, radical = Matrix.vstack([found[a][0][0] for a in order]), psi.transpose().kernel_basis_matrix()
-    end = q._end_cache = TensorEnd(basis, stack, c, table, primitive, weights, mults, dims, reps, radical)
-    return end
+
+    def on_q(rows: Matrix) -> Matrix:  # hstack of the endomorphisms with these coordinate rows
+        mats = (rows @ flat).dense().reshape(rows.nrows, dq, dq)
+        return Matrix.from_dense(field, mats.transpose(1, 0, 2).reshape(dq, rows.nrows * dq))
+
+    tops, weights = [found[a][0][1] for a in order], [dq.bit_length() - 1 - 2 * a for a in order]
+    # block k: the products e_k E_s, which span e_k End(Q)
+    ideals = _coord_products(field, c, Matrix.vstack([found[a][0][0] for a in order]), Matrix.identity(field, e))
+    corners = [on_q(_row_basis(ideals.select_rows(range(k * e, (k + 1) * e)))) for k in range(len(order))]
+    complements = [_row_basis(Matrix.identity(field, dq) - t) for t in tops]
+    mults, dims = [len(found[a]) for a in order], [t.rank() for t in tops]
+    radical = on_q(psi.transpose().kernel_basis_matrix())
+    q._end_cache = TensorEnd(basis, primitive, weights, mults, dims, Matrix.hstack(tops), complements, radical, corners)
+    return q._end_cache
 
 
-def _orbits(kb: Matrix, acts: Matrix, cols) -> Matrix:
-    """The rows h_i x_n at the columns cols, for every acting x_n (outer) and row h_i of kb (inner).
+def _orbits(homs: Matrix, acts: Matrix, cols) -> Matrix:
+    """The rows h_i x_n at the columns cols, for every acting x_n (outer) and row h_i of homs (inner).
 
-    Row i of kb holds g blocks of size a = acts.nrows, and x_n acts on each
-    block by column block n of acts: column (s, c) is block s times column c.
+    Row i of homs is a flattened map into Q of dimension a = acts.nrows, and
+    x_n acts on each of its rows by column block n of acts: column (s, c) is
+    row s times column c.
     """
-    h, a, p = kb.nrows, acts.nrows, kb.field.p
+    h, a, p = homs.nrows, acts.nrows, homs.field.p
     if a * (p - 1) ** 2 >= 2**53:
         raise ValueError(f"GF({p}) orbit products of length {a} overflow float64")
     slot, col = np.divmod(np.asarray(cols, dtype=np.int64), a)
-    left = kb.dense().reshape(h, -1, a)[:, slot, :].transpose(1, 0, 2)  # column, row i, block entry
-    right = acts.dense().reshape(a, -1, a)[:, :, col].transpose(2, 0, 1)  # column, block entry, x_n
+    left = homs.dense().reshape(h, -1, a)[:, slot, :].transpose(1, 0, 2)  # column, row i, row entry
+    right = acts.dense().reshape(a, -1, a)[:, :, col].transpose(2, 0, 1)  # column, row entry, x_n
     out = _kernels._float_product(left, right) % p
-    return Matrix.from_dense(kb.field, out.transpose(2, 1, 0).reshape(-1, len(slot)))
+    return Matrix.from_dense(homs.field, out.transpose(2, 1, 0).reshape(-1, len(slot)))
 
 
-def _combine(act: Matrix, rows: Matrix) -> Matrix:
-    """hstack of the actions sum_l x_l act_l, one per coordinate row x, given act = hstack(act_l)."""
-    a, n = act.nrows, rows.nrows
-    flat = act.dense().reshape(a, act.ncols // a, a).transpose(1, 0, 2).reshape(-1, a * a)
-    out = (rows @ Matrix.from_dense(act.field, flat)).dense().reshape(n, a, a).transpose(1, 0, 2)
-    return Matrix.from_dense(act.field, out.reshape(a, n * a))
-
-
-def _top_lifts(kb: Matrix, act: Matrix, idempotents: Matrix, radical: Matrix) -> list[tuple[int, int]]:
+def _top_lifts(homs: Matrix, tops: Matrix, radical: Matrix, corners: list[Matrix]) -> list[tuple[int, int]]:
     """Lifts h_i e_k of a basis of the top H / H J of the hom space H, as pairs (k, i).
 
-    Row i of kb holds the i-th hom basis element h_i in g blocks of size
-    a = act.nrows, on each of which E_l acts by column block l of act.  For
-    each class k in turn, the h_i e_k outside the span of H J and of the maps
-    kept so far are kept: they lift a basis of H e_k / (H e_k meet H J), so
-    by Nakayama they generate H with as few maps into each T(m) as possible.
-    CertificationError unless their End(Q)-orbits span H.  Elements of H are
-    read at the pivot columns of kb only, and only ranks enter, so any
-    injective coordinate change compatible with the action gives the same pairs.
+    Row i of homs is the i-th basis element h_i of H = Hom(M, Q), flattened,
+    and End(Q) acts on it by right multiplication.  tops, radical and
+    corners[k] are hstacks of endomorphisms of Q (TensorEnd): the class
+    idempotents e_k, a basis of J and a basis of e_k End(Q).  For each class
+    k in turn, the h_i e_k outside the span of H J and of the maps kept so
+    far are kept: they lift a basis of H e_k / (H e_k meet H J), so by
+    Nakayama they generate H with as few maps into each T(m) as possible.
+    CertificationError unless their End(Q)-orbits h_i e_k End(Q) span H.
+    Elements of H are read at the pivot columns of homs only, and only ranks
+    enter, so the pairs do not depend on the bases of J and the e_k End(Q),
+    and any injective coordinate change compatible with the action gives the
+    same pairs.
     """
-    h, a, cols = kb.nrows, act.nrows, kb.rref()[2]
-    tops = _combine(act, idempotents)
-    space = RowSpace(kb.field, h)
-    if radical.nrows:
-        space.insert(_orbits(kb, _combine(act, radical), cols))
-    pairs = [divmod(k, h) for k in space.reduce(_orbits(kb, tops, cols)).transpose().rref()[2]]
-    # the End(Q)-orbit of h_i e_k is the orbit of h_i under the e_k E_l
-    kept = {k: kb.select_rows([i for c, i in pairs if c == k]) for k, _ in pairs}
-    orbits = [_orbits(rows, tops.select_columns(range(k * a, (k + 1) * a)) @ act, cols) for k, rows in kept.items()]
+    h, cols = homs.nrows, homs.rref()[2]
+    space = RowSpace(homs.field, h)
+    if radical.ncols:
+        space.insert(_orbits(homs, radical, cols))
+    pairs = [divmod(k, h) for k in space.reduce(_orbits(homs, tops, cols)).transpose().rref()[2]]
+    kept = {k: homs.select_rows([i for c, i in pairs if c == k]) for k, _ in pairs}
+    orbits = [_orbits(rows, corners[k], cols) for k, rows in kept.items()]
     if not pairs or Matrix.vstack(orbits).rank() < h:
         raise CertificationError("the lifted top does not generate the hom space")
     return pairs
@@ -681,13 +688,12 @@ def relative_domdim(m: ExplicitModule, q: ExplicitModule, cap: int | None = None
     q must be tensor_module(m.algebra) (ValueError otherwise).
 
     Every step holds a basis of Hom(cur, Q) as homs, one flattened map per
-    row, and its coordinates kb with the End(Q) action act (_top_lifts).
-    For the regular module row y of kb is the hom sending b_i to
-    y * act(b_i), for any other first module kb is homs, and the E_l act by
-    right multiplication.  Homs out of a cokernel are coefficient rows over
-    End(Q), one block per slot, acted on by its right-multiplication table.
+    row, on which End(Q) acts by its own matrices (_top_lifts).  The first
+    homs come from _regular_hom_basis for the regular module and from
+    hom_space for any other; the homs out of a cokernel come from left
+    exactness, solved with unknowns in the bases of the e_s End(Q).
     """
-    alg, field = m.algebra, m.algebra.field
+    alg = m.algebra
     if q.algebra is not alg:
         raise ValueError("relative_domdim needs two modules over the same algebra")
     if cap is None:
@@ -697,29 +703,24 @@ def relative_domdim(m: ExplicitModule, q: ExplicitModule, cap: int | None = None
     end = _tensor_end(q)
     if m.dim == 0:
         return DomdimResult.infinite()
-    act = end.stack
     if m.is_regular:
-        kb, homs = Matrix.identity(field, q.dim), flatten(hm.matrix for hm in _regular_hom_basis(m, q))
+        homs = _regular_hom_basis(q)
     else:
         maps = hom_space(m, q, verify=False)
         if not maps:
             return DomdimResult.exact(0)
-        kb = homs = flatten(hm.matrix for hm in maps)
-    cur, dq, e, steps = m, q.dim, len(end.basis), 0
-    # per class: e_k on Q, a row basis of Q(1 - e_k), and left multiplication by e_k on coordinates
-    projections = unflatten(end.idempotents @ flatten(end.basis), dq, dq)
-    complements = [_row_basis(Matrix.identity(field, dq) - pr) for pr in projections]
-    lefts = unflatten(end.idempotents @ end.table, e, e)
+        homs = flatten(hm.matrix for hm in maps)
+    cur, dq, steps = m, q.dim, 0
     while True:
-        picks = _top_lifts(kb, act, end.idempotents, end.radical)
+        picks = _top_lifts(homs, end.tops, end.radical, end.corners)
         slots = [k for k, _ in picks]
         maps = unflatten(homs.select_rows([i for _, i in picks]), cur.dim, dq)
-        comps = [f @ projections[k] for k, f in zip(slots, maps)]
+        comps = [f @ end.tops.select_columns(range(k * dq, (k + 1) * dq)) for k, f in zip(slots, maps)]
         if progress:
             tops = ", ".join(f"T({w})^{slots.count(k)}" for k, w in enumerate(end.weights))
-            progress(f"step {steps + 1}: module dim {cur.dim}, hom dim {kb.nrows}, approximation {tops}")
+            progress(f"step {steps + 1}: module dim {cur.dim}, hom dim {homs.nrows}, approximation {tops}")
         # cur -> sum_s Q e_s inside Q^g, whose complements Q(1 - e_s) lie beside the image
-        beside = Matrix.block_diag([complements[k] for k in slots])
+        beside = Matrix.block_diag([end.complements[k] for k in slots])
         R, rank, pivots = Matrix.vstack([Matrix.hstack(comps), beside]).rref()
         if rank < cur.dim + beside.nrows:
             return DomdimResult.exact(steps)
@@ -733,16 +734,15 @@ def relative_domdim(m: ExplicitModule, q: ExplicitModule, cap: int | None = None
         sig_blocks = [sigma.select_columns(range(s * dq, (s + 1) * dq)) for s in range(len(comps))]
         cur = ExplicitModule(alg, [Matrix.hstack([sb @ ab for sb in sig_blocks]) @ pi_m for ab in q.actions])
         # Hom(coker, Q) from left exactness of Hom(-, Q) on the presentation: the
-        # solutions of sum_s F_s H_s = 0, each H_s left-multiplied by its e_s
-        kb = Matrix.vstack([flat_products(F, end.stack) for F in comps]).transpose().kernel_basis_matrix()
-        kb = Matrix.hstack([kb.select_columns(range(s * e, (s + 1) * e)) @ lefts[k] for s, k in enumerate(slots)])
-        kb = _row_basis(kb)
-        if kb.nrows == 0:
+        # (H_s) in the e_s End(Q) with sum_s F_s H_s = 0, as coefficients in their
+        # bases, so the kernel basis is already a basis of Hom(coker, Q)
+        corners = [end.corners[k] for k in slots]
+        sols = Matrix.vstack([flat_products(F, y) for F, y in zip(comps, corners)]).transpose().kernel_basis_matrix()
+        if sols.nrows == 0:
             return DomdimResult.exact(steps)
         # the induced map on the cokernel is sigma @ vstack_s(H_s); flattening
-        # makes all of them one product of the kernel basis with sigma_s E_j
-        homs = kb @ Matrix.vstack([flat_products(sb, end.stack) for sb in sig_blocks])
-        act = end.table
+        # makes all of them one product of the kernel basis with the sigma_s Y
+        homs = sols @ Matrix.vstack([flat_products(sb, y) for sb, y in zip(sig_blocks, corners)])
 
 
 # ---------------------------------------------------------------------------

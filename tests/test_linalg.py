@@ -97,7 +97,7 @@ def test_solve_many_consistent_and_inconsistent(f, seed):
 
 
 def test_solve_many_wide_rhs_chunking():
-    # rhs wider than the chunking threshold takes the split path
+    # an 8200-column rhs is solved in one augmented elimination
     f = GF2
     rng = random.Random(7)
     a = rand_matrix(f, 6, 6, rng)
@@ -179,7 +179,7 @@ def test_row_space_and_residual_rank(f):
     b = rand_matrix(f, 4, 6, rng)
     sp.insert(a)
     assert sp.dim == a.rank()
-    gain = sp.residual_rank(b)
+    gain = sp.reduce(b).rank()
     assert gain == Matrix.vstack([a, b]).rank() - a.rank()
     sp.insert(b)
     assert sp.dim == Matrix.vstack([a, b]).rank()
@@ -188,7 +188,7 @@ def test_row_space_and_residual_rank(f):
     small = RowSpace(f, 6)
     small.insert(a)
     rows = [rand_matrix(f, 1, 6, rng) for _ in range(8)] + [a.select_rows([1]).scale(2)]
-    assert [small.contains(r) for r in rows] == [small.residual_rank(r) == 0 for r in rows]
+    assert [small.contains(r) for r in rows] == [small.reduce(r).rank() == 0 for r in rows]
     assert not all(small.contains(r) for r in rows) and small.contains(rows[-1])
 
 

@@ -6,16 +6,18 @@ structure constants of S(2, 5) 2.0 / 4.0, the double centralizer report
 1.7 / 4.4 (1.9 / 21.3 before the intertwiner systems were streamed in row
 blocks), its double-commutant solve alone 1.6 / 3.4 (1.8 / 20.3), the
 regular dominant dimension with its End(Q) and the split of End(Q) into
-primitive idempotents 3.8 / 6.7 (3.8 / 16.2 unstreamed, 39.0 / 36.6 before
-minimal approximations).  Building all dim^2 products at once, or the
-intertwiner systems in int64, puts each stage over its bound on at least
-one config (10.1 / 101.6, 26.3 / 101.1 and 114.8 / 52.3).
+primitive idempotents 2.2 / 5.3 (3.8 / 6.7 with the End(Q) multiplication
+table and unrestricted left-exactness unknowns, 3.8 / 16.2 unstreamed,
+39.0 / 36.6 before minimal approximations).  Building all dim^2 products
+at once, or the intertwiner systems in int64, puts each stage over its
+bound on at least one config (10.1 / 101.6, 26.3 / 101.1 and 114.8 / 52.3).
 """
 
 import pytest
 
 from tlschur.hecke import classical_char2, quantum_ell2
-from tlschur.oracle import _structure_constants, regular_module, relative_domdim, schur_algebra, tensor_module
+from tlschur.oracle import _coordinate_reader, _structure_constants
+from tlschur.oracle import regular_module, relative_domdim, schur_algebra, tensor_module
 from tlschur.tensor_action import double_centralizer_report, intertwiner_rows, weight_classes, weight_projections
 from tlschur.tl import catalan
 
@@ -27,7 +29,10 @@ IDS = ["gf2-u1", "gf5-u2"]
 def test_structure_constants_peak(make, traced_peak_mb):
     alg = schur_algebra(make(5))
     projections = weight_projections(alg.field, alg.basis[0].nrows)
-    (c, _, _), peak = traced_peak_mb(_structure_constants, alg.field, alg.basis, projections)
+    # the coordinate reader is built inside the trace, as schur_algebra builds it
+    (c, _, _), peak = traced_peak_mb(
+        lambda: _structure_constants(alg.field, alg.basis, _coordinate_reader(alg.field, alg.basis), projections)
+    )
     assert (c == alg.structure).all()
     assert peak <= 16, f"{peak:.1f} MiB"
 

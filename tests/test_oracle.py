@@ -14,7 +14,9 @@ from tlschur.oracle import (
     DomdimResult,
     ExplicitAlgebra,
     ExplicitModule,
+    ModuleMap,
     _check_idempotents,
+    _coordinate_reader,
     _regular_hom_basis,
     _structure_constants,
     _tensor_end,
@@ -149,10 +151,14 @@ def test_structure_constants_match_solve(make, d, solved_structure_constants):
     q = tensor_module(alg)
     end_q = [em.matrix for em in hom_space(q, q, verify=False)]
     for basis, extra in ((alg.basis, weight_projections(alg.field, q.dim)), (end_q, [])):
-        c, unit, rows = _structure_constants(alg.field, basis, extra)
+        c, unit, rows = _structure_constants(alg.field, basis, _coordinate_reader(alg.field, basis), extra)
         want_c, want_unit, want_rows = solved_structure_constants(alg.field, basis, extra)
         assert c.dtype == np.int64 and np.array_equal(c, want_c)
         assert unit == want_unit and rows == want_rows
+
+
+def _structure(f, basis):
+    return _structure_constants(f, basis, _coordinate_reader(f, basis))
 
 
 def _matrix_units(f):
@@ -165,14 +171,14 @@ def test_structure_constants_reject_bad_bases(f, solved_structure_constants):
     e00, e01, e10 = _matrix_units(f)
     # E_01 E_10 = E_00 leaves span{E_01, E_10}
     with pytest.raises(RuntimeError, match="not closed") as exc:
-        _structure_constants(f, [e01, e10])
+        _structure(f, [e01, e10])
     assert exc.type is RuntimeError
     assert solved_structure_constants(f, [e01, e10]) is None
     with pytest.raises(CertificationError, match="dependent"):
-        _structure_constants(f, [e00, e00 + e00 + e00])
+        _structure(f, [e00, e00 + e00 + e00])
     # span{E_00} is closed but holds no identity
     with pytest.raises(CertificationError, match="identity"):
-        _structure_constants(f, [e00])
+        _structure(f, [e00])
     assert solved_structure_constants(f, [e00]) is None
 
 
@@ -180,12 +186,12 @@ def test_structure_constant_checks_survive_optimized_mode(run_optimized):
     code = (
         "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix\n"
-        "from tlschur.oracle import _structure_constants\n"
+        "from tlschur.oracle import _coordinate_reader, _structure_constants\n"
         "f = GF(5)\n"
         "e00, e01, e10 = (Matrix.from_rows(f, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]))\n"
         "for basis in ([e01, e10], [e00, e00.scale(2)], [e00]):\n"
         "    try:\n"
-        "        _structure_constants(f, basis)\n"
+        "        _structure_constants(f, basis, _coordinate_reader(f, basis))\n"
         "    except RuntimeError as exc:\n"
         "        print(__debug__, type(exc).__name__)\n"
     )
@@ -237,14 +243,14 @@ def test_regular_hom_basis_matches_solver(make):
     alg = schur_algebra(make(2))
     q = tensor_module(alg)
     reg = regular_module(alg)
-    fast = _regular_hom_basis(reg, q)
+    fast = _regular_hom_basis(q)
     slow = hom_space(reg, q)
-    assert len(fast) == len(slow) == q.dim
+    assert fast.nrows == len(slow) == q.dim
     span = RowSpace(alg.field, reg.dim * q.dim)
-    for h in fast:
-        h.check()
-    span.insert(flatten(h.matrix for h in fast))
-    assert span.dim == len(fast)
+    for mat in unflatten(fast, reg.dim, q.dim):
+        ModuleMap(reg, q, mat).check()
+    span.insert(fast)
+    assert span.dim == fast.nrows
     assert span.contains(flatten(h.matrix for h in slow))
 
 
@@ -325,6 +331,11 @@ def test_direct_sum_min_law(make):
     assert relative_domdim(direct_sum(d2, q), q).matches(3)  # min(3, infinity)
 
 
+def _blocks(stack: Matrix, n: int) -> list[Matrix]:
+    """The n x n blocks of an hstack, left to right."""
+    return [stack.select_columns(range(j * n, (j + 1) * n)) for j in range(stack.ncols // n)]
+
+
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 def test_generating_combinations_generate(make):
     # the top lifts h_i e_k of the regular module's hom space, as maps into Q
@@ -332,10 +343,10 @@ def test_generating_combinations_generate(make):
     q = tensor_module(alg)
     reg = regular_module(alg)
     end = _tensor_end(q)
-    homs = _regular_hom_basis(reg, q)
-    picks = _top_lifts(Matrix.identity(alg.field, q.dim), end.stack, end.idempotents, end.radical)
-    projections = unflatten(end.idempotents @ flatten(end.basis), q.dim, q.dim)
-    lifts = [homs[i].matrix @ projections[k] for k, i in picks]
+    homs = unflatten(_regular_hom_basis(q), reg.dim, q.dim)
+    picks = _top_lifts(flatten(homs), end.tops, end.radical, end.corners)
+    projections = _blocks(end.tops, q.dim)
+    lifts = [homs[i] @ projections[k] for k, i in picks]
     span = RowSpace(alg.field, reg.dim * q.dim)
     span.insert(flatten(F @ E for F in lifts for E in end.basis))
     # the lifts generate the full hom space over the endomorphisms
@@ -347,17 +358,22 @@ def test_generating_combinations_generate(make):
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
 @pytest.mark.parametrize("d", [3, 4])
 def test_greedy_rows_agree_in_hom_and_flat_coordinates(make, d, post_composition_action):
-    # the first step of any module but the regular one lifts the top from the
-    # flattened maps; in hom-basis coordinates it must pick the same lifts
+    # every step lifts the top from the flattened maps; in hom-basis
+    # coordinates, acted on by post-composition, it must pick the same lifts
     params = make(d)
     alg = schur_algebra(params)
     q = tensor_module(alg)
     end = _tensor_end(q)
     for mod in [q] + [standard_module(params, m, algebra=alg) for m in range(d % 2, d + 1, 2)]:
         homs = [h.matrix for h in hom_space(mod, q, verify=False)]
-        act = post_composition_action(homs, end.basis)
-        in_homs = _top_lifts(Matrix.identity(alg.field, len(homs)), act, end.idempotents, end.radical)
-        assert _top_lifts(flatten(homs), end.stack, end.idempotents, end.radical) == in_homs, mod.label
+
+        def in_homs(stack):
+            mats = _blocks(stack, q.dim)
+            return post_composition_action(homs, mats) if mats else Matrix.zeros(alg.field, len(homs), 0)
+
+        ident = Matrix.identity(alg.field, len(homs))
+        want = _top_lifts(ident, in_homs(end.tops), in_homs(end.radical), [in_homs(y) for y in end.corners])
+        assert _top_lifts(flatten(homs), end.tops, end.radical, end.corners) == want, mod.label
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
@@ -386,10 +402,14 @@ def test_coresolution_cokernels_are_modules(make, dims, monkeypatch):
         return mod
 
     monkeypatch.setattr(oracle, "ExplicitModule", recording)
-    assert relative_domdim(reg, q).matches(4)
+    lines = []
+    assert relative_domdim(reg, q, progress=lines.append).matches(4)
     assert [mod.dim for mod in built] == dims
     for mod in built:
         mod.validate(deep=True)
+    # the left-exactness hom space of each cokernel has the dim the direct solver gives
+    hom_dims = [int(line.split("hom dim ")[1].split(",")[0]) for line in lines[1:]]
+    assert [len(hom_space(mod, q)) for mod in built] == hom_dims
 
 
 def _step_lines(steps, d):
@@ -423,6 +443,22 @@ def _step_lines(steps, d):
         ),
         pytest.param(classical_char2, 5, [(56, 32, (6, 4, 0)), (8, 20, (0, 0, 4))], INFINITY, id="gf2-u1-d5"),
         pytest.param(quantum_ell2, 5, [(56, 32, (6, 4, 2))], INFINITY, id="gf5-u2-d5"),
+        pytest.param(
+            classical_char2,
+            6,
+            [(84, 64, (7, 2, 0)), (44, 104, (0, 4, 6)), (12, 36, (0, 0, 4)), (4, 20, (0, 0, 4))]
+            + [(12, 36, (0, 4, 4)), (36, 76, (4, 0, 4)), (44, 60, (4, 0, 4))],
+            6,
+            id="gf2-u1-d6",
+        ),
+        pytest.param(
+            quantum_ell2,
+            6,
+            [(84, 64, (7, 2, 1)), (20, 20, (0, 4, 0)), (12, 36, (0, 0, 4)), (4, 20, (0, 0, 4))]
+            + [(12, 36, (0, 4, 0)), (20, 20, (4, 0, 0)), (28, 4, (4, 0, 0))],
+            6,
+            id="gf5-u2-d6",
+        ),
     ],
 )
 def test_regular_coresolution_multiplicities_degree_4(make, d, steps, verdict):
@@ -502,7 +538,8 @@ def test_greedy_certification_survives_optimized_mode(run_optimized):
         "from tlschur.linalg import Matrix\n"
         "from tlschur.oracle import CertificationError, _top_lifts\n"
         "try:\n"
-        "    _top_lifts(Matrix.identity(GF2, 4), Matrix.zeros(GF2, 4, 8), Matrix.identity(GF2, 2), Matrix.zeros(GF2, 0, 2))\n"
+        "    zero = Matrix.zeros(GF2, 4, 4)\n"
+        "    _top_lifts(Matrix.identity(GF2, 4), Matrix.zeros(GF2, 4, 8), Matrix.zeros(GF2, 4, 0), [zero, zero])\n"
         "except CertificationError as exc:\n"
         "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
     )
@@ -616,7 +653,7 @@ def test_tensor_summands_match_tilting_closed_forms(d):
     assert dict(zip(end.weights, end.mults)) == want
     assert end.dims == [sum(n + 1 for n in tilting_delta_mults(m)) for m in end.weights]
     assert sum(a * t for a, t in zip(end.mults, end.dims)) == 1 << d
-    assert end.radical.nrows == catalan(d) - sum(a * a for a in end.mults)
+    assert end.radical.ncols == (catalan(d) - sum(a * a for a in end.mults)) << d
 
 
 # (highest weight, multiplicity, dim) of the summands T(m) of V^(tensor d)
