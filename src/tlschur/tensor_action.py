@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hecke import HeckeElement, HeckeParams
-from .linalg import Matrix, RowSpace, flat_products, flatten, kernel_from_rref, reduced_basis, unflatten
+from .linalg import Matrix, RowSpace, flatten, kernel_from_rref, reduced_basis, unflatten
 from .permutations import Permutation
 
 
@@ -127,6 +127,104 @@ def weight_projections(field, n: int) -> list[Matrix]:
     """The projections of V^(tensor d) onto its weight spaces, by increasing weight."""
     wt = _weights(n)
     return [Matrix.from_dense(field, np.diag(wt == a)) for a in range(wt.max() + 1)]
+
+
+# bytes of the float64 products that WeightBlocks.products holds at a time
+_PRODUCT_BYTES = 256 << 10
+
+
+class WeightBlocks:
+    """The weight blocks where matrices on V^(tensor d) are nonzero, and their pairwise products.
+
+    Block (a, b) of an n x n matrix, n = 2^d, holds its entries in rows of
+    weight a and columns of weight b.  blocks[k, a, b] records whether
+    matrix k is nonzero there, read off its entries, so every skip below
+    rests on a computed support.  The live blocks are those where some
+    matrix is nonzero, and columns lists the row-major positions of their
+    entries, block by block: the span of the matrices lives on those
+    columns.  flat holds the flattened matrices on them, in float64, where
+    their products are exact.
+    """
+
+    def __init__(self, mats: list[Matrix]):
+        n, p = mats[0].nrows, mats[0].field.p
+        if n * (p - 1) ** 2 >= 2**53:
+            raise ValueError(f"GF({p}) products of length {n} overflow float64")
+        wt = _weights(n)
+        self.field = mats[0].field
+        self.classes = [np.asarray(c, dtype=np.int64) for c in weight_classes(n)]
+        dense = np.stack([m.dense() for m in mats])
+        onehot = (wt[:, None] == np.arange(len(self.classes))).astype(np.int64)
+        self.blocks = onehot.T @ (dense != 0).astype(np.int64) @ onehot > 0
+        self.live = self.blocks.any(axis=0)
+        self._start, entries = {}, [np.zeros(0, dtype=np.int64)]
+        for a, c in zip(*np.nonzero(self.live)):
+            self._start[a, c] = sum(e.size for e in entries)
+            entries.append((self.classes[a][:, None] * n + self.classes[c]).ravel())
+        self.columns = np.concatenate(entries)
+        self._off = np.ones(n * n, dtype=bool)
+        self._off[self.columns] = False
+        self.flat = dense.reshape(len(mats), -1)[:, self.columns].astype(np.float64)
+
+    def restrict(self, rows: Matrix) -> Matrix | None:
+        """Flattened matrices read on the live columns, or None if one is nonzero off them."""
+        dense = rows.dense()
+        if dense[:, self._off].any():
+            return None
+        return Matrix.from_dense(self.field, dense[:, self.columns])
+
+    def products(self):
+        """Yield (i, j, x): the flattened products m_i m_j of the pairs that meet, on the live columns.
+
+        Block (a, c) of m_i m_j is the sum over b of m_i[a, b] m_j[b, c], so
+        the product is zero unless a column block of m_i is a row block of
+        m_j: only those pairs are multiplied, in chunks of left factors of
+        at most _PRODUCT_BYTES of products.  Within a chunk, the (a, b)
+        blocks of the left factors with one there, stacked, meet the (b, c)
+        blocks of the right factors with one, side by side, in one float64
+        product, which adds to the columns of block (a, c).  The pairs come
+        as index arrays i, j, and x holds one product per row.  A block
+        outside the live ones that a product reaches must vanish: if one
+        does not, the span is not closed under products and x is None.
+        """
+        p, k = self.field.p, self.blocks.shape[0]
+        size = [c.size for c in self.classes]
+        meet = self.blocks.any(axis=1).astype(np.int64) @ self.blocks.any(axis=2).T.astype(np.int64) > 0
+        # product columns: the live blocks, then the other blocks that
+        # products reach, whose entries must come out zero
+        live = self.live.astype(np.int64)
+        start, nlive = dict(self._start), self.columns.size
+        width = nlive
+        for a, c in zip(*np.nonzero((live @ live > 0) & ~self.live)):
+            start[a, c], width = width, width + size[a] * size[c]
+
+        def block(rows, a, c):  # blocks (a, c) of the matrices with these indices
+            return self.flat[rows, start[a, c] : start[a, c] + size[a] * size[c]].reshape(rows.size, size[a], size[c])
+
+        rights = [[] for _ in size]
+        for b, c in zip(*np.nonzero(self.live)):
+            js = np.flatnonzero(self.blocks[:, b, c])
+            rights[b].append((c, js, block(js, b, c).transpose(1, 0, 2).reshape(size[b], -1)))
+        counts, cap = meet.sum(axis=1), max(1, _PRODUCT_BYTES // (8 * width))
+        lo = 0
+        while lo < k:
+            hi, rows = lo + 1, counts[lo]
+            while hi < k and rows + counts[hi] <= cap:
+                rows, hi = rows + counts[hi], hi + 1
+            ii, jj = np.nonzero(meet[lo:hi])
+            row = np.full((hi - lo, k), -1, dtype=np.int64)
+            row[ii, jj] = np.arange(ii.size)
+            out = np.zeros((ii.size, width))
+            for a, b in zip(*np.nonzero(self.blocks[lo:hi].any(axis=0))):
+                left = lo + np.flatnonzero(self.blocks[lo:hi, a, b])
+                stacked = block(left, a, b).reshape(-1, size[b])
+                for c, js, side in rights[b]:
+                    prod = (stacked @ side).reshape(left.size, size[a], js.size, size[c]).transpose(0, 2, 1, 3)
+                    cols = slice(start[a, c], start[a, c] + size[a] * size[c])
+                    out[row[left - lo][:, js].ravel(), cols] += prod.reshape(left.size * js.size, -1)
+            bad = (out[:, nlive:].astype(np.int64) % p).any()
+            yield ii + lo, jj, None if bad else Matrix.from_dense(self.field, out[:, :nlive].astype(np.int64))
+            lo = hi
 
 
 def _weight_diagonal(n: int) -> np.ndarray:
@@ -290,21 +388,23 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     if progress:
         progress("commutant of the TL action")
     comm = commutant_basis(hecke_generator_matrices(params), progress=progress)
-    comm_span = RowSpace(params.field, n * n)
-    comm_span.insert(flatten(comm))
-    if not comm_span.contains(flatten(weight_projections(params.field, n))):
-        raise CertificationError("a weight projection is not in the commutant span")
     if progress:
         progress("double commutant")
     # everything commuting with the commutant commutes with the weight
-    # projections, so it is block diagonal: the unknowns are the
-    # weight-diagonal entries, and the TL image lives there too
+    # projections (certified below), so it is block diagonal: the unknowns
+    # are the weight-diagonal entries, and the TL image lives there too
     comm2 = intertwiner_rows(comm, comm, classes, classes, progress=progress)
     equal = tl_dim == comm2.nrows and tl_span.contains(comm2.select_columns(_weight_diagonal(n)))
-    # products of commutant elements stay in the commutant span, all pairs,
-    # checked one left factor at a time
-    rights = Matrix.hstack(comm)
-    closed = all(comm_span.contains(flat_products(a, rights)) for a in comm)
+    # the span of the commutant lives on the columns of its live weight blocks
+    blocks = WeightBlocks(comm)
+    comm_span = RowSpace(params.field, blocks.columns.size)
+    comm_span.insert(blocks.restrict(flatten(comm)))
+    projections = blocks.restrict(flatten(weight_projections(params.field, n)))
+    if projections is None or not comm_span.contains(projections):
+        raise CertificationError("a weight projection is not in the commutant span")
+    # products of commutant elements stay in the commutant span: only the
+    # pairs whose weight blocks meet are multiplied, the others are zero
+    closed = all(x is not None and comm_span.contains(x) for _, _, x in blocks.products())
     return {
         "d": d,
         "field": params.field.name,

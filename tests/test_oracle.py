@@ -143,10 +143,11 @@ def test_hom_space_matches_dense(make, d, dense_intertwiners):
         assert got == dense_intertwiners(src.generator_actions(), dst.generator_actions()), (src.label, dst.label)
 
 
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_structure_constants_match_solve(make, d, solved_structure_constants):
-    # S(2, d) with its weight projections, then End(Q) on its own
+    # S(2, d) with its weight projections, then End(Q) on its own: both bases
+    # are weight graded, so most pairs are skipped and only live blocks are read
     alg = schur_algebra(make(d))
     q = tensor_module(alg)
     end_q = [em.matrix for em in hom_space(q, q, verify=False)]
@@ -155,6 +156,27 @@ def test_structure_constants_match_solve(make, d, solved_structure_constants):
         want_c, want_unit, want_rows = solved_structure_constants(alg.field, basis, extra)
         assert c.dtype == np.int64 and np.array_equal(c, want_c)
         assert unit == want_unit and rows == want_rows
+
+
+@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+def test_structure_constants_of_an_ungraded_basis(make, solved_structure_constants):
+    # a random invertible recombination of the S(2, 3) basis spreads every element
+    # over many weight blocks, so every pair meets and every column is live
+    alg = schur_algebra(make(3))
+    f, dim = alg.field, alg.dim
+    rng = random.Random(dim)
+    while True:
+        g = Matrix.from_rows(f, [[f.coerce(rng.randrange(f.p)) for _ in range(dim)] for _ in range(dim)])
+        if g.rank() == dim:
+            break
+    basis = unflatten(g @ flatten(alg.basis), 8, 8)
+    coords = _coordinate_reader(f, basis)
+    blocks = coords.blocks.blocks.astype(np.int64)
+    assert coords.blocks.live.all() and (blocks.sum(axis=1) @ blocks.sum(axis=2).T).all()
+    extra = weight_projections(f, 8)
+    c, unit, rows = _structure_constants(f, basis, coords, extra)
+    want_c, want_unit, want_rows = solved_structure_constants(f, basis, extra)
+    assert np.array_equal(c, want_c) and unit == want_unit and rows == want_rows
 
 
 def _structure(f, basis):
@@ -720,6 +742,19 @@ def test_tensor_end_rejects_other_modules():
 )
 def test_quantum_characteristic_two_is_one_plus_q_zero(params, qchar2):
     assert params.quantum_char_is_2 is qchar2
+
+
+@pytest.mark.parametrize("p, u", [(3, 1), (7, 3)], ids=["gf3-u1", "gf7-u3"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_verify_outside_quantum_characteristic_two(p, u, d, monkeypatch):
+    # T(0) is a summand of Q, both domdims are infinite, and Delta(m) has no closed form
+    monkeypatch.setattr(oracle, "BLESSED_CONFIGS", {"other": lambda d: HeckeParams(d, GF(p), u)})
+    rows = {r["check_id"]: r for r in oracle.verify_suite(d, "other")}
+    assert all(r["pass"] for r in rows.values()), [r for r in rows.values() if not r["pass"]]
+    assert rows["oracle_delta0_not_summand"]["got"] is False
+    assert rows["oracle_regular_domdim"]["got"] == rows["oracle_tilting_domdim"]["got"] == "infinity"
+    assert rows["oracle_factor_two"]["got"] is True
+    assert "oracle_standard_chain" not in rows
 
 
 def test_verify_regime_follows_params(monkeypatch):
