@@ -5,32 +5,36 @@ Hecke generator action on V^(tensor d), with structure constants read off
 the faithful matrices.  Modules are row-vector spaces with one action matrix
 per algebra basis element, composing as act(xy) = act(x) @ act(y).
 
-Structure constants are computed on the weight blocks of V^(tensor d)
-(tensor_action.WeightBlocks).  Each basis element of S(2, d) is nonzero on
-one block (a, b), and each of End(Q) on diagonal blocks only, so b_i b_j is
-formed only when a column block of b_i is a row block of b_j, and every
-coordinate is read on the entries of the live blocks.  The supports are
-read off the matrices, and a product that reaches a block outside them
-raises, so the skips are certified, not assumed.
+Structure constants of S(2, d) are computed on the weight blocks of
+V^(tensor d) (tensor_action.WeightBlocks).  Each basis element is nonzero on
+one block (a, b), so b_i b_j is formed only when a column block of b_i is a
+row block of b_j, and every coordinate is read on the entries of the live
+blocks.  The supports are read off the matrices, and a product that reaches
+a block outside them raises, so the skips are certified, not assumed.
+End(Q) has no structure constants: its elements, idempotents and
+certificates are matrices on Q.
 
 Intertwiner and hom systems are solved per weight.  The commutant is solved
 one pair of weight spaces of V^(tensor d) at a time (tensor_action).  The
-weight idempotents e_a, stored as coordinate rows and certified orthogonal
-with sum 1, split every module into weight spaces M e_a.  A module map is
-block diagonal in weight-adapted bases, so hom_space takes only those blocks
-as unknowns.  Every basis equals the one the full system would give.
+weight idempotents e_a, stored as coordinate rows whose matrices are
+certified orthogonal with sum 1, split every module into weight spaces
+M e_a.  A module map is block diagonal in weight-adapted bases, so hom_space
+takes only those blocks as unknowns.  Every basis equals the one the full
+system would give.
 
 relative_domdim iterates minimal left approximations into add(Q) for Q the
 tensor module.  End(Q) is split once into primitive idempotents by Fitting
 projections of random elements of its non-local corners (after Eberly and
-Giesbrecht, J. Symb. Comp. 29, 2000).  A summand Q e with top weight a is
+Giesbrecht, J. Symb. Comp. 29, 2000), each certified an endomorphism by
+commuting with the generator actions.  A summand Q e with top weight a is
 T(d - 2a), whose weight-a space is a line k u, so x -> (u x)/u is a ring map
-e End(Q) e -> k: the corner is local iff its kernel is nilpotent, and the
-same scalars between summands of one weight cut out the radical J.  A step
-maps M to the sum of the T(m)^(n_m) by lifts of a basis of the top of
-Hom(M, Q): if that map is not injective the accumulated count is the answer;
-if its cokernel is zero, M is in add(Q) and the answer is infinite;
-otherwise the cokernel is the next module.
+e End(Q) e -> k: the corner is local iff its kernel K is nilpotent, and as
+the corner acts faithfully on Q e, iff the chain Q e > Q e K > Q e K^2 > ...
+reaches 0.  The same scalars between summands of one weight cut out the
+radical J.  A step maps M to the sum of the T(m)^(n_m) by lifts of a basis
+of the top of Hom(M, Q): if that map is not injective the accumulated count
+is the answer; if its cokernel is zero, M is in add(Q) and the answer is
+infinite; otherwise the cokernel is the next module.
 
 Soundness: every approximation has the kernel of the full stacked map of a
 hom basis, so finite verdicts and step counts do not depend on the choice
@@ -140,16 +144,12 @@ class _CoordinateReader:
         return None if x is None else self.live(x)
 
 
-def _coordinate_reader(field, basis: list[Matrix]) -> _CoordinateReader:
-    return _CoordinateReader(field, basis)
-
-
 def _structure_constants(field, basis: list[Matrix], coords: _CoordinateReader, extra: list[Matrix] = ()):
     """Coordinates of every pairwise product in the basis; error if not closed.
 
     Only the products of pairs whose weight blocks meet are formed
     (WeightBlocks.products), on the live columns, and read off there by
-    coords, the basis's _coordinate_reader; every other product is zero.  A
+    coords, the basis's _CoordinateReader; every other product is zero.  A
     product outside the span raises RuntimeError.  Returns the structure
     constants c with b_i b_j = sum_k c[i,j,k] b_k, the coordinates of the
     identity, and the coordinate rows of the extra matrices, read off next
@@ -169,14 +169,18 @@ def _structure_constants(field, basis: list[Matrix], coords: _CoordinateReader, 
     return c, unit, y.select_rows(range(1, 1 + len(extra)))
 
 
-def _check_idempotents(field, structure, unit: tuple, rows: Matrix) -> None:
-    """Certify e_a e_b = delta_ab e_a and sum_a e_a = 1 from the structure constants."""
-    k = rows.nrows
-    want = np.zeros((k, k, structure.shape[0]), dtype=np.int64)
-    want[range(k), range(k)] = rows.dense()
-    if _coord_products(field, structure, rows, rows) != Matrix.from_dense(field, want.reshape(k * k, -1)):
-        raise CertificationError("the idempotents are not orthogonal idempotents")
-    if Matrix.from_rows(field, [[1] * k]) @ rows != Matrix.from_rows(field, [list(unit)]):
+def _check_idempotents(mats: list[Matrix]) -> None:
+    """Certify e_a e_b = delta_ab e_a and sum_a e_a = 1 for idempotents given as matrices."""
+    f, n = mats[0].field, mats[0].nrows
+    zero = Matrix.zeros(f, n, n)
+    for a, ea in enumerate(mats):
+        # e_a times every e_b at once, side by side
+        if ea @ Matrix.hstack(mats) != Matrix.hstack([ea if b == a else zero for b in range(len(mats))]):
+            raise CertificationError("the idempotents are not orthogonal idempotents")
+    total = mats[0]
+    for ea in mats[1:]:
+        total = total + ea
+    if total != Matrix.identity(f, n):
         raise CertificationError("the idempotents do not sum to the unit")
 
 
@@ -218,9 +222,9 @@ def schur_algebra(params: HeckeParams, progress=None) -> ExplicitAlgebra:
     if progress:
         progress(f"structure constants on dim {len(basis)}")
     f = params.field
-    coords = _coordinate_reader(f, basis)
-    structure, unit, idempotents = _structure_constants(f, basis, coords, weight_projections(f, basis[0].nrows))
-    _check_idempotents(f, structure, unit, idempotents)
+    projections = weight_projections(f, basis[0].nrows)
+    structure, unit, idempotents = _structure_constants(f, basis, _CoordinateReader(f, basis), projections)
+    _check_idempotents(projections)
     gen_rows = _generator_rows(f, structure, unit)
     alg = _SCHUR_CACHE[key] = ExplicitAlgebra(f, basis, structure, unit, gen_rows, idempotents, degree=params.d)
     return alg
@@ -494,14 +498,6 @@ class DomdimResult:
         return f"DomdimResult({self.encode()})"
 
 
-def _coord_products(field, structure, xrows: Matrix, yrows: Matrix) -> Matrix:
-    """All pairwise products x*y of elements given by coordinate rows, x-major."""
-    dim = structure.shape[0]
-    # left multiplication table of each x: row s holds x*b_s
-    lefts = unflatten(xrows @ Matrix.from_dense(field, structure.reshape(dim, dim * dim)), dim, dim)
-    return Matrix.vstack([yrows @ left for left in lefts])
-
-
 def _row_basis(rows: Matrix) -> Matrix:
     R, rank, _ = rows.rref()
     return R.select_rows(range(rank))
@@ -511,17 +507,17 @@ def _row_basis(rows: Matrix) -> Matrix:
 class TensorEnd:
     """End(Q) of the tensor module Q, split into indecomposable summands T(m).
 
-    basis holds the E_l of hom_space(Q, Q) and primitive the coordinate rows
-    of orthogonal primitive idempotents with sum 1, by class in decreasing
-    highest weight: class k has mults[k] summands T(weights[k]) of dimension
-    dims[k].  The rest are endomorphisms of Q as matrices, side by side in
-    hstacks, the form in which relative_domdim acts with them: tops holds
-    the first primitive e_k of each class, complements[k] a row basis of
+    Everything is a matrix on Q.  basis holds the E_l of hom_space(Q, Q) and
+    primitive the orthogonal primitive idempotents with sum 1, by class in
+    decreasing highest weight: class k has mults[k] summands T(weights[k])
+    of dimension dims[k].  The rest are hstacks of endomorphisms side by
+    side, the form in which relative_domdim acts with them: tops holds the
+    first primitive e_k of each class, complements[k] a row basis of
     Q(1 - e_k), radical a basis of J, and corners[k] a basis of e_k End(Q).
     """
 
     basis: list[Matrix]
-    primitive: Matrix
+    primitive: list[Matrix]
     weights: list[int]
     mults: list[int]
     dims: list[int]
@@ -531,50 +527,50 @@ class TensorEnd:
     corners: list[Matrix]
 
 
-def _corner(field, structure, row: Matrix) -> Matrix:
-    """Row basis of the corner e End(Q) e for the idempotent with coordinate row e."""
-    ev = row.dense()[0].astype(np.int64)
-    left = Matrix.from_dense(field, np.einsum("j,jst->st", ev, structure))  # row s: e E_s
-    right = Matrix.from_dense(field, np.einsum("r,trk->tk", ev, structure))  # row t: E_t e
-    return _row_basis(left @ right)
+def _is_local(xs: Matrix, u: Matrix) -> bool:
+    """Whether a corner e End(Q) e is local, given its action on Q e and the top weight line k u of Q e.
 
-
-def _is_local(field, structure, corner: Matrix, u: Matrix, w: Matrix) -> bool:
-    """Whether the corner is local, given the top weight line k u of Q e and w = (u E_l)_l.
-
-    Endomorphisms keep weight spaces, so u x = phi(x) u for x in the corner
-    (certified), and phi is a ring map onto k: the corner is local iff its
-    kernel K is nilpotent.  The powers of K are taken until one is zero or
-    one does not shrink.
+    xs is the hstack of t x t matrices x_l spanning the corner as it acts
+    on Q e = k^t, and u a row of k^t with lead 1.  Endomorphisms keep weight
+    spaces, so u x = phi(x) u for x in the corner (certified), and phi is a
+    ring map onto k: the corner is local iff its kernel K, spanned by the
+    x_l - phi(x_l) 1, is nilpotent.  The corner acts faithfully on Q e, so K
+    is nilpotent iff the chain Q e > Q e K > Q e K^2 > ... reaches 0; it
+    stops as not local at the first step that does not shrink.
     """
-    ux = corner @ w
-    phi = ux.select_columns([u.row(0).index(1)])  # u is in rref: its lead is 1
+    t = u.ncols
+    ux = (u @ xs).reshape(xs.ncols // t, t)  # row l: u x_l
+    phi = ux.select_columns([u.row(0).index(1)])
     if phi @ u != ux:
         raise CertificationError("an endomorphism moves the top weight line of a summand")
-    power = kernel = phi.transpose().kernel_basis_matrix() @ corner
-    while power.nrows:
-        nxt = _row_basis(_coord_products(field, structure, power, kernel))
-        if nxt.nrows == power.nrows:
+    kernel = xs - phi.transpose().kron(Matrix.identity(xs.field, t))
+    # images of Q e = k^t under the K_l: the rows of all space @ K_l
+    space, images = Matrix.identity(xs.field, t), kernel
+    while space.nrows:
+        nxt = _row_basis(images.reshape(images.nrows * images.ncols // t, t))
+        if nxt.nrows == space.nrows:
             return False
-        power = nxt
+        space, images = nxt, nxt @ kernel
     return True
 
 
-def _fitting_split(field, rng, corner: Matrix, row: Matrix, em: Matrix, flat: Matrix, coords) -> list[Matrix]:
-    """Two orthogonal idempotents with sum e, from a random x in a corner that is not local.
+def _fitting_split(rng, em: Matrix, flat: Matrix, gens: list[Matrix]) -> list[Matrix]:
+    """Two orthogonal idempotents with sum e, from a random x = e (sum_l r_l E_l) e in a corner that is not local.
 
-    With lam a root in GF(p) of the characteristic polynomial of x on Q e,
-    Q e = im (x - lam)^N + ker (x - lam)^N for any N >= dim Q e, and the
-    projection onto the image along the kernel is a polynomial in x, so it
-    lies in the corner; its coordinates are read off (certified).  flat is
-    the flattened basis of End(Q).
+    flat is the flattened basis E_l of End(Q).  With lam a root in GF(p) of
+    the characteristic polynomial of x on Q e, Q e = im (x - lam)^N +
+    ker (x - lam)^N for any N >= dim Q e, and the projection f onto the
+    image along the kernel is a polynomial in x, so it lies in the corner.
+    f is certified an endomorphism of Q by commuting with gens, the actions
+    of elements that generate the algebra with 1.
     """
+    field, n = em.field, em.nrows
     p, (u_e, t, piv) = field.p, em.rref()
     u_e = u_e.select_rows(range(t))
     for _ in range(64):
-        x = Matrix.from_dense(field, rng.integers(0, p, size=(1, corner.nrows))) @ corner
+        x = em @ unflatten(Matrix.from_dense(field, rng.integers(0, p, size=(1, flat.nrows))) @ flat, n, n)[0] @ em
         # x on Q e in the basis u_e: a vector of Q e is its entries at the pivots times u_e
-        xe = (u_e @ unflatten(x @ flat, em.nrows, em.nrows)[0]).select_columns(piv)
+        xe = (u_e @ x).select_columns(piv)
         values = np.zeros(p, dtype=np.int64)
         for coef in _kernels.gfp_charpoly(xe.dense().astype(np.int64), p, _inverses(p))[::-1]:
             values = (values * np.arange(p) + coef) % p
@@ -589,11 +585,17 @@ def _fitting_split(field, rng, corner: Matrix, row: Matrix, em: Matrix, flat: Ma
             continue  # lam is the only eigenvalue
         b = Matrix.vstack([img, y.transpose().kernel_basis_matrix()])
         proj = b.solve_many(Matrix.identity(field, t)).select_columns(range(img.nrows)) @ img
-        f = coords(flatten([em.select_columns(piv) @ proj @ u_e]))
-        if f is None:
+        f = em.select_columns(piv) @ proj @ u_e
+        if any(g @ f != f @ g for g in gens):
             raise CertificationError("a Fitting projection is not an endomorphism of Q")
-        return [f, row - f]
+        return [f, em - f]
     raise CertificationError("64 random elements do not split a corner that is not local")
+
+
+def _side_by_side(rows: Matrix, n: int) -> Matrix:
+    """The hstack of the n x n matrices flattened in rows."""
+    mats = rows.dense().reshape(rows.nrows, n, n)
+    return Matrix.from_dense(rows.field, mats.transpose(1, 0, 2).reshape(n, rows.nrows * n))
 
 
 def _tensor_end(q: ExplicitModule) -> TensorEnd:
@@ -615,27 +617,30 @@ def _tensor_end(q: ExplicitModule) -> TensorEnd:
         raise ValueError("relative dominant dimension is taken relative to tensor_module(algebra) only")
     field, dq = alg.field, q.dim
     basis = [h.matrix for h in hom_space(q, q, verify=False)]
-    e, flat, coords = len(basis), flatten(basis), _coordinate_reader(field, basis)
-    c, unit, _ = _structure_constants(field, basis, coords)
-    stack, classes = Matrix.hstack(basis), weight_classes(dq)
+    e, flat, stack = len(basis), flatten(basis), Matrix.hstack(basis)
+    classes, gens = weight_classes(dq), q.generator_actions()
     rng = np.random.default_rng(e)
     found: dict[int, list] = {}
-    todo = [Matrix.from_rows(field, [list(unit)])]
+    todo = [Matrix.identity(field, dq)]
     while todo:
-        row = todo.pop()
-        em = unflatten(row @ flat, dq, dq)[0]
+        em = todo.pop()
         a = next(a for a, idx in enumerate(classes) if not em.select_rows(idx).is_zero())
-        top, corner = _row_basis(em.select_rows(classes[a])), _corner(field, c, row)
-        w = (top.select_rows([0]) @ stack).reshape(e, dq)  # row l: u E_l
-        if top.nrows == 1 and _is_local(field, c, corner, top, w):
-            found.setdefault(a, []).append((row, em, top, w))
-        else:
-            todo.extend(_fitting_split(field, rng, corner, row, em, flat, coords))
+        top = _row_basis(em.select_rows(classes[a]))
+        if top.nrows == 1:
+            # the corner elements x_l = e E_l e on Q e, in the basis u_e of its rref rows: u_e E_l,
+            # then each block times e at the pivots (a vector of Q e is its entries there times u_e)
+            u_e, t, piv = em.rref()
+            left = (u_e.select_rows(range(t)) @ stack).dense().reshape(t, e, dq).transpose(1, 0, 2)
+            xs = (Matrix.from_dense(field, left.reshape(e * t, dq)) @ em.select_columns(piv)).reshape(e, t * t)
+            if _is_local(_side_by_side(xs, t), _row_basis(top.select_columns(piv))):
+                found.setdefault(a, []).append((em, top, (top @ stack).reshape(e, dq)))  # row l: u E_l
+                continue
+        todo.extend(_fitting_split(rng, em, flat, gens))
     order = sorted(found)
     psi = []
     for a in order:
-        for _, _, _, wj in found[a]:
-            for _, ek, uk, _ in found[a]:
+        for _, _, wj in found[a]:
+            for ek, uk, _ in found[a]:
                 wk = wj @ ek
                 s = wk.select_columns([uk.row(0).index(1)])
                 if s @ uk != wk:
@@ -644,20 +649,14 @@ def _tensor_end(q: ExplicitModule) -> TensorEnd:
     psi = Matrix.hstack(psi)
     if psi.rank() < psi.ncols:
         raise CertificationError("the top scalars of End(Q) do not have full rank")
-    primitive = Matrix.vstack([mem[0] for a in order for mem in found[a]])
-    _check_idempotents(field, c, unit, primitive)
-
-    def on_q(rows: Matrix) -> Matrix:  # hstack of the endomorphisms with these coordinate rows
-        mats = (rows @ flat).dense().reshape(rows.nrows, dq, dq)
-        return Matrix.from_dense(field, mats.transpose(1, 0, 2).reshape(dq, rows.nrows * dq))
-
-    tops, weights = [found[a][0][1] for a in order], [dq.bit_length() - 1 - 2 * a for a in order]
-    # block k: the products e_k E_s, which span e_k End(Q)
-    ideals = _coord_products(field, c, Matrix.vstack([found[a][0][0] for a in order]), Matrix.identity(field, e))
-    corners = [on_q(_row_basis(ideals.select_rows(range(k * e, (k + 1) * e)))) for k in range(len(order))]
+    primitive = [mem[0] for a in order for mem in found[a]]
+    _check_idempotents(primitive)
+    tops, weights = [found[a][0][0] for a in order], [dq.bit_length() - 1 - 2 * a for a in order]
+    # the products e_k E_l span e_k End(Q)
+    corners = [_side_by_side(_row_basis(flat_products(t, stack)), dq) for t in tops]
     complements = [_row_basis(Matrix.identity(field, dq) - t) for t in tops]
     mults, dims = [len(found[a]) for a in order], [t.rank() for t in tops]
-    radical = on_q(psi.transpose().kernel_basis_matrix())
+    radical = _side_by_side(psi.transpose().kernel_basis_matrix() @ flat, dq)
     q._end_cache = TensorEnd(basis, primitive, weights, mults, dims, Matrix.hstack(tops), complements, radical, corners)
     return q._end_cache
 

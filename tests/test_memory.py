@@ -1,17 +1,20 @@
-"""Peak memory of the oracle's largest stages at d=5, traced by tracemalloc.
+"""Peak memory of the oracle's largest stages at d=5 and of End(Q) at d=6, traced by tracemalloc.
 
 numpy reports every array buffer to tracemalloc, so these peaks are exact
 and repeatable, unlike process RSS.  Today's peaks (MiB, gf2-u1 / gf5-u2):
 structure constants of S(2, 5) 2.7 / 2.9 and of End(Q) 1.7 / 1.9 (2.0 / 4.0
 and 1.1 / 2.6 when every product was formed on all n^2 entries, one left
 factor at a time; the weight-block products come in chunks of 256 KiB),
+End(Q) at d=6 with its split into primitive idempotents, all matrices on
+Q, 16.8 / 47.6 (45.8 / 103.2 with its dim^3 structure constants),
 the double centralizer report 1.7 / 4.0 (1.7 / 4.4 with its closure check
 on all n^2 entries, 1.9 / 21.3 before the intertwiner systems were streamed
 in row blocks), its double-commutant solve alone 1.6 / 3.4 (1.8 / 20.3),
 the regular dominant dimension with its End(Q) and the split of End(Q)
-into primitive idempotents 2.3 / 5.3 (3.8 / 6.7 with the End(Q)
-multiplication table and unrestricted left-exactness unknowns, 3.8 / 16.2
-unstreamed, 39.0 / 36.6 before minimal approximations).  Building all
+into primitive idempotents 1.6 / 5.4 (2.3 / 5.3 with End(Q)'s structure
+constants, 3.8 / 6.7 with the End(Q) multiplication table and
+unrestricted left-exactness unknowns, 3.8 / 16.2 unstreamed, 39.0 / 36.6
+before minimal approximations).  Building all
 dim^2 products at once, or the intertwiner systems in int64, puts each stage
 over its bound on at least one config (10.1 / 101.6, 26.3 / 101.1 and
 114.8 / 52.3).
@@ -20,7 +23,7 @@ over its bound on at least one config (10.1 / 101.6, 26.3 / 101.1 and
 import pytest
 
 from tlschur.hecke import classical_char2, quantum_ell2
-from tlschur.oracle import _coordinate_reader, _structure_constants
+from tlschur.oracle import _CoordinateReader, _structure_constants, _tensor_end
 from tlschur.oracle import hom_space, regular_module, relative_domdim, schur_algebra, tensor_module
 from tlschur.tensor_action import double_centralizer_report, intertwiner_rows, weight_classes, weight_projections
 from tlschur.tl import catalan
@@ -35,7 +38,7 @@ def test_structure_constants_peak(make, traced_peak_mb):
     projections = weight_projections(alg.field, alg.basis[0].nrows)
     # the coordinate reader is built inside the trace, as schur_algebra builds it
     (c, _, _), peak = traced_peak_mb(
-        lambda: _structure_constants(alg.field, alg.basis, _coordinate_reader(alg.field, alg.basis), projections)
+        lambda: _structure_constants(alg.field, alg.basis, _CoordinateReader(alg.field, alg.basis), projections)
     )
     assert (c == alg.structure).all()
     assert peak <= 16, f"{peak:.1f} MiB"
@@ -48,9 +51,18 @@ def test_end_q_structure_constants_peak(make, traced_peak_mb):
     q = tensor_module(alg)
     basis = [h.matrix for h in hom_space(q, q, verify=False)]
     f = alg.field
-    (c, _, _), peak = traced_peak_mb(lambda: _structure_constants(f, basis, _coordinate_reader(f, basis)))
+    (c, _, _), peak = traced_peak_mb(lambda: _structure_constants(f, basis, _CoordinateReader(f, basis)))
     assert c.shape == (catalan(5),) * 3
     assert peak <= 8, f"{peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+def test_tensor_end_peak(make, traced_peak_mb):
+    # End(Q) at d=6 and its split, held as matrices on Q: no dim^3 structure constants
+    q = tensor_module(schur_algebra(make(6)))
+    end, peak = traced_peak_mb(_tensor_end, q)
+    assert sum(a * t for a, t in zip(end.mults, end.dims)) == q.dim
+    assert peak <= 64, f"{peak:.1f} MiB"
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)

@@ -15,8 +15,8 @@ from tlschur.oracle import (
     ExplicitAlgebra,
     ExplicitModule,
     ModuleMap,
+    _CoordinateReader,
     _check_idempotents,
-    _coordinate_reader,
     _regular_hom_basis,
     _structure_constants,
     _tensor_end,
@@ -152,7 +152,7 @@ def test_structure_constants_match_solve(make, d, solved_structure_constants):
     q = tensor_module(alg)
     end_q = [em.matrix for em in hom_space(q, q, verify=False)]
     for basis, extra in ((alg.basis, weight_projections(alg.field, q.dim)), (end_q, [])):
-        c, unit, rows = _structure_constants(alg.field, basis, _coordinate_reader(alg.field, basis), extra)
+        c, unit, rows = _structure_constants(alg.field, basis, _CoordinateReader(alg.field, basis), extra)
         want_c, want_unit, want_rows = solved_structure_constants(alg.field, basis, extra)
         assert c.dtype == np.int64 and np.array_equal(c, want_c)
         assert unit == want_unit and rows == want_rows
@@ -170,7 +170,7 @@ def test_structure_constants_of_an_ungraded_basis(make, solved_structure_constan
         if g.rank() == dim:
             break
     basis = unflatten(g @ flatten(alg.basis), 8, 8)
-    coords = _coordinate_reader(f, basis)
+    coords = _CoordinateReader(f, basis)
     blocks = coords.blocks.blocks.astype(np.int64)
     assert coords.blocks.live.all() and (blocks.sum(axis=1) @ blocks.sum(axis=2).T).all()
     extra = weight_projections(f, 8)
@@ -180,7 +180,7 @@ def test_structure_constants_of_an_ungraded_basis(make, solved_structure_constan
 
 
 def _structure(f, basis):
-    return _structure_constants(f, basis, _coordinate_reader(f, basis))
+    return _structure_constants(f, basis, _CoordinateReader(f, basis))
 
 
 def _matrix_units(f):
@@ -208,12 +208,12 @@ def test_structure_constant_checks_survive_optimized_mode(run_optimized):
     code = (
         "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix\n"
-        "from tlschur.oracle import _coordinate_reader, _structure_constants\n"
+        "from tlschur.oracle import _CoordinateReader, _structure_constants\n"
         "f = GF(5)\n"
         "e00, e01, e10 = (Matrix.from_rows(f, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]))\n"
         "for basis in ([e01, e10], [e00, e00.scale(2)], [e00]):\n"
         "    try:\n"
-        "        _structure_constants(f, basis, _coordinate_reader(f, basis))\n"
+        "        _structure_constants(f, basis, _CoordinateReader(f, basis))\n"
         "    except RuntimeError as exc:\n"
         "        print(__debug__, type(exc).__name__)\n"
     )
@@ -231,11 +231,13 @@ def test_weight_idempotents(make):
     for a, proj in enumerate(q.element_actions(e)):
         want = [[int(i == j and bin(i).count("1") == a) for j in range(8)] for i in range(8)]
         assert proj == Matrix.from_rows(alg.field, want)
-    mixed = Matrix.vstack([e.select_rows([0]) + e.select_rows([1]), e.select_rows([1, 2, 3])])
+    mats = q.element_actions(e)
+    _check_idempotents(mats)
+    mixed = [mats[0] + mats[1], *mats[1:]]
     with pytest.raises(CertificationError, match="orthogonal"):
-        _check_idempotents(alg.field, alg.structure, alg.unit, mixed)
+        _check_idempotents(mixed)
     with pytest.raises(CertificationError, match="sum to the unit"):
-        _check_idempotents(alg.field, alg.structure, alg.unit, e.select_rows([0, 1, 2]))
+        _check_idempotents(mats[:3])
 
 
 def test_hom_space_checks_its_inputs():
@@ -634,27 +636,58 @@ def test_regular_domdim_large_prime_optimized_mode(p, u, run_optimized):
 
 def test_split_certificate_survives_optimized_mode(run_optimized):
     # the locality test of a corner reads x on the top weight line k u as u x = phi(x) u;
-    # an action that moves the line fails that certificate
+    # an action that moves the line fails that certificate, and a corner that holds a
+    # second idempotent, whose kernel part never shrinks k^2, is not local
     code = (
-        "import numpy as np\n"
         "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix\n"
         "from tlschur.oracle import CertificationError, _is_local\n"
         "f = GF(5)\n"
-        "c = np.ones((1, 1, 1), dtype=np.int64)\n"
-        "one, u = Matrix.identity(f, 1), Matrix.from_rows(f, [[1, 0]])\n"
-        "print(_is_local(f, c, one, u, u))\n"
+        "one, u = Matrix.identity(f, 2), Matrix.from_rows(f, [[1, 0]])\n"
+        "print(_is_local(one, u))\n"
         "try:\n"
-        "    _is_local(f, c, one, u, Matrix.from_rows(f, [[1, 1]]))\n"
+        "    _is_local(Matrix.hstack([one, Matrix.from_rows(f, [[0, 1], [0, 0]])]), u)\n"
         "except CertificationError as exc:\n"
         "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
+        "print(_is_local(Matrix.hstack([one, Matrix.from_rows(f, [[0, 0], [0, 1]])]), u))\n"
     )
     out = run_optimized(code)
-    assert out[:4] == [
+    assert out[:5] == [
         "True",
         "False",
         "raised",
         "an_endomorphism_moves_the_top_weight_line_of_a_summand",
+        "False",
+    ], out[-1]
+
+
+def test_fitting_certificate_survives_optimized_mode(run_optimized):
+    # the Fitting projection of a random element of span{1, diag(1, 2)} is diag(1, 0) or
+    # diag(0, 1): it commutes with diag(1, 2), but not with a generator that swaps the lines
+    code = (
+        "import numpy as np\n"
+        "from tlschur.fields import GF\n"
+        "from tlschur.linalg import Matrix, flatten\n"
+        "from tlschur.oracle import CertificationError, _fitting_split\n"
+        "f = GF(5)\n"
+        "one, diag = Matrix.identity(f, 2), Matrix.from_rows(f, [[1, 0], [0, 2]])\n"
+        "swap = Matrix.from_rows(f, [[0, 1], [1, 0]])\n"
+        "fa, fb = _fitting_split(np.random.default_rng(0), one, flatten([one, diag]), [diag])\n"
+        "print(fa @ fa == fa, fa @ fb == Matrix.zeros(f, 2, 2), fa + fb == one, fa.rank())\n"
+        "try:\n"
+        "    _fitting_split(np.random.default_rng(0), one, flatten([one, diag]), [swap])\n"
+        "except CertificationError as exc:\n"
+        "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
+    )
+    out = run_optimized(code)
+    assert out[:7] == [
+        "True",
+        "True",
+        "True",
+        "1",
+        "False",
+        "raised",
+        "a_Fitting_projection_is_not_an_endomorphism_of_Q",
     ], out[-1]
 
 
@@ -678,25 +711,36 @@ def test_tensor_summands_match_tilting_closed_forms(d):
     assert end.radical.ncols == (catalan(d) - sum(a * a for a in end.mults)) << d
 
 
-# (highest weight, multiplicity, dim) of the summands T(m) of V^(tensor d)
+def gf3_u1(d):
+    # q = 1 in characteristic 3: the symmetric group algebra away from the blessed regime
+    return HeckeParams(d, GF(3), 1)
+
+
+# (highest weight, multiplicity, dim) of the summands T(m) of V^(tensor d), and dim J
 @pytest.mark.parametrize(
-    "make,d,summands",
+    "make,d,summands,radical",
     [
-        pytest.param(quantum_ell2, 2, [(2, 1, 4)], id="gf5-u2-d2"),
-        pytest.param(quantum_ell2, 3, [(3, 1, 4), (1, 2, 2)], id="gf5-u2-d3"),
-        pytest.param(quantum_ell2, 4, [(4, 1, 8), (2, 2, 4)], id="gf5-u2-d4"),
-        pytest.param(quantum_ell2, 5, [(5, 1, 6), (3, 4, 4), (1, 5, 2)], id="gf5-u2-d5"),
-        pytest.param(quantum_ell2, 6, [(6, 1, 12), (4, 4, 8), (2, 5, 4)], id="gf5-u2-d6"),
-        pytest.param(gf7_u3, 2, [(2, 1, 3), (0, 1, 1)], id="gf7-u3-d2"),
-        pytest.param(gf7_u3, 3, [(3, 1, 6), (1, 1, 2)], id="gf7-u3-d3"),
-        pytest.param(gf7_u3, 4, [(4, 1, 6), (2, 3, 3), (0, 1, 1)], id="gf7-u3-d4"),
-        pytest.param(gf7_u3, 5, [(5, 1, 6), (3, 4, 6), (1, 1, 2)], id="gf7-u3-d5"),
-        pytest.param(gf7_u3, 6, [(6, 1, 12), (4, 4, 6), (2, 9, 3), (0, 1, 1)], id="gf7-u3-d6"),
+        pytest.param(quantum_ell2, 2, [(2, 1, 4)], 1, id="gf5-u2-d2"),
+        pytest.param(quantum_ell2, 3, [(3, 1, 4), (1, 2, 2)], 0, id="gf5-u2-d3"),
+        pytest.param(quantum_ell2, 4, [(4, 1, 8), (2, 2, 4)], 9, id="gf5-u2-d4"),
+        pytest.param(quantum_ell2, 5, [(5, 1, 6), (3, 4, 4), (1, 5, 2)], 0, id="gf5-u2-d5"),
+        pytest.param(quantum_ell2, 6, [(6, 1, 12), (4, 4, 8), (2, 5, 4)], 90, id="gf5-u2-d6"),
+        pytest.param(gf7_u3, 2, [(2, 1, 3), (0, 1, 1)], 0, id="gf7-u3-d2"),
+        pytest.param(gf7_u3, 3, [(3, 1, 6), (1, 1, 2)], 3, id="gf7-u3-d3"),
+        pytest.param(gf7_u3, 4, [(4, 1, 6), (2, 3, 3), (0, 1, 1)], 3, id="gf7-u3-d4"),
+        pytest.param(gf7_u3, 5, [(5, 1, 6), (3, 4, 6), (1, 1, 2)], 24, id="gf7-u3-d5"),
+        pytest.param(gf7_u3, 6, [(6, 1, 12), (4, 4, 6), (2, 9, 3), (0, 1, 1)], 33, id="gf7-u3-d6"),
+        pytest.param(gf3_u1, 2, [(2, 1, 3), (0, 1, 1)], 0, id="gf3-u1-d2"),
+        pytest.param(gf3_u1, 3, [(3, 1, 6), (1, 1, 2)], 3, id="gf3-u1-d3"),
+        pytest.param(gf3_u1, 4, [(4, 1, 6), (2, 3, 3), (0, 1, 1)], 3, id="gf3-u1-d4"),
+        pytest.param(gf3_u1, 5, [(5, 1, 6), (3, 4, 6), (1, 1, 2)], 24, id="gf3-u1-d5"),
+        pytest.param(gf3_u1, 6, [(6, 1, 12), (4, 4, 6), (2, 9, 3), (0, 1, 1)], 33, id="gf3-u1-d6"),
     ],
 )
-def test_tensor_summands_pinned(make, d, summands):
+def test_tensor_summands_pinned(make, d, summands, radical):
     end = _tensor_end(tensor_module(schur_algebra(make(d))))
     assert list(zip(end.weights, end.mults, end.dims)) == summands
+    assert end.radical.ncols >> d == radical
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
@@ -705,7 +749,7 @@ def test_primitive_idempotents_split_tensor_space(make):
     q = tensor_module(alg)
     end = _tensor_end(q)
     f = alg.field
-    mats = unflatten(end.primitive @ flatten(end.basis), q.dim, q.dim)
+    mats = end.primitive
     assert len(mats) == sum(end.mults)
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
