@@ -128,12 +128,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return tuple(self.entry(i, j) for j in range(self.ncols))
 
-    def to_rows(self) -> list[tuple]:
-        if self.field.p == 2:
-            dense = self.dense()
-            return [tuple(int(x) for x in dense[i]) for i in range(self.nrows)]
-        return [self.row(i) for i in range(self.nrows)]
-
     # -- structure -----------------------------------------------------------
 
     def transpose(self) -> "Matrix":

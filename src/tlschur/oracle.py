@@ -5,14 +5,13 @@ Hecke generator action on V^(tensor d), with structure constants read off
 the faithful matrices.  Modules are row-vector spaces with one action matrix
 per algebra basis element, composing as act(xy) = act(x) @ act(y).
 
-Structure constants of S(2, d) are computed on the weight blocks of
-V^(tensor d) (tensor_action.WeightBlocks).  Each basis element is nonzero on
-one block (a, b), so b_i b_j is formed only when a column block of b_i is a
-row block of b_j, and every coordinate is read on the entries of the live
-blocks.  The supports are read off the matrices, and a product that reaches
-a block outside them raises, so the skips are certified, not assumed.
-End(Q) has no structure constants: its elements, idempotents and
-certificates are matrices on Q.
+Structure constants of S(2, d) are computed block by block on the weight
+blocks of V^(tensor d) (tensor_action.structure_constants).  Each basis
+element is certified nonzero on one block (a, b), and the basis elements of
+a block reduced, so all products of the elements of (a, b) with those of
+(b, c) are one product, and a coordinate is an entry of block (a, c),
+certified by multiplying back.  End(Q) has no structure constants: its
+elements, idempotents and certificates are matrices on Q.
 
 Intertwiner and hom systems are solved per weight.  The commutant is solved
 one pair of weight spaces of V^(tensor d) at a time (tensor_action).  The
@@ -62,12 +61,12 @@ from .linalg import Matrix, RowSpace, _inverses, flat_products, flatten, kernel_
 from .permutations import symmetric_group
 from .tensor_action import (
     CertificationError,
-    WeightBlocks,
     commutant_basis,
     element_action,
     hecke_action,
     hecke_generator_matrices,
     intertwiner_rows,
+    structure_constants,
     tl_action,
     weight_classes,
     weight_projections,
@@ -108,67 +107,6 @@ class ExplicitAlgebra:
         return Matrix.from_dense(self.field, self.structure[:, j, :])
 
 
-class _CoordinateReader:
-    """coords(x): the coordinates y of the flat matrices x in the basis, or None off its span.
-
-    The span lives on the live weight blocks of the basis (WeightBlocks), so
-    x is read on their columns only: a row that is nonzero off them is not
-    in the span.  Coordinates in a fixed basis are unique, so they are read
-    off, not solved for: with T the flattened basis at the pivot columns of
-    its rref, x = y @ flatten(basis) has y = x[:, pivots] @ T^(-1),
-    certified by multiplying back.  live(x) does the same for rows already
-    on the live columns, in float64 (WeightBlocks.flat), where those
-    products are exact.  A dependent basis raises CertificationError.
-    """
-
-    def __init__(self, field, basis: list[Matrix]):
-        self.blocks = WeightBlocks(basis)
-        flat = Matrix.from_dense(field, self.blocks.flat.astype(np.int64))
-        _, rank, self.pivots = flat.rref()
-        if rank < len(basis):
-            raise CertificationError("the basis matrices are linearly dependent")
-        if len(basis) * (field.p - 1) ** 2 >= 2**53:
-            raise ValueError(f"GF({field.p}) coordinates of length {len(basis)} overflow float64")
-        t_inv = flat.select_columns(self.pivots).solve_many(Matrix.identity(field, len(basis)))
-        self.field, self._t_inv = field, t_inv.dense().astype(np.float64)
-
-    def live(self, x: Matrix) -> Matrix | None:
-        dense, p = x.dense(), self.field.p
-        y = (dense[:, self.pivots] @ self._t_inv).astype(np.int64) % p
-        back = (y @ self.blocks.flat).astype(np.int64)
-        back %= p
-        return Matrix.from_dense(self.field, y) if np.array_equal(back, dense) else None
-
-    def __call__(self, x: Matrix) -> Matrix | None:
-        x = self.blocks.restrict(x)
-        return None if x is None else self.live(x)
-
-
-def _structure_constants(field, basis: list[Matrix], coords: _CoordinateReader, extra: list[Matrix] = ()):
-    """Coordinates of every pairwise product in the basis; error if not closed.
-
-    Only the products of pairs whose weight blocks meet are formed
-    (WeightBlocks.products), on the live columns, and read off there by
-    coords, the basis's _CoordinateReader; every other product is zero.  A
-    product outside the span raises RuntimeError.  Returns the structure
-    constants c with b_i b_j = sum_k c[i,j,k] b_k, the coordinates of the
-    identity, and the coordinate rows of the extra matrices, read off next
-    to the identity (CertificationError if one of them is outside the span).
-    """
-    dim = len(basis)
-    c = np.zeros((dim, dim, dim), dtype=np.int64)
-    for i, j, x in coords.blocks.products():
-        y = None if x is None else coords.live(x)
-        if y is None:
-            raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
-        c[i, j] = y.dense()
-    y = coords(flatten([Matrix.identity(field, basis[0].nrows), *extra]))
-    if y is None:
-        raise CertificationError("the identity or a weight projection is not in the span of the basis")
-    unit = tuple(y.entry(0, k) for k in range(dim))
-    return c, unit, y.select_rows(range(1, 1 + len(extra)))
-
-
 def _check_idempotents(mats: list[Matrix]) -> None:
     """Certify e_a e_b = delta_ab e_a and sum_a e_a = 1 for idempotents given as matrices."""
     f, n = mats[0].field, mats[0].nrows
@@ -192,11 +130,14 @@ def _generator_rows(field, structure, unit: tuple) -> Matrix:
     generic element separates many weight idempotents at once, while echelon
     basis elements do not.  Random sets of increasing size are tried and
     verified by closing the span of 1 under their right multiplications.
+    They start at two elements: one element and 1 generate a commutative
+    algebra, and S(2, d) is not commutative (xi_0 does not commute with a
+    nonzero x in xi_0 A xi_1).
     """
     dim = structure.shape[0]
     mults_flat = Matrix.from_dense(field, structure.transpose(1, 0, 2).reshape(dim, dim * dim))
     rng = random.Random(dim * 7919 + 11)
-    for size in range(1, min(7, dim + 1)):
+    for size in range(2, min(7, dim + 1)):
         for _ in range(8):
             rows = Matrix.from_rows(field, [[field.coerce(rng.randrange(5)) for _ in range(dim)] for _ in range(size)])
             sp = RowSpace(field, dim)
@@ -222,9 +163,8 @@ def schur_algebra(params: HeckeParams, progress=None) -> ExplicitAlgebra:
     if progress:
         progress(f"structure constants on dim {len(basis)}")
     f = params.field
-    projections = weight_projections(f, basis[0].nrows)
-    structure, unit, idempotents = _structure_constants(f, basis, _CoordinateReader(f, basis), projections)
-    _check_idempotents(projections)
+    structure, unit, idempotents = structure_constants(basis)
+    _check_idempotents(weight_projections(f, basis[0].nrows))
     gen_rows = _generator_rows(f, structure, unit)
     alg = _SCHUR_CACHE[key] = ExplicitAlgebra(f, basis, structure, unit, gen_rows, idempotents, degree=params.d)
     return alg
@@ -286,23 +226,6 @@ class ExplicitModule:
         """The generator actions B g C in the weight-adapted basis, and its weight parts."""
         B, C, parts = self.weight_basis()
         return [B @ g @ C for g in self.generator_actions()], parts
-
-    def validate(self, deep: bool = False) -> None:
-        """act(unit) = identity, and action respects the structure constants."""
-        alg = self.algebra
-        f = alg.field
-        if self.element_actions(Matrix.from_rows(f, [list(alg.unit)]))[0] != Matrix.identity(f, self.dim):
-            raise CertificationError("unit does not act as identity")
-        if deep:
-            pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
-        else:
-            rng = random.Random(alg.dim * 31 + 7)
-            k = min(alg.dim * alg.dim, 48)
-            pairs = [(rng.randrange(alg.dim), rng.randrange(alg.dim)) for _ in range(k)]
-        products = Matrix.from_dense(f, np.stack([alg.structure[i, j] for i, j in pairs]))
-        for (i, j), rhs in zip(pairs, self.element_actions(products)):
-            if self.actions[i] @ self.actions[j] != rhs:
-                raise CertificationError(f"structure constants violated at ({i},{j})")
 
 
 @dataclass
@@ -415,20 +338,20 @@ def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModul
     return sub, ModuleMap(sub, parent, U)
 
 
-def _tensor_seed(params: HeckeParams, m: int, antisym_scalar) -> list:
-    """Coordinates of z^(tensor (d-m)/2) tensor e1^m with z = e1 e2 - c e2 e1."""
+def _tensor_seed(params: HeckeParams, m: int) -> list:
+    """Coordinates of z^(tensor (d-m)/2) tensor e1^m with z = e1 e2 - u^(-1) e2 e1."""
     d = params.d
     f = params.field
     lam2 = (d - m) // 2
     vec = [f.zero] * (1 << d)
-    neg_c = f.neg(f.coerce(antisym_scalar))
+    neg_ui = f.neg(params.u_inv)
     for mask in range(1 << lam2):
         bits = []
         coeff = f.one
         for t in range(lam2):
             if (mask >> t) & 1:
                 bits.extend((1, 0))
-                coeff = f.mul(coeff, neg_c)
+                coeff = f.mul(coeff, neg_ui)
             else:
                 bits.extend((0, 1))
         bits.extend([0] * m)
@@ -442,21 +365,20 @@ def _tensor_seed(params: HeckeParams, m: int, antisym_scalar) -> list:
 def standard_module(params: HeckeParams, m: int, algebra: ExplicitAlgebra | None = None) -> ExplicitModule:
     """Weyl module of weight m inside tensor space, validated by its dimension.
 
-    The generating vector uses the q-antisymmetric convention
-    z = e1 e2 - u e2 e1, falling back to u^(-1) if the cyclic closure does
-    not have dimension m + 1; failure of both raises ConstructionError.
+    The generating vector is z^(tensor (d-m)/2) tensor e1^m with the
+    q-antisymmetric z = e1 e2 - u^(-1) e2 e1; a cyclic closure of dimension
+    other than m + 1 raises ConstructionError.
     """
     d = params.d
     if m < 0 or m > d or (d - m) % 2 != 0:
         raise ValueError(f"weight {m} not admissible in degree {d}")
     alg = algebra if algebra is not None else schur_algebra(params)
     parent = tensor_module(alg)
-    for scalar in dict.fromkeys((params.u, params.u_inv)):
-        sub, _ = cyclic_submodule(parent, [_tensor_seed(params, m, scalar)])
-        if sub.dim == m + 1:
-            sub.label = f"Delta({m})"
-            return sub
-    raise ConstructionError(f"standard module of weight {m} has wrong dimension under both antisymmetry conventions")
+    sub, _ = cyclic_submodule(parent, [_tensor_seed(params, m)])
+    if sub.dim != m + 1:
+        raise ConstructionError(f"standard module of weight {m} has dimension {sub.dim}, not {m + 1}")
+    sub.label = f"Delta({m})"
+    return sub
 
 
 @dataclass(frozen=True)

@@ -129,102 +129,82 @@ def weight_projections(field, n: int) -> list[Matrix]:
     return [Matrix.from_dense(field, np.diag(wt == a)) for a in range(wt.max() + 1)]
 
 
-# bytes of the float64 products that WeightBlocks.products holds at a time
-_PRODUCT_BYTES = 256 << 10
-
-
-class WeightBlocks:
-    """The weight blocks where matrices on V^(tensor d) are nonzero, and their pairwise products.
+def structure_constants(basis: list[Matrix]):
+    """Structure constants of a basis of matrices on V^(tensor d) like commutant_basis gives, block by block.
 
     Block (a, b) of an n x n matrix, n = 2^d, holds its entries in rows of
-    weight a and columns of weight b.  blocks[k, a, b] records whether
-    matrix k is nonzero there, read off its entries, so every skip below
-    rests on a computed support.  The live blocks are those where some
-    matrix is nonzero, and columns lists the row-major positions of their
-    entries, block by block: the span of the matrices lives on those
-    columns.  flat holds the flattened matrices on them, in float64, where
-    their products are exact.
+    weight a and columns of weight b, read row-major.  Two properties of
+    the basis are certified (CertificationError otherwise): every matrix is
+    nonzero on exactly one block, and the members of each block are
+    reduced: at the last nonzero entry of each member, its own column, the
+    members' entries form the identity.  So they are independent, and a
+    coordinate is an entry: x on block (a, c) is in their span iff x = y @
+    members with y the entries of x at their own columns, certified by
+    multiplying back; on a block without members x must vanish.  The
+    identity and the weight projections are read first (CertificationError
+    if one is outside the span).  Then for every triple (a, b, c) all members
+    of (a, b) times all members of (b, c) are one float64 product, read on
+    block (a, c) (RuntimeError if one is outside the span).  Products of
+    length n and the multiplications back, of length at most dim, are exact
+    while max(n, dim) (p - 1)^2 < 2^53 (ValueError otherwise).  Returns the structure constants s with b_i b_j =
+    sum_k s[i,j,k] b_k, the coordinates of the identity and the coordinate
+    rows of the weight projections, by increasing weight.
     """
+    f, n, dim = basis[0].field, basis[0].nrows, len(basis)
+    p = f.p
+    if max(n, dim) * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"GF({p}) products of length {max(n, dim)} overflow float64")
+    order = np.argsort(_weights(n), kind="stable")
+    sizes = [len(c) for c in weight_classes(n)]
+    ends = np.cumsum([0] + sizes)
 
-    def __init__(self, mats: list[Matrix]):
-        n, p = mats[0].nrows, mats[0].field.p
-        if n * (p - 1) ** 2 >= 2**53:
-            raise ValueError(f"GF({p}) products of length {n} overflow float64")
-        wt = _weights(n)
-        self.field = mats[0].field
-        self.classes = [np.asarray(c, dtype=np.int64) for c in weight_classes(n)]
-        dense = np.stack([m.dense() for m in mats])
-        onehot = (wt[:, None] == np.arange(len(self.classes))).astype(np.int64)
-        self.blocks = onehot.T @ (dense != 0).astype(np.int64) @ onehot > 0
-        self.live = self.blocks.any(axis=0)
-        self._start, entries = {}, [np.zeros(0, dtype=np.int64)]
-        for a, c in zip(*np.nonzero(self.live)):
-            self._start[a, c] = sum(e.size for e in entries)
-            entries.append((self.classes[a][:, None] * n + self.classes[c]).ravel())
-        self.columns = np.concatenate(entries)
-        self._off = np.ones(n * n, dtype=bool)
-        self._off[self.columns] = False
-        self.flat = dense.reshape(len(mats), -1)[:, self.columns].astype(np.float64)
+    def blocks(mats):  # (a, b, the flattened blocks (a, b) of the matrices), rows and columns in weight order
+        dense = np.stack([m.dense() for m in mats])[:, order][:, :, order]
+        for a in range(len(sizes)):
+            for b in range(len(sizes)):
+                yield a, b, dense[:, ends[a] : ends[a + 1], ends[b] : ends[b + 1]].reshape(len(mats), -1)
 
-    def restrict(self, rows: Matrix) -> Matrix | None:
-        """Flattened matrices read on the live columns, or None if one is nonzero off them."""
-        dense = rows.dense()
-        if dense[:, self._off].any():
-            return None
-        return Matrix.from_dense(self.field, dense[:, self.columns])
+    members = {}  # (a, b) -> (indices, their blocks in float64, own columns)
+    count = np.zeros(dim, dtype=np.int64)
+    for a, b, x in blocks(basis):
+        idx = np.flatnonzero(x.any(axis=1))
+        count[idx] += 1
+        if idx.size:
+            members[a, b] = idx, x[idx].astype(np.float64), x.shape[1] - 1 - np.argmax(x[idx, ::-1] != 0, axis=1)
+    if (count != 1).any():
+        raise CertificationError("a basis matrix is not nonzero on exactly one weight block")
+    if any(not np.array_equal(x[:, own], np.eye(len(own))) for _, x, own in members.values()):
+        raise CertificationError("the basis is not reduced on a weight block, or it is linearly dependent")
 
-    def products(self):
-        """Yield (i, j, x): the flattened products m_i m_j of the pairs that meet, on the live columns.
+    def read(a, c, x):  # coordinates of the rows x of block (a, c) in its members, or None off their span
+        if (a, c) not in members:
+            return None if x.any() else np.zeros((x.shape[0], 0), dtype=np.int64)
+        _, span, own = members[a, c]
+        y = x[:, own]
+        return y if np.array_equal((y @ span).astype(np.int64) % p, x) else None
 
-        Block (a, c) of m_i m_j is the sum over b of m_i[a, b] m_j[b, c], so
-        the product is zero unless a column block of m_i is a row block of
-        m_j: only those pairs are multiplied, in chunks of left factors of
-        at most _PRODUCT_BYTES of products.  Within a chunk, the (a, b)
-        blocks of the left factors with one there, stacked, meet the (b, c)
-        blocks of the right factors with one, side by side, in one float64
-        product, which adds to the columns of block (a, c).  The pairs come
-        as index arrays i, j, and x holds one product per row.  A block
-        outside the live ones that a product reaches must vanish: if one
-        does not, the span is not closed under products and x is None.
-        """
-        p, k = self.field.p, self.blocks.shape[0]
-        size = [c.size for c in self.classes]
-        meet = self.blocks.any(axis=1).astype(np.int64) @ self.blocks.any(axis=2).T.astype(np.int64) > 0
-        # product columns: the live blocks, then the other blocks that
-        # products reach, whose entries must come out zero
-        live = self.live.astype(np.int64)
-        start, nlive = dict(self._start), self.columns.size
-        width = nlive
-        for a, c in zip(*np.nonzero((live @ live > 0) & ~self.live)):
-            start[a, c], width = width, width + size[a] * size[c]
-
-        def block(rows, a, c):  # blocks (a, c) of the matrices with these indices
-            return self.flat[rows, start[a, c] : start[a, c] + size[a] * size[c]].reshape(rows.size, size[a], size[c])
-
-        rights = [[] for _ in size]
-        for b, c in zip(*np.nonzero(self.live)):
-            js = np.flatnonzero(self.blocks[:, b, c])
-            rights[b].append((c, js, block(js, b, c).transpose(1, 0, 2).reshape(size[b], -1)))
-        counts, cap = meet.sum(axis=1), max(1, _PRODUCT_BYTES // (8 * width))
-        lo = 0
-        while lo < k:
-            hi, rows = lo + 1, counts[lo]
-            while hi < k and rows + counts[hi] <= cap:
-                rows, hi = rows + counts[hi], hi + 1
-            ii, jj = np.nonzero(meet[lo:hi])
-            row = np.full((hi - lo, k), -1, dtype=np.int64)
-            row[ii, jj] = np.arange(ii.size)
-            out = np.zeros((ii.size, width))
-            for a, b in zip(*np.nonzero(self.blocks[lo:hi].any(axis=0))):
-                left = lo + np.flatnonzero(self.blocks[lo:hi, a, b])
-                stacked = block(left, a, b).reshape(-1, size[b])
-                for c, js, side in rights[b]:
-                    prod = (stacked @ side).reshape(left.size, size[a], js.size, size[c]).transpose(0, 2, 1, 3)
-                    cols = slice(start[a, c], start[a, c] + size[a] * size[c])
-                    out[row[left - lo][:, js].ravel(), cols] += prod.reshape(left.size * js.size, -1)
-            bad = (out[:, nlive:].astype(np.int64) % p).any()
-            yield ii + lo, jj, None if bad else Matrix.from_dense(self.field, out[:, :nlive].astype(np.int64))
-            lo = hi
+    rows = np.zeros((1 + len(sizes), dim), dtype=np.int64)
+    for a, b, x in blocks([Matrix.identity(f, n), *weight_projections(f, n)]):
+        y = read(a, b, x)
+        if y is None:
+            raise CertificationError("the identity or a weight projection is not in the span of the basis")
+        if y.size:
+            rows[:, members[a, b][0]] = y
+    s = np.zeros((dim, dim, dim), dtype=np.int64)
+    for (a, b), (left, x, _) in members.items():
+        for c in range(len(sizes)):
+            if (b, c) not in members:
+                continue
+            right, z, _ = members[b, c]
+            # the (a, b) blocks of the left members stacked, times the (b, c) blocks of the right ones side by side
+            prod = x.reshape(-1, sizes[b]) @ z.reshape(-1, sizes[b], sizes[c]).transpose(1, 0, 2).reshape(sizes[b], -1)
+            prod = prod.reshape(left.size, sizes[a], right.size, sizes[c]).transpose(0, 2, 1, 3)
+            y = read(a, c, prod.reshape(left.size * right.size, -1).astype(np.int64) % p)
+            if y is None:
+                raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
+            if y.size:
+                s[np.ix_(left, right, members[a, c][0])] = y.reshape(left.size, right.size, -1)
+    return s, tuple(int(v) for v in rows[0]), Matrix.from_dense(f, rows[1:])
 
 
 def _weight_diagonal(n: int) -> np.ndarray:
@@ -395,16 +375,15 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     # are the weight-diagonal entries, and the TL image lives there too
     comm2 = intertwiner_rows(comm, comm, classes, classes, progress=progress)
     equal = tl_dim == comm2.nrows and tl_span.contains(comm2.select_columns(_weight_diagonal(n)))
-    # the span of the commutant lives on the columns of its live weight blocks
-    blocks = WeightBlocks(comm)
-    comm_span = RowSpace(params.field, blocks.columns.size)
-    comm_span.insert(blocks.restrict(flatten(comm)))
-    projections = blocks.restrict(flatten(weight_projections(params.field, n)))
-    if projections is None or not comm_span.contains(projections):
-        raise CertificationError("a weight projection is not in the commutant span")
-    # products of commutant elements stay in the commutant span: only the
-    # pairs whose weight blocks meet are multiplied, the others are zero
-    closed = all(x is not None and comm_span.contains(x) for _, _, x in blocks.products())
+    # the commutant's multiplication table, block by block: a weight projection outside its
+    # span raises, and a product outside it means the commutant is not closed
+    try:
+        structure_constants(comm)
+        closed = True
+    except CertificationError:
+        raise
+    except RuntimeError:
+        closed = False
     return {
         "d": d,
         "field": params.field.name,

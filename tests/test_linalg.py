@@ -14,11 +14,18 @@ def rand_matrix(f, nrows, ncols, rng):
     return Matrix.from_rows(f, [[f.random(rng) for _ in range(ncols)] for _ in range(nrows)])
 
 
+def to_rows(m: Matrix) -> list[tuple]:
+    """The rows of m as tuples of ints, read entry by entry and, the same, off the dense array."""
+    rows = [m.row(i) for i in range(m.nrows)]
+    assert rows == [tuple(int(x) for x in r) for r in m.dense()]
+    return rows
+
+
 @pytest.mark.parametrize("f", FIELDS, ids=IDS)
 def test_round_trip_and_entry(f):
     rng = random.Random(1)
     m = rand_matrix(f, 5, 7, rng)
-    again = Matrix.from_rows(f, m.to_rows())
+    again = Matrix.from_rows(f, to_rows(m))
     assert m == again
     assert m.entry(2, 3) == m.row(2)[3]
     assert m.transpose().transpose() == m

@@ -2,11 +2,12 @@
 
 numpy reports every array buffer to tracemalloc, so these peaks are exact
 and repeatable, unlike process RSS.  Today's peaks (MiB, gf2-u1 / gf5-u2):
-structure constants of S(2, 5) 2.7 / 2.9 and of End(Q) 1.7 / 1.9 (2.0 / 4.0
-and 1.1 / 2.6 when every product was formed on all n^2 entries, one left
-factor at a time; the weight-block products come in chunks of 256 KiB),
-End(Q) at d=6 with its split into primitive idempotents, all matrices on
-Q, 16.8 / 47.6 (45.8 / 103.2 with its dim^3 structure constants),
+structure constants of S(2, 5) 1.4 / 1.4, read block by block (2.7 / 2.9
+through a coordinate reader on the live weight blocks, in chunks of 256 KiB
+of products; 2.0 / 4.0 when every product was formed on all n^2 entries,
+one left factor at a time), End(Q) at d=6 with its split into primitive
+idempotents, all matrices on Q, 16.8 / 47.6 (45.8 / 103.2 with its dim^3
+structure constants),
 the double centralizer report 1.7 / 4.0 (1.7 / 4.4 with its closure check
 on all n^2 entries, 1.9 / 21.3 before the intertwiner systems were streamed
 in row blocks), its double-commutant solve alone 1.6 / 3.4 (1.8 / 20.3),
@@ -23,9 +24,9 @@ over its bound on at least one config (10.1 / 101.6, 26.3 / 101.1 and
 import pytest
 
 from tlschur.hecke import classical_char2, quantum_ell2
-from tlschur.oracle import _CoordinateReader, _structure_constants, _tensor_end
-from tlschur.oracle import hom_space, regular_module, relative_domdim, schur_algebra, tensor_module
-from tlschur.tensor_action import double_centralizer_report, intertwiner_rows, weight_classes, weight_projections
+from tlschur.oracle import _tensor_end
+from tlschur.oracle import regular_module, relative_domdim, schur_algebra, tensor_module
+from tlschur.tensor_action import double_centralizer_report, intertwiner_rows, structure_constants, weight_classes
 from tlschur.tl import catalan
 
 CONFIGS = [classical_char2, quantum_ell2]
@@ -35,25 +36,9 @@ IDS = ["gf2-u1", "gf5-u2"]
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 def test_structure_constants_peak(make, traced_peak_mb):
     alg = schur_algebra(make(5))
-    projections = weight_projections(alg.field, alg.basis[0].nrows)
-    # the coordinate reader is built inside the trace, as schur_algebra builds it
-    (c, _, _), peak = traced_peak_mb(
-        lambda: _structure_constants(alg.field, alg.basis, _CoordinateReader(alg.field, alg.basis), projections)
-    )
+    (c, _, _), peak = traced_peak_mb(structure_constants, alg.basis)
     assert (c == alg.structure).all()
     assert peak <= 16, f"{peak:.1f} MiB"
-
-
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-def test_end_q_structure_constants_peak(make, traced_peak_mb):
-    # End(Q) is block diagonal: only its weight-diagonal entries are formed and read
-    alg = schur_algebra(make(5))
-    q = tensor_module(alg)
-    basis = [h.matrix for h in hom_space(q, q, verify=False)]
-    f = alg.field
-    (c, _, _), peak = traced_peak_mb(lambda: _structure_constants(f, basis, _CoordinateReader(f, basis)))
-    assert c.shape == (catalan(5),) * 3
-    assert peak <= 8, f"{peak:.1f} MiB"
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)

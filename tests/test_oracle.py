@@ -15,10 +15,8 @@ from tlschur.oracle import (
     ExplicitAlgebra,
     ExplicitModule,
     ModuleMap,
-    _CoordinateReader,
     _check_idempotents,
     _regular_hom_basis,
-    _structure_constants,
     _tensor_end,
     _top_lifts,
     cyclic_submodule,
@@ -30,7 +28,7 @@ from tlschur.oracle import (
     standard_module,
     tensor_module,
 )
-from tlschur.tensor_action import double_centralizer_report, weight_projections
+from tlschur.tensor_action import double_centralizer_report, structure_constants, weight_projections
 from tlschur.tl import catalan
 from tlschur.weights import tilting_delta_mults
 
@@ -58,6 +56,23 @@ def _change_basis(mod: ExplicitModule, seed: int) -> ExplicitModule:
             return ExplicitModule(mod.algebra, [g @ a @ g_inv for a in mod.actions], label=f"g({mod.label})")
 
 
+def validate_module(mod: ExplicitModule, deep: bool = False) -> None:
+    """The unit acts as the identity, and the actions respect the structure constants.
+
+    deep checks every pair of basis elements, otherwise 48 seeded random pairs.
+    """
+    alg, f = mod.algebra, mod.algebra.field
+    assert mod.element_actions(Matrix.from_rows(f, [list(alg.unit)]))[0] == Matrix.identity(f, mod.dim), "unit"
+    if deep:
+        pairs = [(i, j) for i in range(alg.dim) for j in range(alg.dim)]
+    else:
+        rng = random.Random(alg.dim * 31 + 7)
+        pairs = [(rng.randrange(alg.dim), rng.randrange(alg.dim)) for _ in range(min(alg.dim * alg.dim, 48))]
+    products = Matrix.from_dense(f, np.stack([alg.structure[i, j] for i, j in pairs]))
+    for (i, j), rhs in zip(pairs, mod.element_actions(products)):
+        assert mod.actions[i] @ mod.actions[j] == rhs, f"structure constants violated at ({i},{j})"
+
+
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 @pytest.mark.parametrize("d", [2, 3])
 def test_schur_algebra_dimension_and_modules(make, d):
@@ -67,8 +82,8 @@ def test_schur_algebra_dimension_and_modules(make, d):
     q = tensor_module(alg)
     reg = regular_module(alg)
     assert q.dim == 1 << d and reg.dim == alg.dim
-    q.validate(deep=True)
-    reg.validate(deep=True)
+    validate_module(q, deep=True)
+    validate_module(reg, deep=True)
     assert reg.is_regular and not q.is_regular
 
 
@@ -76,7 +91,7 @@ def test_schur_algebra_semisimple_gf7():
     # GF(7) with u = 3: q = 4 has quantum characteristic 3, semisimple at d = 2
     alg = schur_algebra(HeckeParams(2, GF(7), 3))
     assert alg.dim == 10
-    regular_module(alg).validate(deep=True)
+    validate_module(regular_module(alg), deep=True)
 
 
 def test_oracle_rejects_non_prime_field():
@@ -146,22 +161,21 @@ def test_hom_space_matches_dense(make, d, dense_intertwiners):
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_structure_constants_match_solve(make, d, solved_structure_constants):
-    # S(2, d) with its weight projections, then End(Q) on its own: both bases
-    # are weight graded, so most pairs are skipped and only live blocks are read
+    # S(2, d) with its weight projections: every product of two basis elements is
+    # formed on weight blocks and read off at the own columns of its block
     alg = schur_algebra(make(d))
-    q = tensor_module(alg)
-    end_q = [em.matrix for em in hom_space(q, q, verify=False)]
-    for basis, extra in ((alg.basis, weight_projections(alg.field, q.dim)), (end_q, [])):
-        c, unit, rows = _structure_constants(alg.field, basis, _CoordinateReader(alg.field, basis), extra)
-        want_c, want_unit, want_rows = solved_structure_constants(alg.field, basis, extra)
-        assert c.dtype == np.int64 and np.array_equal(c, want_c)
-        assert unit == want_unit and rows == want_rows
+    extra = weight_projections(alg.field, alg.basis[0].nrows)
+    c, unit, rows = structure_constants(alg.basis)
+    want_c, want_unit, want_rows = solved_structure_constants(alg.field, alg.basis, extra)
+    assert c.dtype == np.int64 and np.array_equal(c, want_c)
+    assert unit == want_unit and rows == want_rows
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
 def test_structure_constants_of_an_ungraded_basis(make, solved_structure_constants):
-    # a random invertible recombination of the S(2, 3) basis spreads every element
-    # over many weight blocks, so every pair meets and every column is live
+    # a random invertible recombination of the S(2, 3) basis spreads every element over
+    # many weight blocks: the algebra is the same, but the basis is not one that
+    # commutant_basis gives, and the block-by-block read rejects it
     alg = schur_algebra(make(3))
     f, dim = alg.field, alg.dim
     rng = random.Random(dim)
@@ -170,55 +184,86 @@ def test_structure_constants_of_an_ungraded_basis(make, solved_structure_constan
         if g.rank() == dim:
             break
     basis = unflatten(g @ flatten(alg.basis), 8, 8)
-    coords = _CoordinateReader(f, basis)
-    blocks = coords.blocks.blocks.astype(np.int64)
-    assert coords.blocks.live.all() and (blocks.sum(axis=1) @ blocks.sum(axis=2).T).all()
     extra = weight_projections(f, 8)
-    c, unit, rows = _structure_constants(f, basis, coords, extra)
-    want_c, want_unit, want_rows = solved_structure_constants(f, basis, extra)
-    assert np.array_equal(c, want_c) and unit == want_unit and rows == want_rows
+    assert solved_structure_constants(f, basis, extra) is not None
+    with pytest.raises(CertificationError, match="exactly one weight block"):
+        structure_constants(basis)
 
 
-def _structure(f, basis):
-    return _structure_constants(f, basis, _CoordinateReader(f, basis))
+def _units(f, *entries):
+    """The 4 x 4 matrices on V^(tensor 2) with ones at the given positions, one per list of positions.
 
-
-def _matrix_units(f):
-    e00, e01, e10 = ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]])
-    return [Matrix.from_rows(f, m) for m in (e00, e01, e10)]
+    The basis words 11, 12, 21, 22 have weights 0, 1, 1, 2, so entries (1, 1),
+    (1, 2), (2, 1) and (2, 2) make up the one weight block (1, 1) of size 2 x 2.
+    """
+    out = []
+    for ones in entries:
+        rows = [[0] * 4 for _ in range(4)]
+        for i, j in ones:
+            rows[i][j] = 1
+        out.append(Matrix.from_rows(f, rows))
+    return out
 
 
 @pytest.mark.parametrize("f", [GF(2), GF(5)], ids=["GF(2)", "GF(5)"])
 def test_structure_constants_reject_bad_bases(f, solved_structure_constants):
-    e00, e01, e10 = _matrix_units(f)
-    # E_01 E_10 = E_00 leaves span{E_01, E_10}
+    e00, e33, e11_22, e12, e21, e11, e00_33 = _units(
+        f, [(0, 0)], [(3, 3)], [(1, 1), (2, 2)], [(1, 2)], [(2, 1)], [(1, 1)], [(0, 0), (3, 3)]
+    )
+    # the span holds the identity, but E_12 E_21 = E_11 leaves it
+    basis = [e00, e33, e11_22, e12, e21]
     with pytest.raises(RuntimeError, match="not closed") as exc:
-        _structure(f, [e01, e10])
+        structure_constants(basis)
     assert exc.type is RuntimeError
-    assert solved_structure_constants(f, [e01, e10]) is None
+    assert solved_structure_constants(f, basis, weight_projections(f, 4)) is None
     with pytest.raises(CertificationError, match="dependent"):
-        _structure(f, [e00, e00 + e00 + e00])
+        structure_constants([e00, e00 + e00 + e00])
     # span{E_00} is closed but holds no identity
-    with pytest.raises(CertificationError, match="identity"):
-        _structure(f, [e00])
-    assert solved_structure_constants(f, [e00]) is None
+    with pytest.raises(CertificationError, match="identity or a weight projection"):
+        structure_constants([e00])
+    assert solved_structure_constants(f, [e00], weight_projections(f, 4)) is None
+    # closed spans that hold the identity, in bases of the wrong form: E_11 + E_22 is 1 at
+    # the own column (1, 1) of E_11, and E_00 + E_33 is nonzero on two weight blocks
+    for bad, match in (([e00, e33, e11_22, e11], "not reduced"), ([e00_33, e00, e11_22], "exactly one weight block")):
+        assert solved_structure_constants(f, bad, weight_projections(f, 4)) is not None
+        with pytest.raises(CertificationError, match=match):
+            structure_constants(bad)
+
+
+def test_structure_constants_reject_float64_overflow():
+    # 2 (p - 1)^2 < 2^53 <= 4 (p - 1)^2: products of length 2 are exact in float64, of length 4 not
+    f = GF(50000017)
+    e00, e11 = (Matrix.from_rows(f, m) for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]]))
+    c, unit, _ = structure_constants([e00, e11])
+    assert unit == (1, 1) and c[0, 0, 0] == c[1, 1, 1] == 1
+    with pytest.raises(ValueError, match="overflow float64"):
+        structure_constants(_units(f, [(0, 0)], [(3, 3)], [(1, 1), (2, 2)]))
 
 
 def test_structure_constant_checks_survive_optimized_mode(run_optimized):
     code = (
         "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix\n"
-        "from tlschur.oracle import _CoordinateReader, _structure_constants\n"
+        "from tlschur.tensor_action import structure_constants\n"
         "f = GF(5)\n"
-        "e00, e01, e10 = (Matrix.from_rows(f, m) for m in ([[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]))\n"
-        "for basis in ([e01, e10], [e00, e00.scale(2)], [e00]):\n"
+        "def e(*ones):\n"
+        "    rows = [[0] * 4 for _ in range(4)]\n"
+        "    for i, j in ones:\n"
+        "        rows[i][j] = 1\n"
+        "    return Matrix.from_rows(f, rows)\n"
+        "diag = [e((0, 0)), e((3, 3)), e((1, 1), (2, 2))]\n"
+        "bases = (diag + [e((1, 2)), e((2, 1))], [e((0, 0)), e((0, 0)).scale(2)], [e((0, 0))],\n"
+        "         diag + [e((1, 1))], [e((0, 0), (3, 3)), e((0, 0)), e((1, 1), (2, 2))])\n"
+        "for basis in bases:\n"
         "    try:\n"
-        "        _structure_constants(f, basis, _CoordinateReader(f, basis))\n"
+        "        structure_constants(basis)\n"
         "    except RuntimeError as exc:\n"
-        "        print(__debug__, type(exc).__name__)\n"
+        "        print(__debug__, type(exc).__name__, str(exc).split()[-1])\n"
     )
     out = run_optimized(code)
-    assert out[:6] == ["False", "RuntimeError", "False", "CertificationError", "False", "CertificationError"], out[-1]
+    want = ["RuntimeError closed", "CertificationError dependent", "CertificationError basis"]
+    want += ["CertificationError dependent", "CertificationError block"]
+    assert out[:15] == " ".join(f"False {w}" for w in want).split(), out[-1]
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
@@ -288,7 +333,7 @@ def test_cyclic_submodule_closure(make):
     assert 1 <= sub.dim <= q.dim
     incl.check()
     assert incl.matrix.rank() == sub.dim
-    sub.validate()
+    validate_module(sub)
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
@@ -299,7 +344,7 @@ def test_standard_module_dimensions(make, d):
     for m in range(d % 2, d + 1, 2):
         delta = standard_module(params, m, algebra=alg)
         assert delta.dim == m + 1
-        delta.validate()
+        validate_module(delta)
     with pytest.raises(ValueError):
         standard_module(params, d + 1, algebra=alg)
 
@@ -430,7 +475,7 @@ def test_coresolution_cokernels_are_modules(make, dims, monkeypatch):
     assert relative_domdim(reg, q, progress=lines.append).matches(4)
     assert [mod.dim for mod in built] == dims
     for mod in built:
-        mod.validate(deep=True)
+        validate_module(mod, deep=True)
     # the left-exactness hom space of each cokernel has the dim the direct solver gives
     hom_dims = [int(line.split("hom dim ")[1].split(",")[0]) for line in lines[1:]]
     assert [len(hom_space(mod, q)) for mod in built] == hom_dims

@@ -11,7 +11,7 @@ import pytest
 from tlschur.fields import GF
 from tlschur.hecke import HeckeElement, HeckeParams, classical_char2, kernel_generator, quantum_ell2
 import tlschur
-from tlschur import tensor_action
+from tlschur import linalg, tensor_action
 from tlschur.linalg import Matrix, RowSpace, flatten, unflatten
 from tlschur.oracle import schur_algebra, tensor_module
 from tlschur.permutations import symmetric_group
@@ -151,7 +151,9 @@ def test_double_commutant_matches_dense(make, d, dense_intertwiners):
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
 def test_streamed_kernel_matches_one_elimination(make, monkeypatch):
-    # the d=5 double-commutant and End(Q) systems exceed one block, so they are really split
+    # the d=5 double-commutant and End(Q) systems exceed a 64 KiB block, so they are really
+    # split (the End(Q) system fits the default block when the algebra has two generators)
+    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 64 << 10)
     params = make(5)
     f, n = params.field, 32
     comm = commutant_basis(hecke_generator_matrices(params))
@@ -227,10 +229,31 @@ def test_weight_check_survives_optimized_mode():
 
 
 def test_report_rejects_projection_outside_commutant(monkeypatch):
+    # span{E_00} is closed, but holds neither the identity nor a weight projection
     p = classical_char2(3)
-    monkeypatch.setattr(tensor_action, "commutant_basis", lambda gens, progress=None: [Matrix.identity(p.field, 8)])
+    e00 = Matrix.from_dense(p.field, np.eye(8, dtype=np.int64) * (np.arange(8) == 0))
+    monkeypatch.setattr(tensor_action, "commutant_basis", lambda gens, progress=None: [e00])
     with pytest.raises(CertificationError, match="weight projection"):
         double_centralizer_report(p)
+    # the identity is closed and holds every weight projection, but it is nonzero on four weight blocks
+    monkeypatch.setattr(tensor_action, "commutant_basis", lambda gens, progress=None: [Matrix.identity(p.field, 8)])
+    with pytest.raises(CertificationError, match="exactly one weight block"):
+        double_centralizer_report(p)
+
+
+def test_report_flags_a_commutant_not_closed(monkeypatch):
+    # on V^(tensor 2) the words 12 and 21 have weight 1: span{E_00, E_33, E_11 + E_22, E_12, E_21}
+    # holds the identity and the weight projections, but E_12 E_21 = E_11 leaves it
+    p = classical_char2(2)
+    units = [[(0, 0)], [(3, 3)], [(1, 1), (2, 2)], [(1, 2)], [(2, 1)]]
+    fake = []
+    for ones in units:
+        m = np.zeros((4, 4), dtype=np.int64)
+        m[tuple(zip(*ones))] = 1
+        fake.append(Matrix.from_dense(p.field, m))
+    monkeypatch.setattr(tensor_action, "commutant_basis", lambda gens, progress=None: fake)
+    rep = double_centralizer_report(p)
+    assert rep["commutant_dim"] == 5 and not rep["commutant_closed_under_product"]
 
 
 def _check_closed_span(gens, span):
