@@ -1,9 +1,9 @@
 """Benchmark the elimination kernels.
 
 Times gf2_rref, gf2_matmul, gfp_rref and gfp_charpoly on random inputs of
-the requested sizes and prints one best-of time per (kernel, size).  Two
-fixed cases follow, both gfp_rref on d=5 End(Q) intertwiner systems over
-GF(5), sparse systems whose fill-in random dense squares do not show:
+the requested sizes and prints one best-of time per (kernel, size).  Fixed
+cases follow.  The first two are gfp_rref on d=5 End(Q) intertwiner systems
+over GF(5), sparse systems whose fill-in random dense squares do not show:
 
 * the dense 2048x1024 system a (x) I - I (x) a^T on all 32^2 unknowns.  The
   oracle no longer solves it (hom_space solves per weight); it stays as an
@@ -12,6 +12,11 @@ GF(5), sparse systems whose fill-in random dense squares do not show:
   C(10, 5) = 252 weight-diagonal entries are unknowns.  It is timed twice:
   one gfp_rref of the whole system, and the streamed elimination that
   intertwiner_rows runs, RowSpace.from_dense on the narrow int8 array.
+
+The last ones time the layer above the kernels, the build of intertwiner
+systems by tensor_action.intertwiner_system, for both blessed configs at
+d=5: the double-commutant system (2324x252, one call on the six weight
+classes) and the 36 commutant systems, one per pair of weight spaces.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 256,512,1024] [--p 5] [--repeats 5]
@@ -26,7 +31,7 @@ from tlschur import BLESSED_CONFIGS, schur_algebra, tensor_module
 from tlschur import _kernels as K
 from tlschur.fields import GF
 from tlschur.linalg import Matrix, RowSpace
-from tlschur.tensor_action import intertwiner_system
+from tlschur.tensor_action import hecke_generator_matrices, intertwiner_system, weight_classes
 
 
 def bench_case(label: str, make_args, fn, repeats: int) -> tuple[str, float]:
@@ -58,6 +63,24 @@ def graded_endq_system() -> np.ndarray:
     acts, parts = tensor_module(schur_algebra(BLESSED_CONFIGS["gf5-u2"](5))).graded_generator_actions()
     system, _ = intertwiner_system(acts, acts, parts, parts)
     return system
+
+
+def builder_inputs(config: str) -> dict[str, list[tuple]]:
+    """intertwiner_system arguments of the d=5 double commutant and of the 36 commutant weight pairs."""
+    params = BLESSED_CONFIGS[config](5)
+    classes = weight_classes(32)
+    comm = schur_algebra(params).basis
+    gens = hecke_generator_matrices(params)
+    restricted = [[g.select_rows(c).select_columns(c) for g in gens] for c in classes]
+    return {
+        "double commutant d=5": [(comm, comm, classes, classes)],
+        "36 commutant weight pairs d=5": [(ga, gb) for ga in restricted for gb in restricted],
+    }
+
+
+def build_all(calls: list[tuple]) -> None:
+    for args in calls:
+        intertwiner_system(*args)
 
 
 def main():
@@ -109,6 +132,10 @@ def main():
         )
     label = f"RowSpace.from_dense p=5 graded End(Q) d=5 {graded.shape[0]}x{graded.shape[1]}"
     rows.append(bench_case(label, lambda: (GF(5), graded), RowSpace.from_dense, args.repeats))
+
+    for config in BLESSED_CONFIGS:
+        for label, calls in builder_inputs(config).items():
+            rows.append(bench_case(f"intertwiner_system {config} {label}", lambda: (calls,), build_all, args.repeats))
 
     width = max(len(case) for case, _ in rows)
     print(f"{'case':<{width}}  {'time (ms)':>12}")

@@ -139,7 +139,7 @@ def _generator_rows(field, structure, unit: tuple) -> Matrix:
     rng = random.Random(dim * 7919 + 11)
     for size in range(2, min(7, dim + 1)):
         for _ in range(8):
-            rows = Matrix.from_rows(field, [[field.coerce(rng.randrange(5)) for _ in range(dim)] for _ in range(size)])
+            rows = Matrix.from_rows(field, [[rng.randrange(field.p) for _ in range(dim)] for _ in range(size)])
             sp = RowSpace(field, dim)
             sp.insert(Matrix.from_rows(field, [list(unit)]))
             sp.close(unflatten(rows @ mults_flat, dim, dim))

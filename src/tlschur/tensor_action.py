@@ -226,50 +226,64 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
 
     Uses the row-major vectorization: vec(a X - X b) = (a kron I - I kron
     b^T) vec(X).  With parts given, X is block diagonal: its k-th block has
-    rows row_parts[k] and columns col_parts[k] (each part list must
-    partition its side), and only those entries are unknowns.  Output block
-    (k, l) of a X - X b is a_kl X_l - X_k b_kl; blocks where both a_kl and
-    b_kl vanish give no equation.  Each system entry is one a_kl term minus
-    one b_kl term, so it lies in [-(p-1), p-1]: the dense array is built in
-    the narrowest signed type that holds that range (int8 up to p = 127,
-    int16 up to 32749), never int64, and returned as it is: entries are
-    not reduced mod p.  Returns (system, coords): coords lists the row-major
-    positions of the unknowns in increasing order, one system column each;
-    system is None when no equation remains.
+    rows row_parts[k] and columns col_parts[k], and only those entries are
+    unknowns.  Output block (k, l) of a X - X b is a_kl X_l - X_k b_kl.
+    Each side is stacked once in part order, so a_kl and b_kl are slices;
+    one support test keeps the blocks with rows where either is nonzero,
+    by pair, then k, then l.  a_kl kron I and I kron b_kl^T are never
+    formed: the entries of a_kl and b_kl are placed at their equations and
+    unknowns through broadcast indices.  An entry is one a_kl term minus
+    one b_kl term, in [-(p-1), p-1]: the stacks and the system are in the
+    narrowest signed type that holds it (int8 up to p = 127, int16 up to
+    32749), and entries are not reduced mod p.
+    Returns (system, coords): coords lists the row-major positions of the
+    unknowns in increasing order, one system column each; system is None
+    when no equation remains.  Raises ValueError unless left and right are
+    equally long and not empty, and the row and column parts are both
+    given or both omitted, equally many, and partition their sides.
     """
+    if not left or len(left) != len(right):
+        raise ValueError(f"need as many right matrices as left ones, at least one; got {len(left)} and {len(right)}")
     f = left[0].field
     m, n = left[0].nrows, right[0].nrows
-    if row_parts is None:
+    if row_parts is None and col_parts is None:
         row_parts, col_parts = [range(m)], [range(n)]
-    rp = [np.asarray(list(r), dtype=np.int64) for r in row_parts]
-    cp = [np.asarray(list(c), dtype=np.int64) for c in col_parts]
-    flat = [(r[:, None] * n + c[None, :]).ravel() for r, c in zip(rp, cp)]
-    coords = np.sort(np.concatenate(flat))
-    pos = np.full(m * n, -1, dtype=np.int64)
-    pos[coords] = np.arange(coords.size)
-    unknowns = [pos[x] for x in flat]
-    # the equation blocks that remain, with their first row in the system
+    if row_parts is None or col_parts is None or len(row_parts) != len(col_parts):
+        raise ValueError("need as many row parts as column parts, or neither")
+    rsz, csz = (np.array([len(x) for x in parts], dtype=np.int64) for parts in (row_parts, col_parts))
+    ro, co = (np.array([i for x in parts for i in x], dtype=np.int64) for parts in (row_parts, col_parts))
+    if not (np.array_equal(np.sort(ro), np.arange(m)) and np.array_equal(np.sort(co), np.arange(n))):
+        raise ValueError(f"the row parts must partition range({m}) and the column parts range({n})")
+    r0, c0 = np.cumsum(rsz) - rsz, np.cumsum(csz) - csz
+    rs, cs = [slice(s, s + z) for s, z in zip(r0, rsz)], [slice(s, s + z) for s, z in zip(c0, csz)]
+    # the unknowns of each part, its rows times its columns, and their system columns
+    flat = [ro[r, None] * n + co[c] for r, c in zip(rs, cs)]
+    coords = np.sort(np.concatenate([x.ravel() for x in flat]))
+    unknowns = [np.searchsorted(coords, x) for x in flat]
     dt = np.min_scalar_type(-(f.p - 1))
-    blocks = []
-    nrows = 0
-    for a, b in zip(left, right):
-        ad = a.dense().astype(dt)
-        bd = b.dense().astype(dt)
-        for k in range(len(rp)):
-            for l in range(len(rp)):
-                akl = ad[np.ix_(rp[k], rp[l])]
-                bkl = bd[np.ix_(cp[k], cp[l])]
-                if not rp[k].size * cp[l].size or not (akl.any() or bkl.any()):
-                    continue
-                blocks.append((k, l, akl, bkl, nrows))
-                nrows += rp[k].size * cp[l].size
-    if not blocks:
+
+    def stack(mats, order, starts, sizes):  # the matrices in part order, and where their blocks (k, l) are nonzero
+        x = np.stack([g.dense().astype(dt) for g in mats])[:, order[:, None], order]
+        full = np.flatnonzero(sizes)
+        live = np.zeros((len(mats), sizes.size, sizes.size), dtype=bool)
+        nonzero = np.logical_or.reduceat(x != 0, starts[full], axis=1)
+        live[:, full[:, None], full] = np.logical_or.reduceat(nonzero, starts[full], axis=2)
+        return x, live
+
+    a, a_live = stack(left, ro, r0, rsz)
+    b, b_live = stack(right, co, c0, csz)
+    height = rsz[:, None] * csz[None, :]
+    blocks = np.nonzero((a_live | b_live) & (height > 0))
+    if not blocks[0].size:
         return None, coords
-    system = np.zeros((nrows, coords.size), dtype=dt)
-    for k, l, akl, bkl, top in blocks:
-        eq = slice(top, top + rp[k].size * cp[l].size)
-        system[eq, unknowns[l]] += np.kron(akl, np.eye(cp[l].size, dtype=dt))
-        system[eq, unknowns[k]] -= np.kron(np.eye(rp[k].size, dtype=dt), bkl.T)
+    ends = np.cumsum(height[blocks[1:]])
+    system = np.zeros((ends[-1], coords.size), dtype=dt)
+    for g, k, l, end in zip(*blocks, ends):
+        eq = np.arange(end - height[k, l], end).reshape(rsz[k], csz[l], 1)  # equation (i, j) of the block
+        # a_kl kron I: a_kl[i, i'] at unknown (i', j) of X_l; then minus I kron b_kl^T: b_kl[j', j] at
+        # unknown (i, j') of X_k, which for k == l meets the first at i' = i, j' = j
+        system[eq, unknowns[l].T] = a[g, rs[k], rs[l]][:, None, :]
+        system[eq, unknowns[k][:, None, :]] -= b[g, cs[k], cs[l]].T
     return system, coords
 
 

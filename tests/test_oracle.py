@@ -41,6 +41,11 @@ def gf7_u3(d):
     return HeckeParams(d, GF(7), 3)
 
 
+def gf3_u1(d):
+    # q = 1 in characteristic 3: the symmetric group algebra away from the blessed regime
+    return HeckeParams(d, GF(3), 1)
+
+
 GRADED = CONFIGS + [gf7_u3]
 GRADED_IDS = IDS + ["gf7-u3"]
 
@@ -109,8 +114,16 @@ def test_oracle_rejects_non_prime_field():
         double_centralizer_report(HeckeParams(2, QQ, 1))
 
 
-@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-def test_generator_rows_generate(make):
+@pytest.mark.parametrize(
+    "make, counts",
+    [
+        pytest.param(classical_char2, [2, 2, 3, 2, 2], id="gf2-u1"),
+        pytest.param(quantum_ell2, [2, 2, 2, 2, 2], id="gf5-u2"),
+        pytest.param(gf3_u1, [2, 2, 2, 2, 2], id="gf3-u1"),
+        pytest.param(gf7_u3, [2, 2, 2, 2, 2], id="gf7-u3"),
+    ],
+)
+def test_generator_rows_generate(make, counts):
     alg = schur_algebra(make(3))
     # closure of the stored generator rows under right multiplication is everything
     sp = RowSpace(alg.field, alg.dim)
@@ -125,6 +138,9 @@ def test_generator_rows_generate(make):
                 grew = True
     assert sp.dim == alg.dim
     assert alg.gen_rows.nrows < alg.dim
+    # generator counts at d = 2..6; entries are uniform in the field (a draw from range(5)
+    # reduced mod 2 is 1 with probability 2/5, and over GF(2) it took 3, 2, 3, 2, 3)
+    assert [schur_algebra(make(d)).gen_rows.nrows for d in range(2, 7)] == counts
 
 
 @pytest.mark.parametrize(
@@ -754,11 +770,6 @@ def test_tensor_summands_match_tilting_closed_forms(d):
     assert end.dims == [sum(n + 1 for n in tilting_delta_mults(m)) for m in end.weights]
     assert sum(a * t for a, t in zip(end.mults, end.dims)) == 1 << d
     assert end.radical.ncols == (catalan(d) - sum(a * a for a in end.mults)) << d
-
-
-def gf3_u1(d):
-    # q = 1 in characteristic 3: the symmetric group algebra away from the blessed regime
-    return HeckeParams(d, GF(3), 1)
 
 
 # (highest weight, multiplicity, dim) of the summands T(m) of V^(tensor d), and dim J

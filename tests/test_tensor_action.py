@@ -193,6 +193,126 @@ def test_intertwiner_system_matches_int64_build(p, wide_intertwiner_system):
         assert system.min() == -(p - 1) and system.max() == p - 1
 
 
+def _rand(f, n, rng, pick):
+    return Matrix.from_rows(f, [[rng.choice(pick) for _ in range(n)] for _ in range(n)])
+
+
+def _check_against_wide(left, right, rows, cols, wide_intertwiner_system):
+    f, n = left[0].field, right[0].nrows
+    system, coords = intertwiner_system(left, right, rows, cols)
+    wide = wide_intertwiner_system(left, right, [list(r) for r in rows], [list(c) for c in cols])
+    assert coords.dtype == np.int64
+    assert coords.tolist() == sorted(i * n + j for r, c in zip(rows, cols) for i in r for j in c)
+    if wide is None:
+        assert system is None
+    else:
+        assert system.dtype == (np.int8 if f.p < 128 else np.int16)
+        assert Matrix.from_dense(f, system) == wide and system.shape == (wide.nrows, wide.ncols)
+        assert system.min() >= -(f.p - 1) and system.max() <= f.p - 1
+    return system, coords
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_intertwiner_system_empty_parts(p, wide_intertwiner_system):
+    # an empty row part and an empty column part: their blocks have no unknowns, and blocks
+    # with no rows give no equation even where the other side is nonzero
+    f, rng = GF(p), random.Random(p + 1)
+    left, right = [_rand(f, 6, rng, range(p)) for _ in range(2)], [_rand(f, 5, rng, range(p)) for _ in range(2)]
+    for rows, cols in (
+        ([[0, 3], [], [1, 2, 4, 5]], [[2], [0, 1], [3, 4]]),
+        ([[5, 1], [0, 2, 3, 4], []], [[], [4, 0], [1, 2, 3]]),
+        ([[], list(range(6))], [list(range(5)), []]),
+    ):
+        _check_against_wide(left, right, rows, cols, wide_intertwiner_system)
+
+
+@pytest.mark.parametrize("p", [2, 5, 127, 131])
+def test_intertwiner_system_vanishing_pairs(p, wide_intertwiner_system):
+    # one pair vanishes on every block and gives no rows; the others vanish on some blocks,
+    # which give no rows either; entries 0 and p - 1 reach both ends of [-(p - 1), p - 1]
+    f, rng = GF(p), random.Random(p)
+    rows, cols = [[0, 4], [1, 5, 6], [2, 3]], [[3], [0, 2], [1, 4]]
+
+    def sparse(n, parts, live):  # nonzero only on the blocks (k, l) in live
+        x = np.zeros((n, n), dtype=np.int64)
+        for k, l in live:
+            x[np.ix_(parts[k], parts[l])] = [[rng.choice([0, 1, p - 1, p - 1]) for _ in parts[l]] for _ in parts[k]]
+        return Matrix.from_dense(f, x)
+
+    left = [sparse(7, rows, [(0, 1), (2, 2)]), Matrix.zeros(f, 7, 7), sparse(7, rows, [(1, 0)])]
+    right = [sparse(5, cols, [(0, 1)]), Matrix.zeros(f, 5, 5), sparse(5, cols, [(2, 2), (1, 2)])]
+    system, _ = _check_against_wide(left, right, rows, cols, wide_intertwiner_system)
+    # the live blocks (0, 1) and (2, 2), then (1, 0), (1, 2) and (2, 2): rows |rows_k| * |cols_l|
+    assert system.shape == (2 * 2 + 2 * 2 + 3 * 1 + 3 * 2 + 2 * 2, 2 * 1 + 3 * 2 + 2 * 2)
+    assert system.min() == -(p - 1) and system.max() == p - 1
+    _check_against_wide(left[1:2], right[1:2], rows, cols, wide_intertwiner_system)
+    assert intertwiner_system(left[1:2], right[1:2])[0] is None
+
+
+@pytest.mark.parametrize("p", [2, 127, 131])
+def test_intertwiner_system_sides_of_different_sizes(p, wide_intertwiner_system):
+    f, rng = GF(p), random.Random(3 * p)
+    pick = [0, 0, 1, p - 1]
+    for m, n, rows, cols in (
+        (3, 7, [[2, 0], [1]], [[6, 1, 3], [0, 2, 4, 5]]),
+        (9, 2, [[8, 0, 4], [1, 2, 3, 5, 6, 7]], [[1], [0]]),
+        (1, 4, [range(1)], [range(4)]),
+    ):
+        left, right = [_rand(f, m, rng, pick) for _ in range(3)], [_rand(f, n, rng, pick) for _ in range(3)]
+        _check_against_wide(left, right, rows, cols, wide_intertwiner_system)
+        _check_against_wide(left, right, [range(m)], [range(n)], wide_intertwiner_system)
+
+
+def test_intertwiner_system_rejects_bad_input():
+    f = GF(5)
+    a, b = Matrix.identity(f, 3), Matrix.identity(f, 2)
+    with pytest.raises(ValueError, match="as many right"):
+        intertwiner_system([a, a], [b])
+    with pytest.raises(ValueError, match="at least one"):
+        intertwiner_system([], [])
+    for rows, cols in (([[0], [1, 2]], [[0, 1]]), ([[0, 1, 2]], None), (None, [[0, 1]])):
+        with pytest.raises(ValueError, match="as many row parts as column parts"):
+            intertwiner_system([a], [b], rows, cols)
+    for rows, cols in (
+        ([[0, 1], [1, 2]], [[0], [1]]),  # a repeated row
+        ([[0], [1]], [[0], [1]]),  # a missing row
+        ([[0, 1], [2, 3]], [[0], [1]]),  # a row out of range
+        ([[0, 1], [2]], [[0], [0, 1]]),  # a repeated column
+        ([[0, 1], [2]], [[0], [-1]]),  # a negative column
+        ([[0, 1, 2]], []),  # no column part
+    ):
+        with pytest.raises(ValueError, match="part"):
+            intertwiner_system([a], [b], rows, cols)
+
+
+def test_intertwiner_system_checks_survive_optimized_mode(run_optimized):
+    code = (
+        "from tlschur.fields import GF\n"
+        "from tlschur.linalg import Matrix\n"
+        "from tlschur.tensor_action import intertwiner_system\n"
+        "a, b = Matrix.identity(GF(5), 3), Matrix.identity(GF(5), 2)\n"
+        "bad = (([a, a], [b]), ([], []), ([a], [b], [[0], [1, 2]], [[0, 1]]), ([a], [b], [[0, 1], [1, 2]], [[0], [1]]))\n"
+        "for args in bad:\n"
+        "    try:\n"
+        "        print(intertwiner_system(*args))\n"
+        "    except ValueError:\n"
+        "        print(__debug__, 'raised')\n"
+    )
+    out = run_optimized(code)
+    assert out[:8] == ["False", "raised"] * 4, out[-1]
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+def test_double_commutant_system_shape(make):
+    # one equation block per commutant basis matrix (C(8, 3) = 56), on the weight block (a, b)
+    # it lives on: |V_a| |V_b| rows each, 2324 in all, on the C(10, 5) = 252 unknowns; a
+    # block where both sides vanish would add rows
+    comm = commutant_basis(hecke_generator_matrices(make(5)))
+    classes = weight_classes(32)
+    system, coords = intertwiner_system(comm, comm, classes, classes)
+    assert system.shape == (2324, 252) and coords.size == 252
+
+
 def test_weight_classes():
     assert weight_classes(8) == [[0], [1, 2, 4], [3, 5, 6], [7]]
     with pytest.raises(ValueError):
