@@ -13,10 +13,12 @@ over GF(5), sparse systems whose fill-in random dense squares do not show:
   one gfp_rref of the whole system, and the streamed elimination that
   intertwiner_rows runs, RowSpace.from_dense on the narrow int8 array.
 
-The last ones time the layer above the kernels, the build of intertwiner
+The next ones time the layer above the kernels, the build of intertwiner
 systems by tensor_action.intertwiner_system, for both blessed configs at
 d=5: the double-commutant system (2324x252, one call on the six weight
-classes) and the 36 commutant systems, one per pair of weight spaces.
+classes) and the 12 commutant systems that commutant_basis builds, one per
+orbit of weight pairs under the transpose and the word flip.  The last ones
+time the whole commutant_basis at d=5 and d=6 for both blessed configs.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 256,512,1024] [--p 5] [--repeats 5]
@@ -31,7 +33,13 @@ from tlschur import BLESSED_CONFIGS, schur_algebra, tensor_module
 from tlschur import _kernels as K
 from tlschur.fields import GF
 from tlschur.linalg import Matrix, RowSpace
-from tlschur.tensor_action import hecke_generator_matrices, intertwiner_system, weight_classes
+from tlschur.tensor_action import (
+    commutant_basis,
+    hecke_generator_matrices,
+    intertwiner_system,
+    weight_classes,
+    weight_pair_orbits,
+)
 
 
 def bench_case(label: str, make_args, fn, repeats: int) -> tuple[str, float]:
@@ -66,15 +74,16 @@ def graded_endq_system() -> np.ndarray:
 
 
 def builder_inputs(config: str) -> dict[str, list[tuple]]:
-    """intertwiner_system arguments of the d=5 double commutant and of the 36 commutant weight pairs."""
+    """intertwiner_system arguments of the d=5 double commutant and of the commutant's orbit representatives."""
     params = BLESSED_CONFIGS[config](5)
     classes = weight_classes(32)
     comm = schur_algebra(params).basis
     gens = hecke_generator_matrices(params)
     restricted = [[g.select_rows(c).select_columns(c) for g in gens] for c in classes]
+    orbits = weight_pair_orbits(5)
     return {
         "double commutant d=5": [(comm, comm, classes, classes)],
-        "36 commutant weight pairs d=5": [(ga, gb) for ga in restricted for gb in restricted],
+        f"{len(orbits)} commutant weight-pair orbits d=5": [(restricted[a], restricted[b]) for (a, b), *_ in orbits],
     }
 
 
@@ -136,6 +145,11 @@ def main():
     for config in BLESSED_CONFIGS:
         for label, calls in builder_inputs(config).items():
             rows.append(bench_case(f"intertwiner_system {config} {label}", lambda: (calls,), build_all, args.repeats))
+
+    for config, make in BLESSED_CONFIGS.items():
+        for d in (5, 6):
+            gens = hecke_generator_matrices(make(d))
+            rows.append(bench_case(f"commutant_basis {config} d={d}", lambda: (gens,), commutant_basis, args.repeats))
 
     width = max(len(case) for case, _ in rows)
     print(f"{'case':<{width}}  {'time (ms)':>12}")

@@ -66,14 +66,20 @@ def gf2_rref(rows, ncols):
     pivots = []
     rank = 0
     one = np.uint64(1)
-    for col in range(ncols):
-        if rank == nrows:
-            break
+    col = 0
+    while col < ncols and rank < nrows:
         w = col >> 6
+        # the next pivot column is the lowest column from col on in word w that is
+        # set in a row below the pivot rows; with none, go on to the next word
+        live = int(np.bitwise_or.reduce(rows[rank:, w])) >> (col & 63)
+        if not live:
+            col = (w + 1) << 6
+            continue
+        col += (live & -live).bit_length() - 1
+        if col >= ncols:  # only padding bits, which pack_rows leaves zero
+            break
         b = np.uint64(col & 63)
         cand = np.nonzero((rows[rank:, w] >> b) & one)[0]
-        if cand.size == 0:
-            continue
         piv = rank + int(cand[0])
         if piv != rank:
             rows[[rank, piv], w:] = rows[[piv, rank], w:]
@@ -83,6 +89,7 @@ def gf2_rref(rows, ncols):
             rows[hits, w:] ^= rows[rank, w:]
         pivots.append(col)
         rank += 1
+        col += 1
     return rank, np.asarray(pivots, dtype=np.int64)
 
 

@@ -16,8 +16,9 @@ acts as zero.
 Every T_s preserves the weight of a word (its number of letters 2), so
 V^(tensor d) is the direct sum of its weight spaces V_a.  Intertwiner
 systems are solved weight block by weight block: the commutant as the
-independent systems Hom(V_a, V_b), the double commutant and hom spaces of
-modules on their weight-diagonal entries only.
+systems Hom(V_a, V_b), one per orbit of weight pairs under the transpose and
+the word flip, the double commutant and hom spaces of modules on their
+weight-diagonal entries only.
 """
 
 from __future__ import annotations
@@ -309,31 +310,74 @@ def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts=None, co
     return Matrix.from_dense(f, out)
 
 
+def weight_pair_orbits(d: int) -> list[list[tuple[int, int]]]:
+    """The weight pairs (a, b), 0 <= a, b <= d, in orbits under transposing and flipping.
+
+    The orbit of (a, b) is {(a, b), (b, a), (d - a, d - b), (d - b, d - a)}.
+    Each orbit lists its least pair first, and the orbits are ordered by it:
+    12 orbits at d=5, 16 at d=6.
+    """
+    orbits = []
+    for a in range(d + 1):
+        for b in range(d + 1):
+            orbit = list(dict.fromkeys([(a, b), (b, a), (d - a, d - b), (d - b, d - a)]))
+            if min(orbit) == (a, b):
+                orbits.append(orbit)
+    return orbits
+
+
+def _word_flip(d: int) -> np.ndarray:
+    """The word flip as an index map: word w goes to w reversed with its letters 1 and 2 swapped.
+
+    It is an involution that sends weight a to d - a, and conjugating by it
+    sends the Hecke generator T_s to T_(d-s).
+    """
+    return np.array([word_index([3 - x for x in reversed(basis_word(d, i))]) for i in range(1 << d)])
+
+
 def commutant_basis(generators: list[Matrix], progress=None) -> list[Matrix]:
     """Basis of all matrices on V^(tensor d) commuting with every generator.
 
-    Every generator must preserve weight (CertificationError otherwise), so
-    the commutant is the direct sum of the intertwiners Hom(V_a, V_b) of the
-    restrictions to the weight spaces, one independent system per pair
-    (a, b).  The basis is the reverse reduced echelon form of their union,
-    which is the basis the full system's kernel_from_rref gives.
+    Every generator must preserve weight, so the commutant is the direct sum
+    of the intertwiners Hom(V_a, V_b) of the restrictions to the weight
+    spaces.  Two symmetries of the generator set are certified as well
+    (CertificationError for any of the three): every generator equals its
+    transpose, and conjugating by the word flip pi (_word_flip) maps the set
+    onto itself.  Then X commutes with every generator iff X^T does, and iff
+    pi X pi does; transposing moves weight block (a, b) to (b, a), and pi
+    moves it to (d - a, d - b).  So one system is solved per orbit of weight
+    pairs (weight_pair_orbits), and the other blocks of the orbit are the
+    transposed and flipped solutions.  The basis is the reverse reduced
+    echelon form of their union, which is the basis the full system's
+    kernel_from_rref gives.
     """
     if not generators:
         raise ValueError("need at least one generator")
     f = generators[0].field
     n = generators[0].nrows
     classes = weight_classes(n)
+    d = len(classes) - 1
     _check_weight_preserving(generators)
+    gens = np.stack([g.dense() for g in generators])
+    for k, g in enumerate(gens):
+        if not np.array_equal(g, g.T):
+            raise CertificationError(f"generator {k} is not symmetric")
+    flip = _word_flip(d)
+    if {g.tobytes() for g in gens[:, flip[:, None], flip]} != {g.tobytes() for g in gens}:
+        raise CertificationError("conjugating by the word flip does not map the generators onto themselves")
     restricted = [[g.select_rows(idx).select_columns(idx) for g in generators] for idx in classes]
+    orbits = weight_pair_orbits(d)
     if progress:
-        progress(f"solving {len(classes) ** 2} weight blocks of at most {max(map(len, classes)) ** 2} unknowns")
+        progress(f"solving {len(orbits)} weight-pair orbits of at most {max(map(len, classes)) ** 2} unknowns")
     rows = []
-    for ia, ga in zip(classes, restricted):
-        for ib, gb in zip(classes, restricted):
-            kernel = intertwiner_rows(ga, gb).dense()
-            embedded = np.zeros((kernel.shape[0], n * n), dtype=np.int64)
-            embedded[:, (np.array(ia)[:, None] * n + np.array(ib)[None, :]).ravel()] = kernel
-            rows.append(embedded)
+    for (a, b), *_ in orbits:
+        kernel = intertwiner_rows(restricted[a], restricted[b]).dense()
+        x = np.zeros((kernel.shape[0], n, n), dtype=np.int64)
+        x[:, np.array(classes[a])[:, None], classes[b]] = kernel.reshape(-1, len(classes[a]), len(classes[b]))
+        # the solutions on block (a, b), transposed on (b, a), and both flipped on (d - a, d - b), (d - b, d - a)
+        blocks = {(a, b): x, (b, a): x.transpose(0, 2, 1)}
+        blocks.update({(d - i, d - j): y[:, flip[:, None], flip] for (i, j), y in blocks.items()})
+        rows.extend(y.reshape(-1, n * n) for y in blocks.values())
     return unflatten(reduced_basis(Matrix.from_dense(f, np.concatenate(rows))), n, n)
 
 

@@ -119,6 +119,35 @@ def test_gf2_rref_against_reference(seed):
     assert np.array_equal(K.unpack_rows(packed, int(nc)), np.array(ref, dtype=np.uint8).reshape(nr, nc))
 
 
+@pytest.mark.parametrize(
+    "nr, nc, rank, zero_words",
+    [
+        (9, 65, 9, ()),  # a second word of one column
+        (20, 200, 20, (1,)),  # a zero word between nonzero ones
+        (42, 1024, 5, (3, 4, 5, 9)),  # wide and of low rank
+        (30, 1100, 12, (2, 7, 8, 16)),  # 1100 = 17 * 64 + 12, with a zero last full word
+        (12, 333, 0, ()),  # rank 0
+        (70, 130, 70, (1,)),  # more rows than a word has bits, at most rank 66 with word 1 zero
+    ],
+)
+def test_gf2_rref_multi_word_against_reference(nr, nc, rank, zero_words):
+    # a product of random nr x rank and rank x nc factors, with some 64-column words cleared
+    rng = np.random.default_rng(nr * nc + rank)
+    dense = (rng.integers(0, 2, size=(nr, rank)) @ rng.integers(0, 2, size=(rank, nc))) % 2
+    for w in zero_words:
+        dense[:, 64 * w : 64 * (w + 1)] = 0
+    ref, ref_rank, ref_pivots = ref_rref_mod(dense.tolist(), 2)
+    assert ref_rank <= rank
+    assert not any(64 * w <= c < 64 * (w + 1) for c in ref_pivots for w in zero_words)
+    packed = K.pack_rows(dense.astype(np.uint8))
+    got_rank, pivots = K.gf2_rref(packed, nc)
+    assert got_rank == ref_rank
+    assert list(pivots) == ref_pivots
+    assert np.array_equal(K.unpack_rows(packed, nc), np.array(ref, dtype=np.uint8))
+    # the padding bits past column nc stay zero
+    assert np.array_equal(packed, K.pack_rows(K.unpack_rows(packed, nc)))
+
+
 @pytest.mark.parametrize("p", (3, 5))
 @pytest.mark.parametrize("seed", range(4))
 def test_gfp_rref_against_reference(p, seed):

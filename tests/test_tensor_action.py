@@ -29,12 +29,18 @@ from tlschur.tensor_action import (
     intertwiner_system,
     tl_action,
     weight_classes,
+    weight_pair_orbits,
     word_index,
 )
 from tlschur.tl import catalan
 
 CONFIGS = [classical_char2, quantum_ell2]
 IDS = ["gf2-u1", "gf5-u2"]
+
+
+def gf3_u1(d):
+    # q = 1 over GF(3): the classical Schur algebra in characteristic 3
+    return HeckeParams(d, GF(3), 1)
 
 
 def gf7_u3(d):
@@ -136,6 +142,50 @@ def test_commutant_dimension_and_closure(make, d, dense_intertwiners):
     for x in comm:
         for g in gens:
             assert g @ x == x @ g
+
+
+def _all_pairs_commutant(gens):
+    """The commutant solved on all (d + 1)^2 weight pairs, one intertwiner system each."""
+    f, n = gens[0].field, gens[0].nrows
+    classes = weight_classes(n)
+    restricted = [[g.select_rows(c).select_columns(c) for g in gens] for c in classes]
+    rows = []
+    for ia, ga in zip(classes, restricted):
+        for ib, gb in zip(classes, restricted):
+            kernel = intertwiner_rows(ga, gb).dense()
+            embedded = np.zeros((kernel.shape[0], n * n), dtype=np.int64)
+            embedded[:, (np.array(ia)[:, None] * n + np.array(ib)[None, :]).ravel()] = kernel
+            rows.append(embedded)
+    return unflatten(linalg.reduced_basis(Matrix.from_dense(f, np.concatenate(rows))), n, n)
+
+
+@pytest.mark.parametrize(
+    "make, d",
+    [(make, 6) for make in CONFIGS] + [(make, d) for make in (gf3_u1, gf7_u3) for d in (2, 3, 4, 5)],
+    ids=[f"{i}-d6" for i in IDS] + [f"{i}-d{d}" for i in ("gf3-u1", "gf7-u3") for d in (2, 3, 4, 5)],
+)
+def test_orbit_solve_matches_all_pairs(make, d):
+    gens = hecke_generator_matrices(make(d))
+    comm = commutant_basis(gens)
+    assert len(comm) == comb(d + 3, 3)
+    assert comm == _all_pairs_commutant(gens)
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+@pytest.mark.parametrize("d, systems", [(2, 4), (3, 6), (4, 9), (5, 12), (6, 16)])
+def test_commutant_solves_one_system_per_orbit(make, d, systems, monkeypatch):
+    orbits = weight_pair_orbits(d)
+    assert len(orbits) == systems
+    assert sorted(pair for orbit in orbits for pair in orbit) == [(a, b) for a in range(d + 1) for b in range(d + 1)]
+    assert all(orbit[0] == min(orbit) for orbit in orbits)
+    solved = []
+    solve = tensor_action.intertwiner_rows
+    monkeypatch.setattr(tensor_action, "intertwiner_rows", lambda *args: solved.append(args) or solve(*args))
+    messages = []
+    commutant_basis(hecke_generator_matrices(make(d)), progress=messages.append)
+    assert len(solved) == systems
+    widest = comb(d, d // 2) ** 2
+    assert messages == [f"solving {systems} weight-pair orbits of at most {widest} unknowns"]
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
@@ -331,21 +381,49 @@ def test_commutant_rejects_weight_mixing_generator():
         commutant_basis([])
 
 
+def test_commutant_rejects_a_generator_that_is_not_symmetric():
+    # weight preserving on V^(tensor 2), but it maps the word 12 to 21 and not back
+    m = Matrix.from_rows(GF(5), [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(CertificationError, match="generator 1 is not symmetric"):
+        commutant_basis([Matrix.identity(GF(5), 4), m])
+
+
+def test_commutant_rejects_generators_the_flip_does_not_preserve():
+    # T_1 alone on V^(tensor 3) is symmetric and preserves weight, but the flip takes it to T_2
+    p = quantum_ell2(3)
+    t1, t2 = hecke_action(p, 1), hecke_action(p, 2)
+    with pytest.raises(CertificationError, match="word flip"):
+        commutant_basis([t1])
+    with pytest.raises(CertificationError, match="word flip"):
+        commutant_basis([t1, t1, t2.scale(2)])
+    # the flip maps the set {T_1, T_2} onto itself, and a repeated generator changes nothing
+    assert commutant_basis([t2, t1, t2]) == commutant_basis(hecke_generator_matrices(p))
+
+
 def test_weight_check_survives_optimized_mode():
     code = (
         "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix\n"
         "from tlschur.tensor_action import CertificationError, commutant_basis\n"
-        "m = Matrix.from_rows(GF(5), [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n"
-        "try:\n"
-        "    commutant_basis([m])\n"
-        "except CertificationError:\n"
-        "    print(__debug__, 'raised')\n"
+        "from tlschur.hecke import quantum_ell2\n"
+        "from tlschur.tensor_action import hecke_action\n"
+        "mixing = Matrix.from_rows(GF(5), [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n"
+        "skew = Matrix.from_rows(GF(5), [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n"
+        "for gens in ([mixing], [skew], [hecke_action(quantum_ell2(3), 1)]):\n"
+        "    try:\n"
+        "        commutant_basis(gens)\n"
+        "    except CertificationError as e:\n"
+        "        print(__debug__, 'raised:', str(e).split()[-1])\n"
     )
     src = str(Path(tlschur.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert out.stdout.split() == ["False", "raised"], out.stderr
+    # the weight check, the symmetry check and the flip check
+    assert out.stdout.split() == ["False", "raised:", "weight"] + ["False", "raised:", "symmetric"] + [
+        "False",
+        "raised:",
+        "themselves",
+    ], out.stderr
 
 
 def test_report_rejects_projection_outside_commutant(monkeypatch):
