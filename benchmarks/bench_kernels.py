@@ -17,8 +17,11 @@ The next ones time the layer above the kernels, the build of intertwiner
 systems by tensor_action.intertwiner_system, for both blessed configs at
 d=5: the double-commutant system (2324x252, one call on the six weight
 classes) and the 12 commutant systems that commutant_basis builds, one per
-orbit of weight pairs under the transpose and the word flip.  The last ones
-time the whole commutant_basis at d=5 and d=6 for both blessed configs.
+orbit of weight pairs under the transpose and the word flip.  The next ones
+time the whole commutant_basis at d=5 and d=6 for both blessed configs.  The
+last ones time the coresolution steps of the regular module at d=6 for both
+blessed configs: relative_domdim with End(Q) already built and cached on Q,
+so only the minimal approximations and their cokernels' hom spaces count.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 256,512,1024] [--p 5] [--repeats 5]
@@ -29,10 +32,11 @@ import time
 
 import numpy as np
 
-from tlschur import BLESSED_CONFIGS, schur_algebra, tensor_module
+from tlschur import BLESSED_CONFIGS, regular_module, relative_domdim, schur_algebra, tensor_module
 from tlschur import _kernels as K
 from tlschur.fields import GF
 from tlschur.linalg import Matrix, RowSpace
+from tlschur.oracle import _tensor_end
 from tlschur.tensor_action import (
     commutant_basis,
     hecke_generator_matrices,
@@ -85,6 +89,13 @@ def builder_inputs(config: str) -> dict[str, list[tuple]]:
         "double commutant d=5": [(comm, comm, classes, classes)],
         f"{len(orbits)} commutant weight-pair orbits d=5": [(restricted[a], restricted[b]) for (a, b), *_ in orbits],
     }
+
+
+def tensor_with_end(config: str, d: int):
+    """Q = V^(tensor d) with End(Q) and its split built, so relative_domdim runs only its steps."""
+    q = tensor_module(schur_algebra(BLESSED_CONFIGS[config](d)))
+    _tensor_end(q)
+    return q
 
 
 def build_all(calls: list[tuple]) -> None:
@@ -150,6 +161,11 @@ def main():
         for d in (5, 6):
             gens = hecke_generator_matrices(make(d))
             rows.append(bench_case(f"commutant_basis {config} d={d}", lambda: (gens,), commutant_basis, args.repeats))
+
+    for config in BLESSED_CONFIGS:
+        q = tensor_with_end(config, 6)
+        label = f"relative_domdim steps {config} regular d=6"
+        rows.append(bench_case(label, lambda: (regular_module(q.algebra), q), relative_domdim, args.repeats))
 
     width = max(len(case) for case, _ in rows)
     print(f"{'case':<{width}}  {'time (ms)':>12}")

@@ -33,7 +33,7 @@ reaches 0.  The same scalars between summands of one weight cut out the
 radical J.  A step maps M to the sum of the T(m)^(n_m) by lifts of a basis
 of the top of Hom(M, Q): if that map is not injective the accumulated count
 is the answer; if its cokernel is zero, M is in add(Q) and the answer is
-infinite; otherwise the cokernel is the next module.
+infinite; otherwise the cokernel, known by its dim and homs, is next.
 
 Soundness: every approximation has the kernel of the full stacked map of a
 hom basis, so finite verdicts and step counts do not depend on the choice
@@ -57,7 +57,7 @@ import numpy as np
 from . import _kernels
 from .domdim import Infinity, encode_extnat
 from .hecke import BLESSED_CONFIGS, HeckeElement, HeckeParams, kernel_generator, phi
-from .linalg import Matrix, RowSpace, _inverses, flat_products, flatten, kernel_from_rref, reduced_basis, unflatten
+from .linalg import Matrix, RowSpace, _inverses, flat_products, flatten, reduced_basis, unflatten
 from .permutations import symmetric_group
 from .tensor_action import (
     CertificationError,
@@ -303,21 +303,6 @@ def _regular_hom_basis(q: ExplicitModule) -> Matrix:
     return Matrix.from_dense(q.algebra.field, acts.transpose(1, 0, 2).reshape(q.dim, -1))
 
 
-def _cokernel_projection(R: Matrix, rank: int, pivots: tuple) -> tuple[Matrix, Matrix]:
-    """Projection onto the quotient by the row space of an rref, and a section.
-
-    The projection pi has the kernel basis of R as columns, and the section
-    sigma picks the free coordinates, so sigma @ pi is the identity.
-    """
-    pi_m = kernel_from_rref(R, rank, pivots).transpose()
-    if not (R.select_rows(range(rank)) @ pi_m).is_zero():
-        raise CertificationError("projection does not kill the image")
-    pivset = set(pivots)
-    free = [j for j in range(R.ncols) if j not in pivset]
-    sigma = Matrix.identity(R.field, R.ncols).select_rows(free)
-    return pi_m, sigma
-
-
 def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModule, ModuleMap]:
     """Smallest action-stable subspace containing the seed row vectors."""
     alg = parent.algebra
@@ -434,8 +419,10 @@ class TensorEnd:
     decreasing highest weight: class k has mults[k] summands T(weights[k])
     of dimension dims[k].  The rest are hstacks of endomorphisms side by
     side, the form in which relative_domdim acts with them: tops holds the
-    first primitive e_k of each class, complements[k] a row basis of
-    Q(1 - e_k), radical a basis of J, and corners[k] a basis of e_k End(Q).
+    first primitive e_k of each class, radical a basis of J, and corners[k]
+    a basis of e_k End(Q).  summands[k] is the rref basis U_k of Q e_k and
+    pivots[k] its pivot columns: a vector of Q e_k is its entries there
+    times U_k, the summand coordinates in which relative_domdim works.
     """
 
     basis: list[Matrix]
@@ -444,7 +431,8 @@ class TensorEnd:
     mults: list[int]
     dims: list[int]
     tops: Matrix
-    complements: list[Matrix]
+    summands: list[Matrix]
+    pivots: list[tuple[int, ...]]
     radical: Matrix
     corners: list[Matrix]
 
@@ -490,7 +478,8 @@ def _fitting_split(rng, em: Matrix, flat: Matrix, gens: list[Matrix]) -> list[Ma
     p, (u_e, t, piv) = field.p, em.rref()
     u_e = u_e.select_rows(range(t))
     for _ in range(64):
-        x = em @ unflatten(Matrix.from_dense(field, rng.integers(0, p, size=(1, flat.nrows))) @ flat, n, n)[0] @ em
+        coeffs = Matrix.from_rows(field, [[rng.randrange(p) for _ in range(flat.nrows)]])
+        x = em @ unflatten(coeffs @ flat, n, n)[0] @ em
         # x on Q e in the basis u_e: a vector of Q e is its entries at the pivots times u_e
         xe = (u_e @ x).select_columns(piv)
         values = np.zeros(p, dtype=np.int64)
@@ -541,7 +530,7 @@ def _tensor_end(q: ExplicitModule) -> TensorEnd:
     basis = [h.matrix for h in hom_space(q, q, verify=False)]
     e, flat, stack = len(basis), flatten(basis), Matrix.hstack(basis)
     classes, gens = weight_classes(dq), q.generator_actions()
-    rng = np.random.default_rng(e)
+    rng = random.Random(e)
     found: dict[int, list] = {}
     todo = [Matrix.identity(field, dq)]
     while todo:
@@ -576,10 +565,12 @@ def _tensor_end(q: ExplicitModule) -> TensorEnd:
     tops, weights = [found[a][0][0] for a in order], [dq.bit_length() - 1 - 2 * a for a in order]
     # the products e_k E_l span e_k End(Q)
     corners = [_side_by_side(_row_basis(flat_products(t, stack)), dq) for t in tops]
-    complements = [_row_basis(Matrix.identity(field, dq) - t) for t in tops]
-    mults, dims = [len(found[a]) for a in order], [t.rank() for t in tops]
+    echelons = [t.rref() for t in tops]
+    summands = [r.select_rows(range(t)) for r, t, _ in echelons]  # U_k, the rref basis of Q e_k
+    dims, pivots = [t for _, t, _ in echelons], [piv for _, _, piv in echelons]
+    mults, tops = [len(found[a]) for a in order], Matrix.hstack(tops)
     radical = _side_by_side(psi.transpose().kernel_basis_matrix() @ flat, dq)
-    q._end_cache = TensorEnd(basis, primitive, weights, mults, dims, Matrix.hstack(tops), complements, radical, corners)
+    q._end_cache = TensorEnd(basis, primitive, weights, mults, dims, tops, summands, pivots, radical, corners)
     return q._end_cache
 
 
@@ -641,6 +632,13 @@ def relative_domdim(m: ExplicitModule, q: ExplicitModule, cap: int | None = None
     homs come from _regular_hom_basis for the regular module and from
     hom_space for any other; the homs out of a cokernel come from left
     exactness, solved with unknowns in the bases of the e_s End(Q).
+
+    No cokernel is built as a module; a step reads only its dim and homs.
+    cur -> sum_s Q e_s is a dim cur x sum_s dim Q e_s matrix in summand
+    coordinates (TensorEnd.summands): injective iff of rank dim cur, an
+    isomorphism iff also of full column rank.  The free columns of its rref
+    span a complement of the image; their rows of diag(U_s) are a section
+    of the cokernel, through which its homs are read.
     """
     alg = m.algebra
     if q.algebra is not alg:
@@ -659,34 +657,35 @@ def relative_domdim(m: ExplicitModule, q: ExplicitModule, cap: int | None = None
         if not maps:
             return DomdimResult.exact(0)
         homs = flatten(hm.matrix for hm in maps)
-    cur, dq, steps = m, q.dim, 0
+    dim, dq, steps = m.dim, q.dim, 0
     while True:
         picks = _top_lifts(homs, end.tops, end.radical, end.corners)
         slots = [k for k, _ in picks]
-        maps = unflatten(homs.select_rows([i for _, i in picks]), cur.dim, dq)
-        comps = [f @ end.tops.select_columns(range(k * dq, (k + 1) * dq)) for k, f in zip(slots, maps)]
+        maps = unflatten(homs.select_rows([i for _, i in picks]), dim, dq)
         if progress:
             tops = ", ".join(f"T({w})^{slots.count(k)}" for k, w in enumerate(end.weights))
-            progress(f"step {steps + 1}: module dim {cur.dim}, hom dim {homs.nrows}, approximation {tops}")
-        # cur -> sum_s Q e_s inside Q^g, whose complements Q(1 - e_s) lie beside the image
-        beside = Matrix.block_diag([end.complements[k] for k in slots])
-        R, rank, pivots = Matrix.vstack([Matrix.hstack(comps), beside]).rref()
-        if rank < cur.dim + beside.nrows:
+            progress(f"step {steps + 1}: module dim {dim}, hom dim {homs.nrows}, approximation {tops}")
+        # cur -> sum_s Q e_s in summand coordinates: F_s e_s read at the pivots of U_s
+        cols = [[k * dq + c for c in end.pivots[k]] for k in slots]
+        R, rank, pivots = Matrix.hstack([f @ end.tops.select_columns(c) for f, c in zip(maps, cols)]).rref()
+        if rank < dim:
             return DomdimResult.exact(steps)
         if rank == R.ncols:
             return DomdimResult.infinite()  # an isomorphism: cur is in add(Q)
         steps += 1
         if steps >= cap:
             return DomdimResult.at_least(cap)
-        # cokernel of cur -> sum_s Q e_s without materializing block diagonal actions
-        pi_m, sigma = _cokernel_projection(R, rank, pivots)
-        sig_blocks = [sigma.select_columns(range(s * dq, (s + 1) * dq)) for s in range(len(comps))]
-        cur = ExplicitModule(alg, [Matrix.hstack([sb @ ab for sb in sig_blocks]) @ pi_m for ab in q.actions])
+        # the free coordinates span a complement of the image, so their rows of
+        # diag(U_s) are a section sigma of the cokernel into sum_s Q e_s
+        free = sorted(set(range(R.ncols)).difference(pivots))
+        sigma = Matrix.block_diag([end.summands[k] for k in slots]).select_rows(free)
+        sig_blocks = [sigma.select_columns(range(s * dq, (s + 1) * dq)) for s in range(len(maps))]
+        dim = len(free)
         # Hom(coker, Q) from left exactness of Hom(-, Q) on the presentation: the
-        # (H_s) in the e_s End(Q) with sum_s F_s H_s = 0, as coefficients in their
-        # bases, so the kernel basis is already a basis of Hom(coker, Q)
+        # (H_s) in the e_s End(Q) with sum_s F_s H_s = 0 (F_s e_s H_s = F_s H_s), as
+        # coefficients in their bases, so the kernel basis is a basis of Hom(coker, Q)
         corners = [end.corners[k] for k in slots]
-        sols = Matrix.vstack([flat_products(F, y) for F, y in zip(comps, corners)]).transpose().kernel_basis_matrix()
+        sols = Matrix.vstack([flat_products(F, y) for F, y in zip(maps, corners)]).transpose().kernel_basis_matrix()
         if sols.nrows == 0:
             return DomdimResult.exact(steps)
         # the induced map on the cokernel is sigma @ vstack_s(H_s); flattening

@@ -9,7 +9,29 @@ import pytest
 
 import tlschur
 from tlschur import oracle
-from tlschur.linalg import Matrix, flatten, unflatten
+from tlschur.linalg import Matrix, flatten, kernel_from_rref, unflatten
+
+
+def _cokernel_projection(R: Matrix, rank: int, pivots: tuple) -> tuple[Matrix, Matrix]:
+    """Projection onto the quotient by the row space of an rref, and a section.
+
+    The projection pi has the kernel basis of R as columns, and the section
+    sigma picks the free coordinates, so sigma @ pi is the identity.
+    """
+    pi_m = kernel_from_rref(R, rank, pivots).transpose()
+    if not (R.select_rows(range(rank)) @ pi_m).is_zero():
+        raise oracle.CertificationError("projection does not kill the image")
+    pivset = set(pivots)
+    free = [j for j in range(R.ncols) if j not in pivset]
+    sigma = Matrix.identity(R.field, R.ncols).select_rows(free)
+    return pi_m, sigma
+
+
+def _cokernel_module(m, q, R: Matrix, rank: int, pivots: tuple) -> oracle.ExplicitModule:
+    """The cokernel of a module map m -> Q^g whose stacked rows have the rref R, as a module."""
+    pi, sigma = _cokernel_projection(R, rank, pivots)
+    blocks = [sigma.select_columns(range(s * q.dim, (s + 1) * q.dim)) for s in range(R.ncols // q.dim)]
+    return oracle.ExplicitModule(m.algebra, [Matrix.hstack([b @ a for b in blocks]) @ pi for a in q.actions])
 
 
 @pytest.fixture(scope="session")
@@ -70,12 +92,45 @@ def universal_domdim(dense_split):
                 return steps
             if dense_split(homs, m, q):
                 return "infinity"
-            pi, sigma = oracle._cokernel_projection(R, rank, pivots)
-            blocks = [sigma.select_columns(range(s * q.dim, (s + 1) * q.dim)) for s in range(len(homs))]
-            m = oracle.ExplicitModule(m.algebra, [Matrix.hstack([b @ a for b in blocks]) @ pi for a in q.actions])
+            m = _cokernel_module(m, q, R, rank, pivots)
         return f">={cap}"
 
     return run
+
+
+@pytest.fixture(scope="session")
+def reference_cokernels():
+    """The cokernels of the minimal add(Q)-approximations of m, built as modules inside Q^g.
+
+    The reference for the dims and hom spaces that relative_domdim reads
+    without building modules.  Each step lifts the top of hom_space(M, Q)
+    (oracle._top_lifts) to maps F_s e_s into summands Q e_s, embeds their
+    sum in Q^g with the complements Q(1 - e_s) beside the image, and takes
+    the cokernel of M -> Q^g with action matrices.  It stops when an
+    approximation is not injective or is an isomorphism, when a cokernel
+    has no maps to Q, or after cap cokernels; returns the cokernels in order.
+    """
+
+    def chain(m, q, cap):
+        end = oracle._tensor_end(q)
+        f, dq = q.algebra.field, q.dim
+        tops = [end.tops.select_columns(range(k * dq, (k + 1) * dq)) for k in range(len(end.weights))]
+        complements = [oracle._row_basis(Matrix.identity(f, dq) - e) for e in tops]
+        out = []
+        while len(out) < cap:
+            maps = [h.matrix for h in oracle.hom_space(m, q)]
+            if not maps:
+                break
+            picks = oracle._top_lifts(flatten(maps), end.tops, end.radical, end.corners)
+            beside = Matrix.block_diag([complements[k] for k, _ in picks])
+            R, rank, pivots = Matrix.vstack([Matrix.hstack([maps[i] @ tops[k] for k, i in picks]), beside]).rref()
+            if rank < m.dim + beside.nrows or rank == R.ncols:
+                break
+            m = _cokernel_module(m, q, R, rank, pivots)
+            out.append(m)
+        return out
+
+    return chain
 
 
 @pytest.fixture(scope="session")
@@ -179,14 +234,21 @@ def traced_peak_mb():
     return run
 
 
+def _run_python(code: str, *flags: str) -> list[str]:
+    """Run a code string in a fresh interpreter with this package importable: stdout words, then stderr."""
+    src = str(Path(tlschur.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    return out.stdout.split() + [out.stderr]
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """Run a code string in a fresh interpreter, so that its imports are its own: stdout words, then stderr."""
+    return _run_python
+
+
 @pytest.fixture(scope="session")
 def run_optimized():
     """Run a code string under python -O with this package importable: stdout words, then stderr."""
-
-    def run(code: str) -> list[str]:
-        src = str(Path(tlschur.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
-        return out.stdout.split() + [out.stderr]
-
-    return run
+    return lambda code: _run_python(code, "-O")

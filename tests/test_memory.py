@@ -6,13 +6,14 @@ structure constants of S(2, 5) 1.4 / 1.4, read block by block (2.7 / 2.9
 through a coordinate reader on the live weight blocks, in chunks of 256 KiB
 of products; 2.0 / 4.0 when every product was formed on all n^2 entries,
 one left factor at a time), End(Q) at d=6 with its split into primitive
-idempotents, all matrices on Q, 16.8 / 47.6 (45.8 / 103.2 with its dim^3
+idempotents, all matrices on Q, 15.4 / 50.9 (45.8 / 103.2 with its dim^3
 structure constants),
 the double centralizer report 1.7 / 4.0 (1.7 / 4.4 with its closure check
 on all n^2 entries, 1.9 / 21.3 before the intertwiner systems were streamed
 in row blocks), its double-commutant solve alone 1.6 / 3.4 (1.8 / 20.3),
 the regular dominant dimension with its End(Q) and the split of End(Q)
-into primitive idempotents 1.6 / 5.4 (2.3 / 5.3 with End(Q)'s structure
+into primitive idempotents 1.2 / 4.1 (1.2 / 5.4 with cokernel modules and
+their complements in Q^g, 2.3 / 5.3 with End(Q)'s structure
 constants, 3.8 / 6.7 with the End(Q) multiplication table and
 unrestricted left-exactness unknowns, 3.8 / 16.2 unstreamed, 39.0 / 36.6
 before minimal approximations).  Building all

@@ -473,28 +473,27 @@ def test_selection_agrees_with_universal_chain(make, universal_domdim):
             assert relative_domdim(mod, q).encode() == universal_domdim(mod, q, 4 * d), (d, mod.label)
 
 
+def _step_dims(line: str) -> tuple[int, int]:
+    # (module dim, hom dim) of a progress line of relative_domdim
+    dims = line.split("module dim ")[1].split(", hom dim ")
+    return int(dims[0]), int(dims[1].split(",")[0])
+
+
 # dims of the cokernels after each of the four injective steps at d = 4
 @pytest.mark.parametrize("make,dims", [(classical_char2, [9, 3, 9, 27]), (quantum_ell2, [9, 3, 9, 15])], ids=IDS)
-def test_coresolution_cokernels_are_modules(make, dims, monkeypatch):
+def test_coresolution_cokernels_are_modules(make, dims, reference_cokernels):
     alg = schur_algebra(make(4))
     q = tensor_module(alg)
     reg = regular_module(alg)
-    built = []
-
-    def recording(*args, **kwargs):
-        mod = ExplicitModule(*args, **kwargs)
-        built.append(mod)
-        return mod
-
-    monkeypatch.setattr(oracle, "ExplicitModule", recording)
     lines = []
     assert relative_domdim(reg, q, progress=lines.append).matches(4)
+    built = reference_cokernels(reg, q, len(lines) - 1)
     assert [mod.dim for mod in built] == dims
     for mod in built:
         validate_module(mod, deep=True)
-    # the left-exactness hom space of each cokernel has the dim the direct solver gives
-    hom_dims = [int(line.split("hom dim ")[1].split(",")[0]) for line in lines[1:]]
-    assert [len(hom_space(mod, q)) for mod in built] == hom_dims
+    # the oracle reads each cokernel's dim and left-exactness hom space without
+    # building it: they are the dims of the module and of the direct solver's hom space
+    assert [(mod.dim, len(hom_space(mod, q))) for mod in built] == [_step_dims(line) for line in lines[1:]]
 
 
 def _step_lines(steps, d):
@@ -504,6 +503,9 @@ def _step_lines(steps, d):
         + ", ".join(f"T({d - 2 * k})^{c}" for k, c in enumerate(mults))
         for n, (dm, dh, mults) in enumerate(steps, start=1)
     ]
+
+
+_INFINITE_D6 = [(84, 64, (7, 1, 3, 0)), (15, 15, (0, 3, 0, 0)), (3, 15, (0, 0, 0, 3))]
 
 
 # the progress lines of each coresolution step of the regular module; an
@@ -544,6 +546,9 @@ def _step_lines(steps, d):
             6,
             id="gf5-u2-d6",
         ),
+        # the infinite side at d = 6, away from quantum characteristic 2
+        pytest.param(gf3_u1, 6, _INFINITE_D6, INFINITY, id="gf3-u1-d6"),
+        pytest.param(gf7_u3, 6, _INFINITE_D6, INFINITY, id="gf7-u3-d6"),
     ],
 )
 def test_regular_coresolution_multiplicities_degree_4(make, d, steps, verdict):
@@ -590,7 +595,7 @@ def _split_cases():
 
 
 @pytest.mark.parametrize("make,d,with_regular", _split_cases())
-def test_split_test_matches_dense(make, d, with_regular, dense_split, monkeypatch):
+def test_split_test_matches_dense(make, d, with_regular, dense_split, reference_cokernels):
     # a module is in add(Q) iff its minimal approximation is an isomorphism:
     # one step of relative_domdim says infinity exactly when the universal
     # approximation by every hom basis map splits, for every module of a chain
@@ -601,17 +606,16 @@ def test_split_test_matches_dense(make, d, with_regular, dense_split, monkeypatc
     if with_regular:
         targets.insert(0, regular_module(alg))
     for mod in targets:
-        chain = [mod]
-
-        def recording(*args, **kwargs):
-            chain.append(ExplicitModule(*args, **kwargs))
-            return chain[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle, "ExplicitModule", recording)
-            res = relative_domdim(mod, q)
+        lines = []
+        res = relative_domdim(mod, q, progress=lines.append)
+        chain = [mod] + reference_cokernels(mod, q, 4 * d)
+        homs = [[h.matrix for h in hom_space(cur, q)] for cur in chain]
+        # the chain is the oracle's: one module per step, and a last cokernel without maps to Q
+        dims = [(cur.dim, len(h)) for cur, h in zip(chain, homs)]
+        assert dims[: len(lines)] == [_step_dims(line) for line in lines], mod.label
+        assert [n for _, n in dims[len(lines) :]] in ([], [0]), mod.label
         answers = [relative_domdim(cur, q, cap=1).is_infinite for cur in chain]
-        assert answers == [dense_split([h.matrix for h in hom_space(cur, q)], cur, q) for cur in chain], mod.label
+        assert answers == [dense_split(h, cur, q) for cur, h in zip(chain, homs)], mod.label
         # only the last module of a chain can be in add(Q), and then the verdict is infinite
         assert answers == [False] * (len(chain) - 1) + [res.is_infinite], (mod.label, answers)
 
@@ -726,17 +730,17 @@ def test_fitting_certificate_survives_optimized_mode(run_optimized):
     # the Fitting projection of a random element of span{1, diag(1, 2)} is diag(1, 0) or
     # diag(0, 1): it commutes with diag(1, 2), but not with a generator that swaps the lines
     code = (
-        "import numpy as np\n"
+        "import random\n"
         "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix, flatten\n"
         "from tlschur.oracle import CertificationError, _fitting_split\n"
         "f = GF(5)\n"
         "one, diag = Matrix.identity(f, 2), Matrix.from_rows(f, [[1, 0], [0, 2]])\n"
         "swap = Matrix.from_rows(f, [[0, 1], [1, 0]])\n"
-        "fa, fb = _fitting_split(np.random.default_rng(0), one, flatten([one, diag]), [diag])\n"
+        "fa, fb = _fitting_split(random.Random(0), one, flatten([one, diag]), [diag])\n"
         "print(fa @ fa == fa, fa @ fb == Matrix.zeros(f, 2, 2), fa + fb == one, fa.rank())\n"
         "try:\n"
-        "    _fitting_split(np.random.default_rng(0), one, flatten([one, diag]), [swap])\n"
+        "    _fitting_split(random.Random(0), one, flatten([one, diag]), [swap])\n"
         "except CertificationError as exc:\n"
         "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
     )
@@ -750,6 +754,20 @@ def test_fitting_certificate_survives_optimized_mode(run_optimized):
         "raised",
         "a_Fitting_projection_is_not_an_endomorphism_of_Q",
     ], out[-1]
+
+
+def test_domdim_does_not_import_numpy_random(run_python):
+    # the Fitting splits draw from the stdlib random module, so a verdict does
+    # not pay for importing numpy.random
+    code = (
+        "import sys\n"
+        "from tlschur.hecke import classical_char2\n"
+        "from tlschur.oracle import regular_module, relative_domdim, schur_algebra, tensor_module\n"
+        "alg = schur_algebra(classical_char2(3))\n"
+        "print(relative_domdim(regular_module(alg), tensor_module(alg)).encode(), 'numpy.random' in sys.modules)\n"
+    )
+    out = run_python(code)
+    assert out[:2] == ["infinity", "False"], out[-1]
 
 
 def _tensor_multiplicities(d: int) -> dict[int, int]:
