@@ -19,9 +19,12 @@ d=5: the double-commutant system (2324x252, one call on the six weight
 classes) and the 12 commutant systems that commutant_basis builds, one per
 orbit of weight pairs under the transpose and the word flip.  The next ones
 time the whole commutant_basis at d=5 and d=6 for both blessed configs.  The
-last ones time the coresolution steps of the regular module at d=6 for both
-blessed configs: relative_domdim with End(Q) already built and cached on Q,
-so only the minimal approximations and their cokernels' hom spaces count.
+next ones time hom_space(Q, Q) at d=5 and d=6 for both blessed configs, the
+solve with its certificate, and then the certificate alone: every End(Q)
+map checked against the generator actions.  The last ones time the
+coresolution steps of the regular module at d=6 for both blessed configs:
+relative_domdim with End(Q) already built and cached on Q, so only the
+minimal approximations and their cokernels' hom spaces count.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--sizes 256,512,1024] [--p 5] [--repeats 5]
@@ -36,7 +39,7 @@ from tlschur import BLESSED_CONFIGS, regular_module, relative_domdim, schur_alge
 from tlschur import _kernels as K
 from tlschur.fields import GF
 from tlschur.linalg import Matrix, RowSpace
-from tlschur.oracle import _tensor_end
+from tlschur.oracle import _check_module_maps, _tensor_end, hom_space
 from tlschur.tensor_action import (
     commutant_basis,
     hecke_generator_matrices,
@@ -161,6 +164,16 @@ def main():
         for d in (5, 6):
             gens = hecke_generator_matrices(make(d))
             rows.append(bench_case(f"commutant_basis {config} d={d}", lambda: (gens,), commutant_basis, args.repeats))
+
+    for config, make in BLESSED_CONFIGS.items():
+        for d in (5, 6):
+            q = tensor_module(schur_algebra(make(d)))
+            end_q, gens = hom_space(q, q), q.generator_actions()
+            label = f"hom_space(Q, Q) {config} d={d} {end_q.nrows} maps"
+            rows.append(bench_case(label, lambda: (q, q), hom_space, args.repeats))
+            label = f"End(Q) certificate {config} d={d} {end_q.nrows} maps"
+            certify = (end_q, gens, gens, "not an endomorphism")
+            rows.append(bench_case(label, lambda: certify, _check_module_maps, args.repeats))
 
     for config in BLESSED_CONFIGS:
         q = tensor_with_end(config, 6)

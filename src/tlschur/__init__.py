@@ -37,7 +37,6 @@ from .oracle import (
     DomdimResult,
     ExplicitAlgebra,
     ExplicitModule,
-    ModuleMap,
     cyclic_submodule,
     hom_space,
     regular_module,
@@ -91,7 +90,6 @@ __all__ = [
     "Infinity",
     "IntegralRegime",
     "Matrix",
-    "ModuleMap",
     "Permutation",
     "PlanarDiagram",
     "QQ",

@@ -19,7 +19,9 @@ weight idempotents e_a, stored as coordinate rows whose matrices are
 certified orthogonal with sum 1, split every module into weight spaces
 M e_a.  A module map is block diagonal in weight-adapted bases, so hom_space
 takes only those blocks as unknowns.  Every basis equals the one the full
-system would give.
+system would give.  A hom space is a Matrix with one row-major flattened
+map per row, and every one is certified: all its maps commute with the
+actions of elements that generate the algebra with 1 (_check_module_maps).
 
 relative_domdim iterates minimal left approximations into add(Q) for Q the
 tensor module.  End(Q) is split once into primitive idempotents by Fitting
@@ -228,22 +230,6 @@ class ExplicitModule:
         return [B @ g @ C for g in self.generator_actions()], parts
 
 
-@dataclass
-class ModuleMap:
-    """Linear map of right modules; rows of matrix are images of source basis."""
-
-    source: ExplicitModule
-    target: ExplicitModule
-    matrix: Matrix
-
-    def check(self) -> None:
-        for i in range(self.source.algebra.dim):
-            lhs = self.source.actions[i] @ self.matrix
-            rhs = self.matrix @ self.target.actions[i]
-            if lhs != rhs:
-                raise CertificationError(f"map does not intertwine basis element {i}")
-
-
 def tensor_module(alg: ExplicitAlgebra) -> ExplicitModule:
     """V^(tensor d) as a module over its commutant algebra."""
     return ExplicitModule(alg, list(alg.basis), label="tensor space")
@@ -264,37 +250,61 @@ def direct_sum(a: ExplicitModule, b: ExplicitModule) -> ExplicitModule:
     return ExplicitModule(a.algebra, acts, label=f"({a.label})+({b.label})")
 
 
-def hom_space(m: ExplicitModule, n: ExplicitModule, verify: bool = True) -> list[ModuleMap]:
-    """Basis of module maps m -> n, solved weight space by weight space.
+def _side_by_side(rows: Matrix, n: int) -> Matrix:
+    """The hstack of the matrices with n rows flattened in rows."""
+    k, w = rows.nrows, rows.ncols // n
+    mats = rows.dense().reshape(k, n, w)
+    return Matrix.from_dense(rows.field, mats.transpose(1, 0, 2).reshape(n, k * w))
+
+
+def _check_module_maps(maps: Matrix, left: list[Matrix], right: list[Matrix], failure: str) -> None:
+    """Certify g_M X = X g_N for every map X, one flattened per row of maps, and every generator g.
+
+    left and right hold the actions g_M and g_N of the algebra's generator
+    rows on the source and the target (ExplicitModule.generator_actions),
+    which generate the algebra with 1 (_generator_rows), so a map that
+    commutes with them is a module map.  Two products per generator cover
+    every map: X g_N on the maps stacked, g_M X on them side by side.
+    Raises CertificationError(failure) otherwise.
+    """
+    k, a = maps.nrows, left[0].nrows
+    b = maps.ncols // a
+    stacked, side = maps.reshape(k * a, b), _side_by_side(maps, a)
+    for gm, gn in zip(left, right):
+        after = (gm @ side).dense().reshape(a, k, b).transpose(1, 0, 2)
+        if not np.array_equal((stacked @ gn).dense().reshape(k, a, b), after):
+            raise CertificationError(failure)
+
+
+def hom_space(m: ExplicitModule, n: ExplicitModule) -> Matrix:
+    """Certified basis of module maps m -> n, one row-major flattened map per row, solved weight space by weight space.
 
     A module map commutes with the weight idempotents, so in weight-adapted
     bases it is block diagonal, Y = diag(Y_a): only those entries are
     unknowns of the generator intertwiner system (intertwiner_rows).  Each
     solution is taken back to the given bases as X = C_m Y B_n, and the
     result is the reduced basis of their span, which is the basis
-    kernel_from_rref gives for the full system.
+    kernel_from_rref gives for the full system.  Every map is certified to
+    commute with the generator actions of both modules (_check_module_maps).
     """
     if n.algebra is not m.algebra:
         raise ValueError("hom_space needs two modules over the same algebra")
-    if m.dim == 0 or n.dim == 0:
-        return []
+    f, a, b = m.algebra.field, m.dim, n.dim
+    if a == 0 or b == 0:
+        return Matrix.zeros(f, 0, a * b)
     left, m_parts = m.graded_generator_actions()
     right, n_parts = n.graded_generator_actions()
     ys = intertwiner_rows(left, right, m_parts, n_parts)
-    k, a, b = ys.nrows, m.dim, n.dim
+    k = ys.nrows
     if k == 0:
-        return []
-    f = m.algebra.field
+        return Matrix.zeros(f, 0, a * b)
     # the right factor B_n on the stacked Y_k, then C_m on the Z_k side by side
     z = (ys.reshape(k * a, b) @ n.weight_basis()[0]).dense().reshape(k, a, b)
     z = Matrix.from_dense(f, z.transpose(1, 0, 2).reshape(a, k * b))
     x = (m.weight_basis()[1] @ z).dense().reshape(a, k, b).transpose(1, 0, 2)
     maps = reduced_basis(Matrix.from_dense(f, x.reshape(k, a * b)))
-    out = [ModuleMap(m, n, mat) for mat in unflatten(maps, a, b)]
-    if verify:
-        for h in out:
-            h.check()
-    return out
+    _check_module_maps(maps, m.generator_actions(), n.generator_actions(), "a solved map is not a module map")
+    return maps
 
 
 def _regular_hom_basis(q: ExplicitModule) -> Matrix:
@@ -303,8 +313,8 @@ def _regular_hom_basis(q: ExplicitModule) -> Matrix:
     return Matrix.from_dense(q.algebra.field, acts.transpose(1, 0, 2).reshape(q.dim, -1))
 
 
-def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModule, ModuleMap]:
-    """Smallest action-stable subspace containing the seed row vectors."""
+def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModule, Matrix]:
+    """Smallest action-stable subspace containing the seed row vectors, and its inclusion matrix."""
     alg = parent.algebra
     f = alg.field
     sp = RowSpace(f, parent.dim)
@@ -320,31 +330,17 @@ def cyclic_submodule(parent: ExplicitModule, seeds: list) -> tuple[ExplicitModul
             raise CertificationError("closure failed: action leaves the computed subspace")
         acts.append(x)
     sub = ExplicitModule(alg, acts)
-    return sub, ModuleMap(sub, parent, U)
+    return sub, U
 
 
 def _tensor_seed(params: HeckeParams, m: int) -> list:
     """Coordinates of z^(tensor (d-m)/2) tensor e1^m with z = e1 e2 - u^(-1) e2 e1."""
-    d = params.d
-    f = params.field
-    lam2 = (d - m) // 2
-    vec = [f.zero] * (1 << d)
-    neg_ui = f.neg(params.u_inv)
-    for mask in range(1 << lam2):
-        bits = []
-        coeff = f.one
-        for t in range(lam2):
-            if (mask >> t) & 1:
-                bits.extend((1, 0))
-                coeff = f.mul(coeff, neg_ui)
-            else:
-                bits.extend((0, 1))
-        bits.extend([0] * m)
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        vec[idx] = f.add(vec[idx], coeff)
-    return vec
+    p = params.field.p
+    z = np.array([0, 1, p - params.u_inv, 0], dtype=np.int64)  # on the words 11, 12, 21, 22
+    vec = np.ones(1, dtype=np.int64)
+    for factor in [z] * ((params.d - m) // 2) + [np.array([1, 0], dtype=np.int64)] * m:
+        vec = np.kron(vec, factor) % p
+    return vec.tolist()
 
 
 def standard_module(params: HeckeParams, m: int, algebra: ExplicitAlgebra | None = None) -> ExplicitModule:
@@ -497,16 +493,9 @@ def _fitting_split(rng, em: Matrix, flat: Matrix, gens: list[Matrix]) -> list[Ma
         b = Matrix.vstack([img, y.transpose().kernel_basis_matrix()])
         proj = b.solve_many(Matrix.identity(field, t)).select_columns(range(img.nrows)) @ img
         f = em.select_columns(piv) @ proj @ u_e
-        if any(g @ f != f @ g for g in gens):
-            raise CertificationError("a Fitting projection is not an endomorphism of Q")
+        _check_module_maps(flatten([f]), gens, gens, "a Fitting projection is not an endomorphism of Q")
         return [f, em - f]
     raise CertificationError("64 random elements do not split a corner that is not local")
-
-
-def _side_by_side(rows: Matrix, n: int) -> Matrix:
-    """The hstack of the n x n matrices flattened in rows."""
-    mats = rows.dense().reshape(rows.nrows, n, n)
-    return Matrix.from_dense(rows.field, mats.transpose(1, 0, 2).reshape(n, rows.nrows * n))
 
 
 def _tensor_end(q: ExplicitModule) -> TensorEnd:
@@ -527,8 +516,8 @@ def _tensor_end(q: ExplicitModule) -> TensorEnd:
     if q.actions != alg.basis:
         raise ValueError("relative dominant dimension is taken relative to tensor_module(algebra) only")
     field, dq = alg.field, q.dim
-    basis = [h.matrix for h in hom_space(q, q, verify=False)]
-    e, flat, stack = len(basis), flatten(basis), Matrix.hstack(basis)
+    flat = hom_space(q, q)
+    e, basis, stack = flat.nrows, unflatten(flat, dq, dq), _side_by_side(flat, dq)
     classes, gens = weight_classes(dq), q.generator_actions()
     rng = random.Random(e)
     found: dict[int, list] = {}
@@ -653,10 +642,9 @@ def relative_domdim(m: ExplicitModule, q: ExplicitModule, cap: int | None = None
     if m.is_regular:
         homs = _regular_hom_basis(q)
     else:
-        maps = hom_space(m, q, verify=False)
-        if not maps:
+        homs = hom_space(m, q)
+        if not homs.nrows:
             return DomdimResult.exact(0)
-        homs = flatten(hm.matrix for hm in maps)
     dim, dq, steps = m.dim, q.dim, 0
     while True:
         picks = _top_lifts(homs, end.tops, end.radical, end.corners)

@@ -47,28 +47,17 @@ def hecke_action(params: HeckeParams, s: int) -> Matrix:
     d = params.d
     if not 1 <= s <= d - 1:
         raise ValueError(f"generator index {s} out of range for degree {d}")
-    f = params.field
-    u = params.u
-    shift = f.sub(u, params.u_inv)
-    n = 1 << d
+    f, u = params.field, params.u
+    idx = np.arange(1 << d)
     hi = d - s  # bit position of letter s (1-based from the left)
     lo = d - s - 1  # bit position of letter s+1
-    rows = []
-    for idx in range(n):
-        row = [f.zero] * n
-        a = (idx >> hi) & 1
-        b = (idx >> lo) & 1
-        if a == b:
-            row[idx] = u
-        else:
-            swapped = idx ^ (1 << hi) ^ (1 << lo)
-            if a < b:
-                row[swapped] = f.add(row[swapped], f.one)
-            else:
-                row[idx] = shift
-                row[swapped] = f.add(row[swapped], f.one)
-        rows.append(row)
-    return Matrix.from_rows(f, rows)
+    a, b = (idx >> hi) & 1, (idx >> lo) & 1
+    dense = np.zeros((idx.size, idx.size), dtype=np.int64)
+    # u on equal letters, u - u^(-1) on descents (2, 1), and 1 at the swapped word where the letters differ
+    dense[idx, idx] = np.where(a == b, u, np.where(a > b, f.sub(u, params.u_inv), 0))
+    differ = idx[a != b]
+    dense[differ, differ ^ (1 << hi) ^ (1 << lo)] = 1
+    return Matrix.from_dense(f, dense)
 
 
 def tl_action(params: HeckeParams, s: int) -> Matrix:

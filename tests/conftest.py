@@ -62,10 +62,10 @@ def dense_split():
     """
 
     def split(f_components, cur, q):
-        hom_back = oracle.hom_space(q, cur, verify=False)
+        hom_back = unflatten(oracle.hom_space(q, cur), q.dim, cur.dim)
         if not hom_back:
             return False
-        system = flatten(F @ B.matrix for F in f_components for B in hom_back).transpose()
+        system = flatten(F @ B for F in f_components for B in hom_back).transpose()
         ident = flatten([Matrix.identity(cur.algebra.field, cur.dim)]).transpose()
         return system.solve_many(ident) is not None
 
@@ -84,7 +84,7 @@ def universal_domdim(dense_split):
 
     def run(m, q, cap):
         for steps in range(cap):
-            homs = [h.matrix for h in oracle.hom_space(m, q)]
+            homs = unflatten(oracle.hom_space(m, q), m.dim, q.dim)
             if not homs:
                 return steps
             R, rank, pivots = Matrix.hstack(homs).rref()
@@ -118,7 +118,7 @@ def reference_cokernels():
         complements = [oracle._row_basis(Matrix.identity(f, dq) - e) for e in tops]
         out = []
         while len(out) < cap:
-            maps = [h.matrix for h in oracle.hom_space(m, q)]
+            maps = unflatten(oracle.hom_space(m, q), m.dim, q.dim)
             if not maps:
                 break
             picks = oracle._top_lifts(flatten(maps), end.tops, end.radical, end.corners)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import tlschur
 from tlschur.cli import run
 from tlschur.weights import DecompTable, decomposition_matrix, projective_column
 
@@ -142,6 +145,24 @@ def test_verify_degree_2(capsys):
     assert {"oracle_regular_domdim", "oracle_delta0_not_summand"} <= set(ids)
     assert all(v["pass"] for v in verdicts)
     assert all(v["d"] == 2 and v["config"] == "gf2-u1" for v in verdicts)
+
+
+@pytest.mark.parametrize("config", ["gf2-u1", "gf5-u2"])
+def test_verify_degree_4_output_is_pinned(config):
+    # every verdict line and every progress line, byte for byte; a fresh process, so
+    # the progress lines of building the cached Schur algebra are printed too
+    data = Path(__file__).parent / "data"
+    env = {**os.environ, "PYTHONPATH": str(Path(tlschur.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "tlschur.cli", "verify", "--d", "4", "--config", config, "--progress"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (data / f"verify-d4-{config}.stdout").read_text()
+    assert proc.stderr == (data / f"verify-d4-{config}.stderr").read_text()
 
 
 def test_output_file_matches_stdout(tmp_path, capsys):

@@ -14,8 +14,8 @@ from tlschur.oracle import (
     DomdimResult,
     ExplicitAlgebra,
     ExplicitModule,
-    ModuleMap,
     _check_idempotents,
+    _check_module_maps,
     _regular_hom_basis,
     _tensor_end,
     _top_lifts,
@@ -59,6 +59,12 @@ def _change_basis(mod: ExplicitModule, seed: int) -> ExplicitModule:
         g_inv = g.solve_many(Matrix.identity(f, mod.dim))
         if g_inv is not None:
             return ExplicitModule(mod.algebra, [g @ a @ g_inv for a in mod.actions], label=f"g({mod.label})")
+
+
+def check_module_map(source: ExplicitModule, target: ExplicitModule, mat: Matrix) -> None:
+    """The map with matrix mat intertwines the action of every basis element, not only the generators."""
+    for i in range(source.algebra.dim):
+        assert source.actions[i] @ mat == mat @ target.actions[i], f"map does not intertwine basis element {i}"
 
 
 def validate_module(mod: ExplicitModule, deep: bool = False) -> None:
@@ -151,12 +157,12 @@ def test_generator_rows_generate(make, counts):
 def test_endomorphisms_of_tensor_space(make, d, dense_intertwiners):
     alg = schur_algebra(make(d))
     q = tensor_module(alg)
-    end_q = hom_space(q, q)
+    end_q = unflatten(hom_space(q, q), q.dim, q.dim)
     assert len(end_q) == catalan(d)
     for h in end_q:
-        h.check()
+        check_module_map(q, q, h)
     acts = q.generator_actions()
-    assert [h.matrix for h in end_q] == dense_intertwiners(acts, acts)
+    assert end_q == dense_intertwiners(acts, acts)
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
@@ -170,7 +176,7 @@ def test_hom_space_matches_dense(make, d, dense_intertwiners):
     # standard modules have empty weight spaces
     cases += [(standard_module(params, m, algebra=alg), q) for m in range(d % 2, d + 1, 2)]
     for src, dst in cases:
-        got = [h.matrix for h in hom_space(src, dst)]
+        got = unflatten(hom_space(src, dst), src.dim, dst.dim)
         assert got == dense_intertwiners(src.generator_actions(), dst.generator_actions()), (src.label, dst.label)
 
 
@@ -314,6 +320,38 @@ def test_hom_space_checks_its_inputs():
         hom_space(q, q)
 
 
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+def test_corrupted_solve_fails_the_certificate(make, monkeypatch):
+    # every solved endomorphism of Q also sends the first word of weight 1 to the top
+    # word 11: End(Q) at d = 2 stays local, and the regular verdict comes out as 1, not
+    # 2, unless the solved maps themselves are certified
+    solve = oracle.intertwiner_rows
+
+    def corrupted(left, right, row_parts, col_parts):
+        ys = solve(left, right, row_parts, col_parts)
+        dense = ys.dense().astype(np.int64)
+        dense[:, row_parts[1][0] * right[0].nrows + col_parts[0][0]] += 1
+        return Matrix.from_dense(ys.field, dense)
+
+    alg = schur_algebra(make(2))
+    monkeypatch.setattr(oracle, "intertwiner_rows", corrupted)
+    with pytest.raises(CertificationError, match="not a module map"):
+        relative_domdim(regular_module(alg), tensor_module(alg))
+
+
+def test_hom_space_is_a_matrix_of_flattened_maps():
+    params = classical_char2(3)
+    alg = schur_algebra(params)
+    q = tensor_module(alg)
+    delta = standard_module(params, 3, algebra=alg)
+    homs = hom_space(delta, q)
+    assert (homs.nrows, homs.ncols) == (1, delta.dim * q.dim)
+    zero = ExplicitModule(alg, [Matrix.zeros(alg.field, 0, 0)] * alg.dim)
+    for src, dst in [(zero, q), (q, zero)]:
+        empty = hom_space(src, dst)
+        assert (empty.nrows, empty.ncols) == (0, 0)
+
+
 def test_module_operations_reject_mixed_algebras():
     a = tensor_module(schur_algebra(classical_char2(2)))
     b = tensor_module(schur_algebra(quantum_ell2(2)))
@@ -330,13 +368,13 @@ def test_regular_hom_basis_matches_solver(make):
     reg = regular_module(alg)
     fast = _regular_hom_basis(q)
     slow = hom_space(reg, q)
-    assert fast.nrows == len(slow) == q.dim
+    assert fast.nrows == slow.nrows == q.dim
     span = RowSpace(alg.field, reg.dim * q.dim)
     for mat in unflatten(fast, reg.dim, q.dim):
-        ModuleMap(reg, q, mat).check()
+        check_module_map(reg, q, mat)
     span.insert(fast)
     assert span.dim == fast.nrows
-    assert span.contains(flatten(h.matrix for h in slow))
+    assert span.contains(slow)
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
@@ -347,9 +385,34 @@ def test_cyclic_submodule_closure(make):
     seed = [f.one] + [f.zero] * (q.dim - 1)
     sub, incl = cyclic_submodule(q, [seed])
     assert 1 <= sub.dim <= q.dim
-    incl.check()
-    assert incl.matrix.rank() == sub.dim
+    check_module_map(sub, q, incl)
+    assert incl.rank() == sub.dim
     validate_module(sub)
+
+
+def _letter_by_letter_seed(params: HeckeParams, m: int) -> list:
+    """z^(tensor (d-m)/2) tensor e1^m summed word by word: the reference for oracle._tensor_seed."""
+    f, lam2 = params.field, (params.d - m) // 2
+    vec = [f.zero] * (1 << params.d)
+    for mask in range(1 << lam2):
+        idx, coeff = 0, f.one
+        for t in range(lam2):
+            # letters 21 with coefficient -u^(-1) where bit t is set, 12 otherwise
+            if (mask >> t) & 1:
+                idx, coeff = (idx << 2) | 0b10, f.mul(coeff, f.neg(params.u_inv))
+            else:
+                idx = (idx << 2) | 0b01
+        idx <<= m
+        vec[idx] = f.add(vec[idx], coeff)
+    return vec
+
+
+@pytest.mark.parametrize("p,u", [(2, 1), (5, 2), (7, 3), (3, 1), (257, 16), (1009, 469)])
+def test_tensor_seed_matches_word_by_word_sum(p, u):
+    for d in range(1, 8):
+        params = HeckeParams(d, GF(p), u)
+        for m in range(d % 2, d + 1, 2):
+            assert oracle._tensor_seed(params, m) == _letter_by_letter_seed(params, m), (d, m)
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
@@ -450,7 +513,7 @@ def test_greedy_rows_agree_in_hom_and_flat_coordinates(make, d, post_composition
     q = tensor_module(alg)
     end = _tensor_end(q)
     for mod in [q] + [standard_module(params, m, algebra=alg) for m in range(d % 2, d + 1, 2)]:
-        homs = [h.matrix for h in hom_space(mod, q, verify=False)]
+        homs = unflatten(hom_space(mod, q), mod.dim, q.dim)
 
         def in_homs(stack):
             mats = _blocks(stack, q.dim)
@@ -493,7 +556,7 @@ def test_coresolution_cokernels_are_modules(make, dims, reference_cokernels):
         validate_module(mod, deep=True)
     # the oracle reads each cokernel's dim and left-exactness hom space without
     # building it: they are the dims of the module and of the direct solver's hom space
-    assert [(mod.dim, len(hom_space(mod, q))) for mod in built] == [_step_dims(line) for line in lines[1:]]
+    assert [(mod.dim, hom_space(mod, q).nrows) for mod in built] == [_step_dims(line) for line in lines[1:]]
 
 
 def _step_lines(steps, d):
@@ -609,7 +672,7 @@ def test_split_test_matches_dense(make, d, with_regular, dense_split, reference_
         lines = []
         res = relative_domdim(mod, q, progress=lines.append)
         chain = [mod] + reference_cokernels(mod, q, 4 * d)
-        homs = [[h.matrix for h in hom_space(cur, q)] for cur in chain]
+        homs = [unflatten(hom_space(cur, q), cur.dim, q.dim) for cur in chain]
         # the chain is the oracle's: one module per step, and a last cokernel without maps to Q
         dims = [(cur.dim, len(h)) for cur, h in zip(chain, homs)]
         assert dims[: len(lines)] == [_step_dims(line) for line in lines], mod.label
@@ -656,21 +719,23 @@ def test_module_constructor_checks_survive_optimized_mode(run_optimized):
 
 def test_module_map_check_survives_optimized_mode(run_optimized):
     # E_01 sends the weight-(2, 0) word 11 to the weight-(1, 1) word 12, so it
-    # does not commute with the weight idempotents of the algebra
+    # does not commute with the weight idempotents of the algebra, nor with all
+    # of its generators
     code = (
         "from tlschur.hecke import classical_char2\n"
-        "from tlschur.linalg import Matrix\n"
-        "from tlschur.oracle import CertificationError, ModuleMap, schur_algebra, tensor_module\n"
+        "from tlschur.linalg import Matrix, flatten\n"
+        "from tlschur.oracle import CertificationError, _check_module_maps, schur_algebra, tensor_module\n"
         "q = tensor_module(schur_algebra(classical_char2(2)))\n"
-        "f = q.algebra.field\n"
+        "f, gens = q.algebra.field, q.generator_actions()\n"
         "m = Matrix.from_rows(f, [[int(i == 0 and j == 1) for j in range(q.dim)] for i in range(q.dim)])\n"
+        "_check_module_maps(flatten([Matrix.identity(f, q.dim)]), gens, gens, 'the identity')\n"
         "try:\n"
-        "    ModuleMap(q, q, m).check()\n"
-        "except CertificationError:\n"
-        "    print(__debug__, 'raised')\n"
+        "    _check_module_maps(flatten([Matrix.identity(f, q.dim), m]), gens, gens, 'E_01')\n"
+        "except CertificationError as exc:\n"
+        "    print(__debug__, 'raised', exc)\n"
     )
     out = run_optimized(code)
-    assert out[:2] == ["False", "raised"], out[-1]
+    assert out[:3] == ["False", "raised", "E_01"], out[-1]
 
 
 # odd primes with u^2 = -1, so q = u^(-2) = -1 has quantum characteristic 2

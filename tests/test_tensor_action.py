@@ -62,6 +62,34 @@ def test_basis_word_round_trip():
     assert basis_word(3, 5) == (2, 1, 2)
 
 
+def _word_by_word_hecke_action(params: HeckeParams, s: int) -> Matrix:
+    """T_s built one basis word at a time from the letter pair at (s, s+1): the reference for hecke_action."""
+    d, f, u = params.d, params.field, params.u
+    shift = f.sub(u, params.u_inv)
+    n, hi, lo = 1 << d, d - s, d - s - 1
+    rows = []
+    for idx in range(n):
+        row = [f.zero] * n
+        a, b = (idx >> hi) & 1, (idx >> lo) & 1
+        if a == b:
+            row[idx] = u
+        else:
+            swapped = idx ^ (1 << hi) ^ (1 << lo)
+            if a > b:
+                row[idx] = shift
+            row[swapped] = f.add(row[swapped], f.one)
+        rows.append(row)
+    return Matrix.from_rows(f, rows)
+
+
+@pytest.mark.parametrize("p,u", [(2, 1), (5, 2), (7, 3), (3, 1), (257, 16), (1009, 469)])
+def test_hecke_action_matches_word_by_word_build(p, u):
+    for d in range(1, 8):
+        params = HeckeParams(d, GF(p), u)
+        for s in range(1, d):
+            assert hecke_action(params, s) == _word_by_word_hecke_action(params, s), (d, s)
+
+
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_action_satisfies_presentation(make, d):
