@@ -9,17 +9,14 @@ over GF(5), sparse systems whose fill-in random dense squares do not show:
   oracle no longer solves it (hom_space solves per weight); it stays as an
   anchor for the dense kernel.
 * the weight-graded system that hom_space(Q, Q) solves: only the
-  C(10, 5) = 252 weight-diagonal entries are unknowns.  It is timed twice:
-  one gfp_rref of the whole system, and the streamed elimination that
-  intertwiner_rows runs, RowSpace.from_dense on the narrow int8 array.
+  C(10, 5) = 252 weight-diagonal entries are unknowns, in one gfp_rref.
 
-The next ones time the layer above the kernels, the build of intertwiner
-systems by tensor_action.intertwiner_system, for both blessed configs at
-d=5: the double-commutant system (2324x252, one call on the six weight
-classes) and the 12 commutant systems that commutant_basis builds, one per
-orbit of weight pairs under the transpose and the word flip.  The next ones
-time the whole commutant_basis at d=5 and d=6 for both blessed configs.  The
-next ones time hom_space(Q, Q) at d=5 and d=6 for both blessed configs, the
+The next ones time the layer above the kernels, the build of the d=5
+double-commutant system (2324x252, one call on the six weight classes) by
+tensor_action.intertwiner_system, for both blessed configs.  The next ones
+time the whole commutant_basis at d=5 and d=6 for both blessed configs: one
+stabiliser system per weight pair, each map extended along a tree and
+certified.  The next ones time hom_space(Q, Q) at d=5 and d=6 for both blessed configs, the
 solve with its certificate, and then the certificate alone: every End(Q)
 map checked against the generator actions.  The last ones time the
 coresolution steps of the regular module at d=6 for both blessed configs:
@@ -37,15 +34,13 @@ import numpy as np
 
 from tlschur import BLESSED_CONFIGS, regular_module, relative_domdim, schur_algebra, tensor_module
 from tlschur import _kernels as K
-from tlschur.fields import GF
-from tlschur.linalg import Matrix, RowSpace
+from tlschur.linalg import Matrix
 from tlschur.oracle import _check_module_maps, _tensor_end, hom_space
 from tlschur.tensor_action import (
     commutant_basis,
     hecke_generator_matrices,
     intertwiner_system,
     weight_classes,
-    weight_pair_orbits,
 )
 
 
@@ -80,18 +75,11 @@ def graded_endq_system() -> np.ndarray:
     return system
 
 
-def builder_inputs(config: str) -> dict[str, list[tuple]]:
-    """intertwiner_system arguments of the d=5 double commutant and of the commutant's orbit representatives."""
-    params = BLESSED_CONFIGS[config](5)
+def double_commutant_input(config: str) -> tuple:
+    """intertwiner_system arguments of the d=5 double commutant."""
     classes = weight_classes(32)
-    comm = schur_algebra(params).basis
-    gens = hecke_generator_matrices(params)
-    restricted = [[g.select_rows(c).select_columns(c) for g in gens] for c in classes]
-    orbits = weight_pair_orbits(5)
-    return {
-        "double commutant d=5": [(comm, comm, classes, classes)],
-        f"{len(orbits)} commutant weight-pair orbits d=5": [(restricted[a], restricted[b]) for (a, b), *_ in orbits],
-    }
+    comm = schur_algebra(BLESSED_CONFIGS[config](5)).basis
+    return comm, comm, classes, classes
 
 
 def tensor_with_end(config: str, d: int):
@@ -99,11 +87,6 @@ def tensor_with_end(config: str, d: int):
     q = tensor_module(schur_algebra(BLESSED_CONFIGS[config](d)))
     _tensor_end(q)
     return q
-
-
-def build_all(calls: list[tuple]) -> None:
-    for args in calls:
-        intertwiner_system(*args)
 
 
 def main():
@@ -143,8 +126,7 @@ def main():
     )
 
     inv5 = inv_table(5)
-    graded = graded_endq_system()
-    for label, system in (("End(Q)", endq_system()), ("graded End(Q)", graded.astype(np.int64) % 5)):
+    for label, system in (("End(Q)", endq_system()), ("graded End(Q)", graded_endq_system().astype(np.int64) % 5)):
         rows.append(
             bench_case(
                 f"gfp_rref p=5 {label} d=5 {system.shape[0]}x{system.shape[1]}",
@@ -153,12 +135,11 @@ def main():
                 args.repeats,
             )
         )
-    label = f"RowSpace.from_dense p=5 graded End(Q) d=5 {graded.shape[0]}x{graded.shape[1]}"
-    rows.append(bench_case(label, lambda: (GF(5), graded), RowSpace.from_dense, args.repeats))
 
     for config in BLESSED_CONFIGS:
-        for label, calls in builder_inputs(config).items():
-            rows.append(bench_case(f"intertwiner_system {config} {label}", lambda: (calls,), build_all, args.repeats))
+        system_args = double_commutant_input(config)
+        label = f"intertwiner_system {config} double commutant d=5"
+        rows.append(bench_case(label, lambda: system_args, intertwiner_system, args.repeats))
 
     for config, make in BLESSED_CONFIGS.items():
         for d in (5, 6):

@@ -17,7 +17,8 @@ kernel_generator(params, i), which vanish identically when d = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import GF2, GF5
 from .permutations import Permutation
@@ -187,18 +188,20 @@ class HeckeElement:
         return "HeckeElement(" + " + ".join(bits) + ")"
 
 
+@lru_cache(maxsize=1 << 12)
+def _phi_word(tlp: TLParams, u, word: tuple[int, ...]) -> TLElement:
+    """phi(T_w) for a reduced word of w: phi of the word without its last letter s, times U_s + u."""
+    if not word:
+        return TLElement.one(tlp)
+    return _phi_word(tlp, u, word[:-1]) * (TLElement.generator(tlp, word[-1]) + TLElement.one(tlp).scale(u))
+
+
 def phi(x: HeckeElement) -> TLElement:
-    """The surjection onto TL_d(delta) determined by T_{s_i} -> U_i + u."""
-    p = x.params
-    tlp = p.tl_params()
-    f = p.field
+    """The surjection onto TL_d(delta) determined by T_{s_i} -> U_i + u, cached along reduced words."""
+    tlp = x.params.tl_params()
     out = TLElement.zero(tlp)
     for w, c in x.coeffs.items():
-        term = TLElement.one(tlp).scale(c)
-        for i in w.reduced_word():
-            gen = TLElement.generator(tlp, i) + TLElement.one(tlp).scale(p.u)
-            term = term * gen
-        out = out + term
+        out = out + _phi_word(tlp, x.params.u, w.reduced_word()).scale(c)
     return out
 
 

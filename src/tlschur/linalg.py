@@ -22,10 +22,6 @@ from . import _kernels
 from .fields import GF
 
 _MAX_GFP_MATMUL = 2**62
-# bytes of the row block that RowSpace.from_dense copies into a Matrix at a
-# time: int64 residues over GF(p), so a 252-column block holds 260 rows, and
-# uint8 bits over GF(2), which holds eight times as many
-_BLOCK_BYTES = 512 << 10
 
 
 def _inv_table(p: int) -> np.ndarray:
@@ -358,20 +354,6 @@ class RowSpace:
         self.basis = Matrix.zeros(field, 0, ncols)
         self.pivots: tuple = ()
 
-    @staticmethod
-    def from_dense(field, dense: np.ndarray) -> "RowSpace":
-        """Row space of an integer array, inserted in row blocks of at most _BLOCK_BYTES.
-
-        Only one block at a time is copied and reduced mod p, so a narrow
-        int8 array is never held whole as int64.
-        """
-        space = RowSpace(field, dense.shape[1])
-        width = 1 if field.p == 2 else 8
-        step = max(1, _BLOCK_BYTES // (width * dense.shape[1]))
-        for lo in range(0, dense.shape[0], step):
-            space.insert(Matrix.from_dense(field, dense[lo : lo + step]))
-        return space
-
     @property
     def dim(self) -> int:
         return self.basis.nrows
@@ -410,6 +392,9 @@ class RowSpace:
 
     def close(self, mats: Sequence[Matrix]) -> None:
         """Grow to the smallest space stable under right multiplication by each of mats."""
+        fresh = self.basis  # only the rows at the pivots the last round added; the rest were multiplied before
         while mats and 0 < self.dim < self.ncols:
-            if not self.insert(Matrix.vstack([self.basis @ a for a in mats])):
+            before = set(self.pivots)
+            if not self.insert(Matrix.vstack([fresh @ a for a in mats])):
                 return
+            fresh = self.basis.select_rows([i for i, c in enumerate(self.pivots) if c not in before])

@@ -14,11 +14,10 @@ by the regression that every kernel generator of the Hecke-to-TL surjection
 acts as zero.
 
 Every T_s preserves the weight of a word (its number of letters 2), so
-V^(tensor d) is the direct sum of its weight spaces V_a.  Intertwiner
-systems are solved weight block by weight block: the commutant as the
-systems Hom(V_a, V_b), one per orbit of weight pairs under the transpose and
-the word flip, the double commutant and hom spaces of modules on their
-weight-diagonal entries only.
+V^(tensor d) is the direct sum of its weight spaces V_a, spanned by the
+words reached from 1^(d-a) 2^a by swapping letters.  The commutant is solved
+per weight pair through that first word; the double commutant and hom spaces
+of modules are intertwiner systems on their weight-diagonal entries only.
 """
 
 from __future__ import annotations
@@ -28,6 +27,10 @@ import numpy as np
 from .hecke import HeckeElement, HeckeParams
 from .linalg import Matrix, RowSpace, flatten, kernel_from_rref, reduced_basis, unflatten
 from .permutations import Permutation
+
+# bytes of the row block intertwiner_rows copies into a Matrix at a time: int64 residues
+# over GF(p), 260 rows of 252 columns, and uint8 bits over GF(2), eight times as many
+_BLOCK_BYTES = 512 << 10
 
 
 def basis_word(d: int, n: int) -> tuple[int, ...]:
@@ -281,92 +284,99 @@ def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts=None, co
     """Basis of the matrices X with a @ X == X @ b for every pair (a, b), flattened row-major.
 
     The system and the parts are those of intertwiner_system.  Its rows go
-    into one RowSpace block by block (RowSpace.from_dense), and the basis
-    is the one kernel_from_rref gives for the rref of the whole system,
-    embedded in the full flattening.
+    into one RowSpace in blocks of _BLOCK_BYTES, so the narrow array is
+    never held whole as int64.  Once the span's kernel is smaller than the
+    span, only the rows of a block with rows @ kernel^T nonzero, the ones
+    outside the span, are inserted, and the kernel is read again after each
+    growth.  The rref of a span is unique, so the basis is the one
+    kernel_from_rref gives for the whole system, in the full flattening.
     """
     f = left[0].field
     system, coords = intertwiner_system(left, right, row_parts, col_parts)
-    if system is None:
-        kernel = Matrix.identity(f, coords.size)
-    else:
+    space, kernel = RowSpace(f, coords.size), None
+    if system is not None:
         if progress:
             progress(f"solving {system.shape[0]}x{system.shape[1]} kernel")
-        space = RowSpace.from_dense(f, system)
-        kernel = kernel_from_rref(space.basis, space.dim, space.pivots)
+        step = max(1, _BLOCK_BYTES // ((1 if f.p == 2 else 8) * coords.size))
+        for lo in range(0, system.shape[0], step):
+            rows = Matrix.from_dense(f, system[lo : lo + step])
+            if kernel is not None:  # inserting rows outside the span makes the kernel stale: release it first
+                keep = np.flatnonzero((rows @ kernel.transpose()).dense().any(axis=1))
+                rows, kernel = rows.select_rows(keep), None if keep.size else kernel
+            if rows.nrows and space.insert(rows) and 2 * space.dim > coords.size:
+                kernel = kernel_from_rref(space.basis, space.dim, space.pivots)
+    kernel = kernel_from_rref(space.basis, space.dim, space.pivots)
     out = np.zeros((kernel.nrows, left[0].nrows * right[0].nrows), dtype=np.int64)
     out[:, coords] = kernel.dense()
     return Matrix.from_dense(f, out)
 
 
-def weight_pair_orbits(d: int) -> list[list[tuple[int, int]]]:
-    """The weight pairs (a, b), 0 <= a, b <= d, in orbits under transposing and flipping.
+def _ascent_tree(blocks: np.ndarray, a: int) -> list[tuple[int, int, int]]:
+    """Edges (word, parent, generator), parents first, of a tree from the first word of V_a to all of it.
 
-    The orbit of (a, b) is {(a, b), (b, a), (d - a, d - b), (d - b, d - a)}.
-    Each orbit lists its least pair first, and the orbits are ordered by it:
-    12 orbits at d=5, 16 at d=6.
+    blocks holds the generators on V_a.  An edge w -> w' is a generator whose row w is the unit
+    vector at w' != w (for T_s an ascent).  CertificationError if a word is missed.
     """
-    orbits = []
-    for a in range(d + 1):
-        for b in range(d + 1):
-            orbit = list(dict.fromkeys([(a, b), (b, a), (d - a, d - b), (d - b, d - a)]))
-            if min(orbit) == (a, b):
-                orbits.append(orbit)
-    return orbits
-
-
-def _word_flip(d: int) -> np.ndarray:
-    """The word flip as an index map: word w goes to w reversed with its letters 1 and 2 swapped.
-
-    It is an involution that sends weight a to d - a, and conjugating by it
-    sends the Hecke generator T_s to T_(d-s).
-    """
-    return np.array([word_index([3 - x for x in reversed(basis_word(d, i))]) for i in range(1 << d)])
+    dest = np.argmax(blocks != 0, axis=2)
+    unit = (np.count_nonzero(blocks, axis=2) == 1) & (blocks.max(axis=2) == 1) & (dest != np.arange(blocks.shape[1]))
+    seen, edges = {0}, [(0, 0, 0)]
+    for w, _, _ in edges:  # breadth first: the list grows while it is read
+        for k in np.flatnonzero(unit[:, w]):
+            if dest[k, w] not in seen:
+                seen.add(dest[k, w])
+                edges.append((int(dest[k, w]), w, int(k)))
+    if len(edges) < blocks.shape[1]:
+        raise CertificationError(f"the generators do not reach every word of weight {a} from the first word")
+    return edges[1:]
 
 
 def commutant_basis(generators: list[Matrix], progress=None) -> list[Matrix]:
     """Basis of all matrices on V^(tensor d) commuting with every generator.
 
-    Every generator must preserve weight, so the commutant is the direct sum
-    of the intertwiners Hom(V_a, V_b) of the restrictions to the weight
-    spaces.  Two symmetries of the generator set are certified as well
-    (CertificationError for any of the three): every generator equals its
-    transpose, and conjugating by the word flip pi (_word_flip) maps the set
-    onto itself.  Then X commutes with every generator iff X^T does, and iff
-    pi X pi does; transposing moves weight block (a, b) to (b, a), and pi
-    moves it to (d - a, d - b).  So one system is solved per orbit of weight
-    pairs (weight_pair_orbits), and the other blocks of the orbit are the
-    transposed and flipped solutions.  The basis is the reverse reduced
-    echelon form of their union, which is the basis the full system's
-    kernel_from_rref gives.
+    Every generator must preserve weight (CertificationError otherwise), so
+    the commutant is the sum of the maps X: V_a -> V_b with g_a X = X g_b.
+    Each weight pair is solved through the first word w_a = 1^(d-a) 2^a of
+    V_a.  A stabiliser g has row w_a equal to lambda_g e_(w_a), so v = X[w_a]
+    has v (g_b - lambda_g) = 0, on dim V_b unknowns; along a tree of edges
+    w -> w' (_ascent_tree), X[w'] = X[w] g_b.  So X -> v is injective into
+    that kernel, and once each kernel basis vector, extended along the tree,
+    is certified to commute with every generator (two batched products;
+    CertificationError otherwise), the maps are a basis of Hom(V_a, V_b).
+    For T_s this is Frobenius reciprocity for the q-permutation module V_a
+    (Dipper and James, Proc. LMS 59, 1989).  The basis is the reverse
+    reduced echelon form of the union, the one the full system's
+    kernel_from_rref gives.  Int64 products are exact while dim V_a
+    (p - 1)^2 < 2^63 (ValueError otherwise).
     """
     if not generators:
         raise ValueError("need at least one generator")
-    f = generators[0].field
-    n = generators[0].nrows
+    f, n = generators[0].field, generators[0].nrows
     classes = weight_classes(n)
-    d = len(classes) - 1
+    size = max(map(len, classes))
+    if size * (f.p - 1) ** 2 >= 2**63:
+        raise ValueError(f"GF({f.p}) products of length {size} overflow int64")
     _check_weight_preserving(generators)
-    gens = np.stack([g.dense() for g in generators])
-    for k, g in enumerate(gens):
-        if not np.array_equal(g, g.T):
-            raise CertificationError(f"generator {k} is not symmetric")
-    flip = _word_flip(d)
-    if {g.tobytes() for g in gens[:, flip[:, None], flip]} != {g.tobytes() for g in gens}:
-        raise CertificationError("conjugating by the word flip does not map the generators onto themselves")
-    restricted = [[g.select_rows(idx).select_columns(idx) for g in generators] for idx in classes]
-    orbits = weight_pair_orbits(d)
+    gens = np.stack([g.dense().astype(np.int64) for g in generators])
+    blocks = [gens[:, c][:, :, c] for c in classes]
     if progress:
-        progress(f"solving {len(orbits)} weight-pair orbits of at most {max(map(len, classes)) ** 2} unknowns")
+        progress(f"solving {len(classes) ** 2} weight pairs of at most {size} unknowns")
     rows = []
-    for (a, b), *_ in orbits:
-        kernel = intertwiner_rows(restricted[a], restricted[b]).dense()
-        x = np.zeros((kernel.shape[0], n, n), dtype=np.int64)
-        x[:, np.array(classes[a])[:, None], classes[b]] = kernel.reshape(-1, len(classes[a]), len(classes[b]))
-        # the solutions on block (a, b), transposed on (b, a), and both flipped on (d - a, d - b), (d - b, d - a)
-        blocks = {(a, b): x, (b, a): x.transpose(0, 2, 1)}
-        blocks.update({(d - i, d - j): y[:, flip[:, None], flip] for (i, j), y in blocks.items()})
-        rows.extend(y.reshape(-1, n * n) for y in blocks.values())
+    for a, ga in enumerate(blocks):
+        tree, stab = _ascent_tree(ga, a), np.flatnonzero(~ga[:, 0, 1:].any(axis=1))
+        for b, gb in enumerate(blocks):
+            v = np.eye(gb.shape[1], dtype=np.int64)
+            if stab.size:  # the kernel of the stacked (g_b - lambda_g)^T
+                eqs = (gb[stab] - ga[stab, 0, 0, None, None] * v).transpose(0, 2, 1).reshape(-1, v.shape[0])
+                v = Matrix.from_dense(f, eqs).kernel_basis_matrix().dense().astype(np.int64)
+            x = np.zeros((v.shape[0], ga.shape[1], gb.shape[1]), dtype=np.int64)
+            x[:, 0] = v
+            for w, parent, k in tree:
+                x[:, w] = x[:, parent] @ gb[k] % f.p
+            if not np.array_equal(ga[:, None] @ x[None] % f.p, x[None] @ gb[:, None] % f.p):
+                raise CertificationError(f"a map on weight block ({a}, {b}) does not commute with the generators")
+            out = np.zeros((v.shape[0], n, n), dtype=np.int64)
+            out[:, np.array(classes[a])[:, None], classes[b]] = x
+            rows.append(out.reshape(-1, n * n))
     return unflatten(reduced_basis(Matrix.from_dense(f, np.concatenate(rows))), n, n)
 
 

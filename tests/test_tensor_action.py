@@ -29,7 +29,6 @@ from tlschur.tensor_action import (
     intertwiner_system,
     tl_action,
     weight_classes,
-    weight_pair_orbits,
     word_index,
 )
 from tlschur.tl import catalan
@@ -193,6 +192,8 @@ def _all_pairs_commutant(gens):
     ids=[f"{i}-d6" for i in IDS] + [f"{i}-d{d}" for i in ("gf3-u1", "gf7-u3") for d in (2, 3, 4, 5)],
 )
 def test_orbit_solve_matches_all_pairs(make, d):
+    # each weight space is the orbit of its first word 1^(d-a) 2^a, and the solve through that
+    # word reproduces the intertwiner systems of all (d + 1)^2 weight pairs bit for bit
     gens = hecke_generator_matrices(make(d))
     comm = commutant_basis(gens)
     assert len(comm) == comb(d + 3, 3)
@@ -200,20 +201,20 @@ def test_orbit_solve_matches_all_pairs(make, d):
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
-@pytest.mark.parametrize("d, systems", [(2, 4), (3, 6), (4, 9), (5, 12), (6, 16)])
-def test_commutant_solves_one_system_per_orbit(make, d, systems, monkeypatch):
-    orbits = weight_pair_orbits(d)
-    assert len(orbits) == systems
-    assert sorted(pair for orbit in orbits for pair in orbit) == [(a, b) for a in range(d + 1) for b in range(d + 1)]
-    assert all(orbit[0] == min(orbit) for orbit in orbits)
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_commutant_solves_one_system_per_weight_pair(make, d, monkeypatch):
+    # one stabiliser system per weight pair (a, b) on the C(d, b) entries of the first word's row,
+    # none where V_a has no stabiliser of its first word (a = 1 at d = 2); no intertwiner system
+    monkeypatch.setattr(tensor_action, "intertwiner_rows", None)
     solved = []
-    solve = tensor_action.intertwiner_rows
-    monkeypatch.setattr(tensor_action, "intertwiner_rows", lambda *args: solved.append(args) or solve(*args))
+    kernel = Matrix.kernel_basis_matrix
+    monkeypatch.setattr(Matrix, "kernel_basis_matrix", lambda self: solved.append(self.ncols) or kernel(self))
     messages = []
-    commutant_basis(hecke_generator_matrices(make(d)), progress=messages.append)
-    assert len(solved) == systems
-    widest = comb(d, d // 2) ** 2
-    assert messages == [f"solving {systems} weight-pair orbits of at most {widest} unknowns"]
+    comm = commutant_basis(hecke_generator_matrices(make(d)), progress=messages.append)
+    assert len(comm) == comb(d + 3, 3)
+    assert sorted(solved) == sorted(comb(d, b) for a in range(d + 1) for b in range(d + 1) if d > 2 or a != 1)
+    widest = comb(d, d // 2)
+    assert messages == [f"solving {(d + 1) ** 2} weight pairs of at most {widest} unknowns"]
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
@@ -231,20 +232,25 @@ def test_double_commutant_matches_dense(make, d, dense_intertwiners):
 def test_streamed_kernel_matches_one_elimination(make, monkeypatch):
     # the d=5 double-commutant and End(Q) systems exceed a 64 KiB block, so they are really
     # split (the End(Q) system fits the default block when the algebra has two generators)
-    monkeypatch.setattr(linalg, "_BLOCK_BYTES", 64 << 10)
+    monkeypatch.setattr(tensor_action, "_BLOCK_BYTES", 64 << 10)
     params = make(5)
     f, n = params.field, 32
     comm = commutant_basis(hecke_generator_matrices(params))
     classes = weight_classes(n)
     acts, parts = tensor_module(schur_algebra(params)).graded_generator_actions()
-    inserts = []
+    dims = []
     insert = RowSpace.insert
-    monkeypatch.setattr(RowSpace, "insert", lambda self, rows: inserts.append(rows.nrows) or insert(self, rows))
+    monkeypatch.setattr(RowSpace, "insert", lambda self, rows: (insert(self, rows), dims.append(self.dim))[0])
     for left, right, rows, cols in ((comm, comm, classes, classes), (acts, acts, parts, parts)):
         system, coords = intertwiner_system(left, right, rows, cols)
-        inserts.clear()
+        step = (64 << 10) // ((1 if f.p == 2 else 8) * coords.size)
+        rank = Matrix.from_dense(f, system).rank()
+        dims.clear()
         streamed = intertwiner_rows(left, right, rows, cols)
-        assert len(inserts) > 1 and sum(inserts) == system.shape[0]
+        # several blocks, the span saturated before the last one, and no insert once it is
+        assert system.shape[0] > step
+        assert Matrix.from_dense(f, system[: (system.shape[0] - 1) // step * step]).rank() == rank
+        assert dims[-1] == rank and dims.count(rank) == 1
         assert streamed.select_columns(coords.tolist()) == Matrix.from_dense(f, system).kernel_basis_matrix()
         outside = np.setdiff1d(np.arange(n * n), coords)
         assert streamed.select_columns(outside.tolist()).is_zero()
@@ -409,49 +415,59 @@ def test_commutant_rejects_weight_mixing_generator():
         commutant_basis([])
 
 
-def test_commutant_rejects_a_generator_that_is_not_symmetric():
-    # weight preserving on V^(tensor 2), but it maps the word 12 to 21 and not back
-    m = Matrix.from_rows(GF(5), [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    with pytest.raises(CertificationError, match="generator 1 is not symmetric"):
-        commutant_basis([Matrix.identity(GF(5), 4), m])
-
-
-def test_commutant_rejects_generators_the_flip_does_not_preserve():
-    # T_1 alone on V^(tensor 3) is symmetric and preserves weight, but the flip takes it to T_2
+def test_commutant_rejects_generators_that_do_not_reach_every_word():
+    # T_1 alone on V^(tensor 3) fixes the first word 112 of weight 1, so no edge leaves it
     p = quantum_ell2(3)
     t1, t2 = hecke_action(p, 1), hecke_action(p, 2)
-    with pytest.raises(CertificationError, match="word flip"):
+    with pytest.raises(CertificationError, match="reach every word of weight 1"):
         commutant_basis([t1])
-    with pytest.raises(CertificationError, match="word flip"):
-        commutant_basis([t1, t1, t2.scale(2)])
-    # the flip maps the set {T_1, T_2} onto itself, and a repeated generator changes nothing
+    # the identity fixes every word: it has no edge, and alone it reaches nothing
+    with pytest.raises(CertificationError, match="reach every word"):
+        commutant_basis([Matrix.identity(GF(5), 4)])
+    # a repeated or reordered generator changes nothing
     assert commutant_basis([t2, t1, t2]) == commutant_basis(hecke_generator_matrices(p))
+
+
+def _corrupted_t1():
+    # T_1 on V^(tensor 3) over GF(5) with 1 added at (211, 112): weight preserving, and its row 211
+    # is neither the first word's nor an edge, so only the commutation check sees it
+    p = quantum_ell2(3)
+    t1 = hecke_action(p, 1).dense().copy()
+    t1[word_index((2, 1, 1)), word_index((1, 1, 2))] += 1
+    return [Matrix.from_dense(p.field, t1), hecke_action(p, 2)]
+
+
+def test_commutant_rejects_a_map_that_does_not_commute():
+    with pytest.raises(CertificationError, match="does not commute"):
+        commutant_basis(_corrupted_t1())
 
 
 def test_weight_check_survives_optimized_mode():
     code = (
         "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix\n"
-        "from tlschur.tensor_action import CertificationError, commutant_basis\n"
+        "from tlschur.tensor_action import CertificationError, commutant_basis, hecke_action, word_index\n"
         "from tlschur.hecke import quantum_ell2\n"
-        "from tlschur.tensor_action import hecke_action\n"
         "mixing = Matrix.from_rows(GF(5), [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n"
-        "skew = Matrix.from_rows(GF(5), [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n"
-        "for gens in ([mixing], [skew], [hecke_action(quantum_ell2(3), 1)]):\n"
+        "t1 = hecke_action(quantum_ell2(3), 1)\n"
+        "bad = t1.dense().copy()\n"
+        "bad[word_index((2, 1, 1)), word_index((1, 1, 2))] += 1\n"
+        "corrupted = [Matrix.from_dense(GF(5), bad), hecke_action(quantum_ell2(3), 2)]\n"
+        "for gens in ([mixing], [t1], corrupted):\n"
         "    try:\n"
         "        commutant_basis(gens)\n"
         "    except CertificationError as e:\n"
-        "        print(__debug__, 'raised:', str(e).split()[-1])\n"
+        "        print(__debug__, 'raised:', '-'.join(str(e).split()[-3:]))\n"
     )
     src = str(Path(tlschur.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    # the weight check, the symmetry check and the flip check
-    assert out.stdout.split() == ["False", "raised:", "weight"] + ["False", "raised:", "symmetric"] + [
+    # the weight check, the tree check and the commutation check
+    assert out.stdout.split() == ["False", "raised:", "not-preserve-weight"] + [
         "False",
         "raised:",
-        "themselves",
-    ], out.stderr
+        "the-first-word",
+    ] + ["False", "raised:", "with-the-generators"], out.stderr
 
 
 def test_report_rejects_projection_outside_commutant(monkeypatch):
