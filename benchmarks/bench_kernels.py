@@ -8,17 +8,19 @@ over GF(5), sparse systems whose fill-in random dense squares do not show:
 * the dense 2048x1024 system a (x) I - I (x) a^T on all 32^2 unknowns.  The
   oracle no longer solves it (hom_space solves per weight); it stays as an
   anchor for the dense kernel.
-* the weight-graded system that hom_space(Q, Q) solves: only the
-  C(10, 5) = 252 weight-diagonal entries are unknowns, in one gfp_rref.
+* the weight-graded system that hom_space(Q, Q) solves, on Q's own basis of
+  words and its weight parts: only the C(10, 5) = 252 entries between words
+  of one weight are unknowns, in one gfp_rref.
 
 The next ones time the layer above the kernels, the build of the d=5
 double-commutant system (2324x252, one call on the six weight classes) by
 tensor_action.intertwiner_system, for both blessed configs.  The next ones
 time the whole commutant_basis at d=5 and d=6 for both blessed configs: one
 stabiliser system per weight pair, each map extended along a tree and
-certified.  The next ones time hom_space(Q, Q) at d=5 and d=6 for both blessed configs, the
-solve with its certificate, and then the certificate alone: every End(Q)
-map checked against the generator actions.  The last ones time the
+certified.  The next ones time hom_space(Q, Q) at d=5 and d=6 for both
+blessed configs, the solve with its certificate, and then the certificate
+alone: every End(Q) map checked against the generator actions.  The last
+ones time the
 coresolution steps of the regular module at d=6 for both blessed configs:
 relative_domdim with End(Q) already built and cached on Q, so only the
 minimal approximations and their cokernels' hom spaces count.
@@ -70,7 +72,8 @@ def endq_system() -> np.ndarray:
 
 def graded_endq_system() -> np.ndarray:
     """The weight-graded End(Q) system that hom_space(Q, Q) solves, d=5, gf5-u2, in its narrow integer type."""
-    acts, parts = tensor_module(schur_algebra(BLESSED_CONFIGS["gf5-u2"](5))).graded_generator_actions()
+    q = tensor_module(schur_algebra(BLESSED_CONFIGS["gf5-u2"](5)))
+    acts, parts = q.generator_actions(), q.weight_parts()
     system, _ = intertwiner_system(acts, acts, parts, parts)
     return system
 

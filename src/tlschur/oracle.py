@@ -17,11 +17,13 @@ Intertwiner and hom systems are solved per weight.  The commutant is solved
 one pair of weight spaces of V^(tensor d) at a time (tensor_action).  The
 weight idempotents e_a, stored as coordinate rows whose matrices are
 certified orthogonal with sum 1, split every module into weight spaces
-M e_a.  A module map is block diagonal in weight-adapted bases, so hom_space
-takes only those blocks as unknowns.  Every basis equals the one the full
-system would give.  A hom space is a Matrix with one row-major flattened
-map per row, and every one is certified: all its maps commute with the
-actions of elements that generate the algebra with 1 (_check_module_maps).
+M e_a.  Every module built here has a basis of weight vectors, whose parts
+M e_a are read off the actions of the e_a (ExplicitModule.weight_parts), and
+a module map sends M e_a into N e_a, so hom_space takes only the entries
+between basis vectors of one weight as unknowns.  Every basis equals the one
+the full system would give.  A hom space is a Matrix with one row-major
+flattened map per row, and every one is certified: all its maps commute with
+the actions of elements that generate the algebra with 1 (_check_module_maps).
 
 relative_domdim iterates minimal left approximations into add(Q) for Q the
 tensor module.  End(Q) is split once into primitive idempotents by Fitting
@@ -59,7 +61,7 @@ import numpy as np
 from . import _kernels
 from .domdim import Infinity, encode_extnat
 from .hecke import BLESSED_CONFIGS, HeckeElement, HeckeParams, kernel_generator, phi
-from .linalg import Matrix, RowSpace, _inverses, flat_products, flatten, reduced_basis, unflatten
+from .linalg import Matrix, RowSpace, _inverses, flat_products, flatten, unflatten
 from .permutations import symmetric_group
 from .tensor_action import (
     CertificationError,
@@ -70,7 +72,6 @@ from .tensor_action import (
     intertwiner_rows,
     structure_constants,
     tl_action,
-    weight_classes,
     weight_projections,
 )
 from .tl import check_relations
@@ -89,7 +90,8 @@ class ExplicitAlgebra:
     row of the identity; gen_rows holds coordinate rows of a few elements
     that generate the algebra with 1 (used to shrink intertwiner systems);
     idempotents holds the coordinate rows of the weight idempotents e_a,
-    orthogonal and summing to 1, which split every module into weight spaces.
+    orthogonal and summing to 1, which split every module into weight spaces
+    and act on a basis of weight vectors as 0/1 diagonals (weight_parts).
     """
 
     field: object
@@ -200,34 +202,22 @@ class ExplicitModule:
             cached = self._gen_acts = self.element_actions(self.algebra.gen_rows)
         return cached
 
-    def weight_basis(self) -> tuple[Matrix, Matrix, list[range]]:
-        """A basis adapted to the weight spaces M e_a, cached.
+    def weight_parts(self) -> list[list[int]]:
+        """The basis indices of each weight space M e_a, by increasing a, cached.
 
-        Returns (B, C, parts): the rows of B are the rref bases of the M e_a
-        in order of a, parts[a] is the range of rows of M e_a, and C = B^(-1)
-        holds the coordinates of each vector's components at the pivot
-        columns of its block.  C @ B == identity is checked, so the e_a
-        split M.
+        Read off the actions of the weight idempotents: each must be the 0/1
+        diagonal of its part, and every basis vector must lie in exactly one
+        part, so the basis is made of weight vectors (CertificationError
+        otherwise).  Every constructor here gives such a basis.
         """
-        cached = getattr(self, "_weight_basis", None)
+        cached = getattr(self, "_weight_parts", None)
         if cached is None:
-            blocks, coords, parts = [], [], []
-            for proj in self.element_actions(self.algebra.idempotents):
-                R, rank, pivots = proj.rref()
-                blocks.append(R.select_rows(range(rank)))
-                coords.append(proj.select_columns(pivots))
-                start = parts[-1].stop if parts else 0
-                parts.append(range(start, start + rank))
-            B, C = Matrix.vstack(blocks), Matrix.hstack(coords)
-            if B.nrows != self.dim or C @ B != Matrix.identity(self.algebra.field, self.dim):
-                raise CertificationError("weight idempotents do not split the module")
-            cached = self._weight_basis = (B, C, parts)
+            acts = [x.dense() for x in self.element_actions(self.algebra.idempotents)]
+            diags = np.array([np.diag(x) == 1 for x in acts]).reshape(len(acts), self.dim)
+            if (diags.sum(axis=0) != 1).any() or any(not np.array_equal(x, np.diag(d)) for x, d in zip(acts, diags)):
+                raise CertificationError("the module's basis is not made of weight vectors")
+            cached = self._weight_parts = [np.flatnonzero(d).tolist() for d in diags]
         return cached
-
-    def graded_generator_actions(self) -> tuple[list[Matrix], list[range]]:
-        """The generator actions B g C in the weight-adapted basis, and its weight parts."""
-        B, C, parts = self.weight_basis()
-        return [B @ g @ C for g in self.generator_actions()], parts
 
 
 def tensor_module(alg: ExplicitAlgebra) -> ExplicitModule:
@@ -279,31 +269,21 @@ def _check_module_maps(maps: Matrix, left: list[Matrix], right: list[Matrix], fa
 def hom_space(m: ExplicitModule, n: ExplicitModule) -> Matrix:
     """Certified basis of module maps m -> n, one row-major flattened map per row, solved weight space by weight space.
 
-    A module map commutes with the weight idempotents, so in weight-adapted
-    bases it is block diagonal, Y = diag(Y_a): only those entries are
-    unknowns of the generator intertwiner system (intertwiner_rows).  Each
-    solution is taken back to the given bases as X = C_m Y B_n, and the
-    result is the reduced basis of their span, which is the basis
-    kernel_from_rref gives for the full system.  Every map is certified to
-    commute with the generator actions of both modules (_check_module_maps).
+    A module map commutes with the weight idempotents, so it sends each
+    weight space M e_a into N e_a: on the bases of weight vectors of both
+    modules (ExplicitModule.weight_parts) only the entries between indices
+    of one weight are unknowns of the generator intertwiner system
+    (intertwiner_rows).  Its basis is the one kernel_from_rref gives for the
+    full system.  Every map is certified to commute with the generator
+    actions of both modules (_check_module_maps).
     """
     if n.algebra is not m.algebra:
         raise ValueError("hom_space needs two modules over the same algebra")
-    f, a, b = m.algebra.field, m.dim, n.dim
-    if a == 0 or b == 0:
-        return Matrix.zeros(f, 0, a * b)
-    left, m_parts = m.graded_generator_actions()
-    right, n_parts = n.graded_generator_actions()
-    ys = intertwiner_rows(left, right, m_parts, n_parts)
-    k = ys.nrows
-    if k == 0:
-        return Matrix.zeros(f, 0, a * b)
-    # the right factor B_n on the stacked Y_k, then C_m on the Z_k side by side
-    z = (ys.reshape(k * a, b) @ n.weight_basis()[0]).dense().reshape(k, a, b)
-    z = Matrix.from_dense(f, z.transpose(1, 0, 2).reshape(a, k * b))
-    x = (m.weight_basis()[1] @ z).dense().reshape(a, k, b).transpose(1, 0, 2)
-    maps = reduced_basis(Matrix.from_dense(f, x.reshape(k, a * b)))
-    _check_module_maps(maps, m.generator_actions(), n.generator_actions(), "a solved map is not a module map")
+    if m.dim == 0 or n.dim == 0:
+        return Matrix.zeros(m.algebra.field, 0, m.dim * n.dim)
+    left, right = m.generator_actions(), n.generator_actions()
+    maps = intertwiner_rows(left, right, m.weight_parts(), n.weight_parts())
+    _check_module_maps(maps, left, right, "a solved map is not a module map")
     return maps
 
 
@@ -518,7 +498,7 @@ def _tensor_end(q: ExplicitModule) -> TensorEnd:
     field, dq = alg.field, q.dim
     flat = hom_space(q, q)
     e, basis, stack = flat.nrows, unflatten(flat, dq, dq), _side_by_side(flat, dq)
-    classes, gens = weight_classes(dq), q.generator_actions()
+    classes, gens = q.weight_parts(), q.generator_actions()
     rng = random.Random(e)
     found: dict[int, list] = {}
     todo = [Matrix.identity(field, dq)]

@@ -214,13 +214,14 @@ def _check_weight_preserving(mats: list[Matrix]) -> None:
             raise CertificationError(f"generator {k} does not preserve weight")
 
 
-def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, col_parts=None):
+def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts, col_parts):
     """The linear system of a @ X == X @ b over every pair (a, b), and its unknowns.
 
     Uses the row-major vectorization: vec(a X - X b) = (a kron I - I kron
-    b^T) vec(X).  With parts given, X is block diagonal: its k-th block has
-    rows row_parts[k] and columns col_parts[k], and only those entries are
-    unknowns.  Output block (k, l) of a X - X b is a_kl X_l - X_k b_kl.
+    b^T) vec(X).  X is block diagonal: its k-th block has rows row_parts[k]
+    and columns col_parts[k], any index sets, and only those entries are
+    unknowns ([range(m)], [range(n)] makes every entry one).  Output block
+    (k, l) of a X - X b is a_kl X_l - X_k b_kl.
     Each side is stacked once in part order, so a_kl and b_kl are slices;
     one support test keeps the blocks with rows where either is nonzero,
     by pair, then k, then l.  a_kl kron I and I kron b_kl^T are never
@@ -232,17 +233,15 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
     Returns (system, coords): coords lists the row-major positions of the
     unknowns in increasing order, one system column each; system is None
     when no equation remains.  Raises ValueError unless left and right are
-    equally long and not empty, and the row and column parts are both
-    given or both omitted, equally many, and partition their sides.
+    equally long and not empty, and the row and column parts are equally
+    many and partition their sides.
     """
     if not left or len(left) != len(right):
         raise ValueError(f"need as many right matrices as left ones, at least one; got {len(left)} and {len(right)}")
     f = left[0].field
     m, n = left[0].nrows, right[0].nrows
-    if row_parts is None and col_parts is None:
-        row_parts, col_parts = [range(m)], [range(n)]
-    if row_parts is None or col_parts is None or len(row_parts) != len(col_parts):
-        raise ValueError("need as many row parts as column parts, or neither")
+    if len(row_parts) != len(col_parts):
+        raise ValueError("need as many row parts as column parts")
     rsz, csz = (np.array([len(x) for x in parts], dtype=np.int64) for parts in (row_parts, col_parts))
     ro, co = (np.array([i for x in parts for i in x], dtype=np.int64) for parts in (row_parts, col_parts))
     if not (np.array_equal(np.sort(ro), np.arange(m)) and np.array_equal(np.sort(co), np.arange(n))):
@@ -280,7 +279,7 @@ def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts=None, 
     return system, coords
 
 
-def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts=None, col_parts=None, progress=None) -> Matrix:
+def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts, col_parts, progress=None) -> Matrix:
     """Basis of the matrices X with a @ X == X @ b for every pair (a, b), flattened row-major.
 
     The system and the parts are those of intertwiner_system.  Its rows go

@@ -50,15 +50,35 @@ GRADED = CONFIGS + [gf7_u3]
 GRADED_IDS = IDS + ["gf7-u3"]
 
 
-def _change_basis(mod: ExplicitModule, seed: int) -> ExplicitModule:
-    """The same module in a random basis, so its weight spaces are not coordinate blocks."""
-    f = mod.algebra.field
-    rng = random.Random(seed)
+def _random_invertible(f, n: int, rng: random.Random) -> Matrix:
     while True:
-        g = Matrix.from_rows(f, [[f.coerce(rng.randrange(f.p)) for _ in range(mod.dim)] for _ in range(mod.dim)])
-        g_inv = g.solve_many(Matrix.identity(f, mod.dim))
-        if g_inv is not None:
-            return ExplicitModule(mod.algebra, [g @ a @ g_inv for a in mod.actions], label=f"g({mod.label})")
+        g = Matrix.from_rows(f, [[f.coerce(rng.randrange(f.p)) for _ in range(n)] for _ in range(n)])
+        if g.rank() == n:
+            return g
+
+
+def _conjugate(mod: ExplicitModule, g: Matrix) -> ExplicitModule:
+    """The same module in the basis of the rows of g."""
+    g_inv = g.solve_many(Matrix.identity(mod.algebra.field, mod.dim))
+    return ExplicitModule(mod.algebra, [g @ a @ g_inv for a in mod.actions], label=f"g({mod.label})")
+
+
+def _change_basis(mod: ExplicitModule, seed: int) -> ExplicitModule:
+    """The same module in a random basis, so its basis vectors are not weight vectors."""
+    return _conjugate(mod, _random_invertible(mod.algebra.field, mod.dim, random.Random(seed)))
+
+
+def _change_weight_basis(mod: ExplicitModule, seed: int) -> ExplicitModule:
+    """The same module in another basis of weight vectors: a random invertible block on each
+    weight space, then the basis shuffled, so the weight parts are not contiguous."""
+    f, rng = mod.algebra.field, random.Random(seed)
+    g = np.zeros((mod.dim, mod.dim), dtype=np.int64)
+    for part in mod.weight_parts():
+        if part:
+            g[np.ix_(part, part)] = _random_invertible(f, len(part), rng).dense()
+    order = list(range(mod.dim))
+    rng.shuffle(order)
+    return _conjugate(mod, Matrix.from_dense(f, g[order]))
 
 
 def check_module_map(source: ExplicitModule, target: ExplicitModule, mat: Matrix) -> None:
@@ -165,19 +185,46 @@ def test_endomorphisms_of_tensor_space(make, d, dense_intertwiners):
     assert end_q == dense_intertwiners(acts, acts)
 
 
-@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
+@pytest.mark.parametrize("make", GRADED + [gf3_u1], ids=GRADED_IDS + ["gf3-u1"])
 @pytest.mark.parametrize("d", [3, 4])
 def test_hom_space_matches_dense(make, d, dense_intertwiners):
     params = make(d)
     alg = schur_algebra(params)
     q = tensor_module(alg)
     reg = regular_module(alg)
-    cases = [(q, reg), (q, _change_basis(reg, 1)), (q, _change_basis(direct_sum(reg, q), 2))]
+    # bases of weight vectors whose weight parts are not contiguous, on either side
+    cases = [(q, reg), (q, _change_weight_basis(reg, 1)), (q, _change_weight_basis(direct_sum(reg, q), 2))]
+    cases += [(_change_weight_basis(q, 3), reg)]
     # standard modules have empty weight spaces
     cases += [(standard_module(params, m, algebra=alg), q) for m in range(d % 2, d + 1, 2)]
     for src, dst in cases:
         got = unflatten(hom_space(src, dst), src.dim, dst.dim)
         assert got == dense_intertwiners(src.generator_actions(), dst.generator_actions()), (src.label, dst.label)
+
+
+def test_weight_vector_check_survives_optimized_mode(run_optimized):
+    # the regular module at d = 3 in the random basis of _change_basis(reg, 1)
+    code = (
+        "import random\n"
+        "from tlschur.hecke import classical_char2\n"
+        "from tlschur.linalg import Matrix\n"
+        "from tlschur.oracle import CertificationError, ExplicitModule, hom_space, regular_module, schur_algebra\n"
+        "from tlschur.oracle import tensor_module\n"
+        "alg = schur_algebra(classical_char2(3))\n"
+        "reg, f, rng = regular_module(alg), alg.field, random.Random(1)\n"
+        "while True:\n"
+        "    g = Matrix.from_rows(f, [[f.coerce(rng.randrange(f.p)) for _ in range(reg.dim)] for _ in range(reg.dim)])\n"
+        "    if g.rank() == reg.dim:\n"
+        "        break\n"
+        "g_inv = g.solve_many(Matrix.identity(f, reg.dim))\n"
+        "mixed = ExplicitModule(alg, [g @ a @ g_inv for a in reg.actions])\n"
+        "try:\n"
+        "    hom_space(tensor_module(alg), mixed)\n"
+        "except CertificationError as exc:\n"
+        "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
+    )
+    out = run_optimized(code)
+    assert out[:3] == ["False", "raised", "the_module's_basis_is_not_made_of_weight_vectors"], out[-1]
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
@@ -316,8 +363,13 @@ def test_hom_space_checks_its_inputs():
         alg.field, alg.basis, alg.structure, alg.unit, alg.gen_rows, alg.idempotents.select_rows([0, 1, 2])
     )
     q = tensor_module(short)
-    with pytest.raises(CertificationError, match="split"):
+    # without e_3 the word 222 lies in no weight part
+    with pytest.raises(CertificationError, match="not made of weight vectors"):
         hom_space(q, q)
+    q, mixed = tensor_module(alg), _change_basis(regular_module(alg), 1)
+    for src, dst in [(q, mixed), (mixed, q)]:
+        with pytest.raises(CertificationError, match="not made of weight vectors"):
+            hom_space(src, dst)
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)

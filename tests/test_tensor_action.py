@@ -179,7 +179,7 @@ def _all_pairs_commutant(gens):
     rows = []
     for ia, ga in zip(classes, restricted):
         for ib, gb in zip(classes, restricted):
-            kernel = intertwiner_rows(ga, gb).dense()
+            kernel = intertwiner_rows(ga, gb, [range(len(ia))], [range(len(ib))]).dense()
             embedded = np.zeros((kernel.shape[0], n * n), dtype=np.int64)
             embedded[:, (np.array(ia)[:, None] * n + np.array(ib)[None, :]).ravel()] = kernel
             rows.append(embedded)
@@ -237,7 +237,8 @@ def test_streamed_kernel_matches_one_elimination(make, monkeypatch):
     f, n = params.field, 32
     comm = commutant_basis(hecke_generator_matrices(params))
     classes = weight_classes(n)
-    acts, parts = tensor_module(schur_algebra(params)).graded_generator_actions()
+    q = tensor_module(schur_algebra(params))
+    acts, parts = q.generator_actions(), q.weight_parts()
     dims = []
     insert = RowSpace.insert
     monkeypatch.setattr(RowSpace, "insert", lambda self, rows: (insert(self, rows), dims.append(self.dim))[0])
@@ -330,7 +331,7 @@ def test_intertwiner_system_vanishing_pairs(p, wide_intertwiner_system):
     assert system.shape == (2 * 2 + 2 * 2 + 3 * 1 + 3 * 2 + 2 * 2, 2 * 1 + 3 * 2 + 2 * 2)
     assert system.min() == -(p - 1) and system.max() == p - 1
     _check_against_wide(left[1:2], right[1:2], rows, cols, wide_intertwiner_system)
-    assert intertwiner_system(left[1:2], right[1:2])[0] is None
+    assert intertwiner_system(left[1:2], right[1:2], [range(7)], [range(5)])[0] is None
 
 
 @pytest.mark.parametrize("p", [2, 127, 131])
@@ -351,12 +352,11 @@ def test_intertwiner_system_rejects_bad_input():
     f = GF(5)
     a, b = Matrix.identity(f, 3), Matrix.identity(f, 2)
     with pytest.raises(ValueError, match="as many right"):
-        intertwiner_system([a, a], [b])
+        intertwiner_system([a, a], [b], [range(3)], [range(2)])
     with pytest.raises(ValueError, match="at least one"):
-        intertwiner_system([], [])
-    for rows, cols in (([[0], [1, 2]], [[0, 1]]), ([[0, 1, 2]], None), (None, [[0, 1]])):
-        with pytest.raises(ValueError, match="as many row parts as column parts"):
-            intertwiner_system([a], [b], rows, cols)
+        intertwiner_system([], [], [], [])
+    with pytest.raises(ValueError, match="as many row parts as column parts"):
+        intertwiner_system([a], [b], [[0], [1, 2]], [[0, 1]])
     for rows, cols in (
         ([[0, 1], [1, 2]], [[0], [1]]),  # a repeated row
         ([[0], [1]], [[0], [1]]),  # a missing row
@@ -375,7 +375,8 @@ def test_intertwiner_system_checks_survive_optimized_mode(run_optimized):
         "from tlschur.linalg import Matrix\n"
         "from tlschur.tensor_action import intertwiner_system\n"
         "a, b = Matrix.identity(GF(5), 3), Matrix.identity(GF(5), 2)\n"
-        "bad = (([a, a], [b]), ([], []), ([a], [b], [[0], [1, 2]], [[0, 1]]), ([a], [b], [[0, 1], [1, 2]], [[0], [1]]))\n"
+        "bad = (([a, a], [b], [range(3)], [range(2)]), ([], [], [], []),\n"
+        "       ([a], [b], [[0], [1, 2]], [[0, 1]]), ([a], [b], [[0, 1], [1, 2]], [[0], [1]]))\n"
         "for args in bad:\n"
         "    try:\n"
         "        print(intertwiner_system(*args))\n"
