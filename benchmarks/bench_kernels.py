@@ -19,8 +19,11 @@ time the whole commutant_basis at d=5 and d=6 for both blessed configs: one
 stabiliser system per weight pair, each map extended along a tree and
 certified.  The next ones time hom_space(Q, Q) at d=5 and d=6 for both
 blessed configs, the solve with its certificate, and then the certificate
-alone: every End(Q) map checked against the generator actions.  The last
-ones time the
+alone: every End(Q) map checked against the generator actions.  The next
+ones time the split of End(Q) alone at d=5 and d=6 for both blessed
+configs: oracle._split_end on the precomputed hom_space(Q, Q), through the
+action on the weight tops of Q, with its certificates, the radical and the
+corners.  The last ones time the
 coresolution steps of the regular module at d=6 for both blessed configs:
 relative_domdim with End(Q) already built and cached on Q, so only the
 minimal approximations and their cokernels' hom spaces count.
@@ -37,7 +40,7 @@ import numpy as np
 from tlschur import BLESSED_CONFIGS, regular_module, relative_domdim, schur_algebra, tensor_module
 from tlschur import _kernels as K
 from tlschur.linalg import Matrix
-from tlschur.oracle import _check_module_maps, _tensor_end, hom_space
+from tlschur.oracle import _check_module_maps, _split_end, _tensor_end, hom_space
 from tlschur.tensor_action import (
     commutant_basis,
     hecke_generator_matrices,
@@ -158,6 +161,8 @@ def main():
             label = f"End(Q) certificate {config} d={d} {end_q.nrows} maps"
             certify = (end_q, gens, gens, "not an endomorphism")
             rows.append(bench_case(label, lambda: certify, _check_module_maps, args.repeats))
+            label = f"End(Q) split {config} d={d} {end_q.nrows} maps"
+            rows.append(bench_case(label, lambda: (q, end_q), _split_end, args.repeats))
 
     for config in BLESSED_CONFIGS:
         q = tensor_with_end(config, 6)

@@ -209,10 +209,14 @@ class Matrix:
             return Matrix(f, self.nrows, other.ncols, out)
         if self.ncols * (f.p - 1) ** 2 >= _MAX_GFP_MATMUL:
             raise ValueError(f"GF({f.p}) products of length {self.ncols} overflow int64")
-        # float64 products are exact while k*(p-1)^2 < 2^53 and run on BLAS
+        # float64 products are exact while k*(p-1)^2 < 2^53 and run on BLAS; rounded and
+        # reduced in place, so at most the product and its one int64 cast are alive
         if self.ncols * (f.p - 1) ** 2 < 2**53:
             prod = self._d.astype(np.float64) @ other._d.astype(np.float64)
-            return Matrix(f, self.nrows, other.ncols, np.rint(prod).astype(np.int64) % f.p)
+            np.rint(prod, out=prod)
+            out = prod.astype(np.int64)
+            out %= f.p
+            return Matrix(f, self.nrows, other.ncols, out)
         return Matrix(f, self.nrows, other.ncols, (self._d @ other._d) % f.p)
 
     def kron(self, other: "Matrix") -> "Matrix":

@@ -26,18 +26,20 @@ flattened map per row, and every one is certified: all its maps commute with
 the actions of elements that generate the algebra with 1 (_check_module_maps).
 
 relative_domdim iterates minimal left approximations into add(Q) for Q the
-tensor module.  End(Q) is split once into primitive idempotents by Fitting
-projections of random elements of its non-local corners (after Eberly and
-Giesbrecht, J. Symb. Comp. 29, 2000), each certified an endomorphism by
-commuting with the generator actions.  A summand Q e with top weight a is
-T(d - 2a), whose weight-a space is a line k u, so x -> (u x)/u is a ring map
-e End(Q) e -> k: the corner is local iff its kernel K is nilpotent, and as
-the corner acts faithfully on Q e, iff the chain Q e > Q e K > Q e K^2 > ...
-reaches 0.  The same scalars between summands of one weight cut out the
-radical J.  A step maps M to the sum of the T(m)^(n_m) by lifts of a basis
-of the top of Hom(M, Q): if that map is not injective the accumulated count
-is the answer; if its cokernel is zero, M is in add(Q) and the answer is
-infinite; otherwise the cokernel, known by its dim and homs, is next.
+tensor module.  End(Q) is split once, with no random draws, through its
+action on the weight tops X_a of Q: the weight-a vectors killed by every map
+to a more dominant weight, modulo the weight-a part of the submodule that
+the more dominant weights generate.  Q is tilting, and each summand T(d - 2a)
+adds one line to X_a and nothing to any other X_b (Ringel, Math. Z. 208,
+1991; Donkin, The q-Schur Algebra, 1998), so End(Q) maps onto the product of
+the End(X_a), certified by rank, with a kernel certified nilpotent: that
+kernel is the radical J.  The primitive idempotents are lifts of the
+diagonal matrix units, each certified an endomorphism by commuting with the
+generator actions.  A step maps M to the sum of the T(m)^(n_m) by lifts of
+a basis of the top of Hom(M, Q): if that map is not injective the
+accumulated count is the answer; if its cokernel is zero, M is in add(Q)
+and the answer is infinite; otherwise the cokernel, known by its dim and
+homs, is next.
 
 Soundness: every approximation has the kernel of the full stacked map of a
 hom basis, so finite verdicts and step counts do not depend on the choice
@@ -61,7 +63,7 @@ import numpy as np
 from . import _kernels
 from .domdim import Infinity, encode_extnat
 from .hecke import BLESSED_CONFIGS, HeckeElement, HeckeParams, kernel_generator, phi
-from .linalg import Matrix, RowSpace, _inverses, flat_products, flatten, unflatten
+from .linalg import Matrix, RowSpace, flat_products, flatten, kernel_from_rref, unflatten
 from .permutations import symmetric_group
 from .tensor_action import (
     CertificationError,
@@ -391,12 +393,13 @@ class TensorEnd:
     """End(Q) of the tensor module Q, split into indecomposable summands T(m).
 
     Everything is a matrix on Q.  basis holds the E_l of hom_space(Q, Q) and
-    primitive the orthogonal primitive idempotents with sum 1, by class in
+    primitive the orthogonal primitive idempotents with sum 1, lifted from
+    the diagonal matrix units of the weight tops (_split_end), by class in
     decreasing highest weight: class k has mults[k] summands T(weights[k])
     of dimension dims[k].  The rest are hstacks of endomorphisms side by
     side, the form in which relative_domdim acts with them: tops holds the
-    first primitive e_k of each class, radical a basis of J, and corners[k]
-    a basis of e_k End(Q).  summands[k] is the rref basis U_k of Q e_k and
+    first primitive e_k of each class, radical a basis of J, the kernel of
+    the action on the weight tops, and corners[k] a basis of e_k End(Q).  summands[k] is the rref basis U_k of Q e_k and
     pivots[k] its pivot columns: a vector of Q e_k is its entries there
     times U_k, the summand coordinates in which relative_domdim works.
     """
@@ -413,134 +416,122 @@ class TensorEnd:
     corners: list[Matrix]
 
 
-def _is_local(xs: Matrix, u: Matrix) -> bool:
-    """Whether a corner e End(Q) e is local, given its action on Q e and the top weight line k u of Q e.
-
-    xs is the hstack of t x t matrices x_l spanning the corner as it acts
-    on Q e = k^t, and u a row of k^t with lead 1.  Endomorphisms keep weight
-    spaces, so u x = phi(x) u for x in the corner (certified), and phi is a
-    ring map onto k: the corner is local iff its kernel K, spanned by the
-    x_l - phi(x_l) 1, is nilpotent.  The corner acts faithfully on Q e, so K
-    is nilpotent iff the chain Q e > Q e K > Q e K^2 > ... reaches 0; it
-    stops as not local at the first step that does not shrink.
-    """
-    t = u.ncols
-    ux = (u @ xs).reshape(xs.ncols // t, t)  # row l: u x_l
-    phi = ux.select_columns([u.row(0).index(1)])
-    if phi @ u != ux:
-        raise CertificationError("an endomorphism moves the top weight line of a summand")
-    kernel = xs - phi.transpose().kron(Matrix.identity(xs.field, t))
-    # images of Q e = k^t under the K_l: the rows of all space @ K_l
-    space, images = Matrix.identity(xs.field, t), kernel
-    while space.nrows:
-        nxt = _row_basis(images.reshape(images.nrows * images.ncols // t, t))
-        if nxt.nrows == space.nrows:
-            return False
-        space, images = nxt, nxt @ kernel
-    return True
-
-
-def _fitting_split(rng, em: Matrix, flat: Matrix, gens: list[Matrix]) -> list[Matrix]:
-    """Two orthogonal idempotents with sum e, from a random x = e (sum_l r_l E_l) e in a corner that is not local.
-
-    flat is the flattened basis E_l of End(Q).  With lam a root in GF(p) of
-    the characteristic polynomial of x on Q e, Q e = im (x - lam)^N +
-    ker (x - lam)^N for any N >= dim Q e, and the projection f onto the
-    image along the kernel is a polynomial in x, so it lies in the corner.
-    f is certified an endomorphism of Q by commuting with gens, the actions
-    of elements that generate the algebra with 1.
-    """
-    field, n = em.field, em.nrows
-    p, (u_e, t, piv) = field.p, em.rref()
-    u_e = u_e.select_rows(range(t))
-    for _ in range(64):
-        coeffs = Matrix.from_rows(field, [[rng.randrange(p) for _ in range(flat.nrows)]])
-        x = em @ unflatten(coeffs @ flat, n, n)[0] @ em
-        # x on Q e in the basis u_e: a vector of Q e is its entries at the pivots times u_e
-        xe = (u_e @ x).select_columns(piv)
-        values = np.zeros(p, dtype=np.int64)
-        for coef in _kernels.gfp_charpoly(xe.dense().astype(np.int64), p, _inverses(p))[::-1]:
-            values = (values * np.arange(p) + coef) % p
-        roots = np.flatnonzero(values == 0)
-        if not roots.size:
-            continue
-        y = xe - Matrix.identity(field, t).scale(int(roots[0]))
-        for _ in range(t.bit_length()):
-            y = y @ y
-        img = _row_basis(y)
-        if not 0 < img.nrows < t:
-            continue  # lam is the only eigenvalue
-        b = Matrix.vstack([img, y.transpose().kernel_basis_matrix()])
-        proj = b.solve_many(Matrix.identity(field, t)).select_columns(range(img.nrows)) @ img
-        f = em.select_columns(piv) @ proj @ u_e
-        _check_module_maps(flatten([f]), gens, gens, "a Fitting projection is not an endomorphism of Q")
-        return [f, em - f]
-    raise CertificationError("64 random elements do not split a corner that is not local")
-
-
 def _tensor_end(q: ExplicitModule) -> TensorEnd:
-    """End(Q) and its certified split into summands T(m), built once and cached on q.
-
-    Idempotents are popped from a stack that starts with 1: a local corner
-    keeps its idempotent, any other is split in two.  A primitive e with top
-    weight a (the first weight class where e is not zero) gives
-    Q e = T(d - 2a).  For every two summands j, k of one weight, u_j E_l e_k
-    is certified to be a multiple psi_jk(E_l) of u_k; psi is a ring map onto
-    the product of the M_mults(k), its rank must be the sum of the mults^2,
-    and J is its kernel.  Only Q = tensor_module(algebra) is accepted.
-    """
+    """End(Q) and its certified split (_split_end), built once and cached on q; only Q = tensor_module(algebra)."""
     cached = getattr(q, "_end_cache", None)
     if cached is not None:
         return cached
-    alg = q.algebra
-    if q.actions != alg.basis:
+    if q.actions != q.algebra.basis:
         raise ValueError("relative dominant dimension is taken relative to tensor_module(algebra) only")
-    field, dq = alg.field, q.dim
-    flat = hom_space(q, q)
-    e, basis, stack = flat.nrows, unflatten(flat, dq, dq), _side_by_side(flat, dq)
-    classes, gens = q.weight_parts(), q.generator_actions()
-    rng = random.Random(e)
-    found: dict[int, list] = {}
-    todo = [Matrix.identity(field, dq)]
-    while todo:
-        em = todo.pop()
-        a = next(a for a, idx in enumerate(classes) if not em.select_rows(idx).is_zero())
-        top = _row_basis(em.select_rows(classes[a]))
-        if top.nrows == 1:
-            # the corner elements x_l = e E_l e on Q e, in the basis u_e of its rref rows: u_e E_l,
-            # then each block times e at the pivots (a vector of Q e is its entries there times u_e)
-            u_e, t, piv = em.rref()
-            left = (u_e.select_rows(range(t)) @ stack).dense().reshape(t, e, dq).transpose(1, 0, 2)
-            xs = (Matrix.from_dense(field, left.reshape(e * t, dq)) @ em.select_columns(piv)).reshape(e, t * t)
-            if _is_local(_side_by_side(xs, t), _row_basis(top.select_columns(piv))):
-                found.setdefault(a, []).append((em, top, (top @ stack).reshape(e, dq)))  # row l: u E_l
-                continue
-        todo.extend(_fitting_split(rng, em, flat, gens))
-    order = sorted(found)
-    psi = []
-    for a in order:
-        for _, _, wj in found[a]:
-            for ek, uk, _ in found[a]:
-                wk = wj @ ek
-                s = wk.select_columns([uk.row(0).index(1)])
-                if s @ uk != wk:
-                    raise CertificationError("u_j E_l e_k is not a multiple of u_k for summands of one weight")
-                psi.append(s)
-    psi = Matrix.hstack(psi)
-    if psi.rank() < psi.ncols:
-        raise CertificationError("the top scalars of End(Q) do not have full rank")
-    primitive = [mem[0] for a in order for mem in found[a]]
+    q._end_cache = _split_end(q, hom_space(q, q))
+    return q._end_cache
+
+
+def _split_end(q: ExplicitModule, flat: Matrix) -> TensorEnd:
+    """Split End(Q), one flattened map E_l per row of flat, through its action on the weight tops of Q.
+
+    Each element of the basis q.actions of S is certified to lie on one
+    weight block (a, b), mapping Q e_a into Q e_b; b < a is more dominant.
+    HW_a is the set of vectors of Q e_a killed by the blocks (a, b), b < a,
+    and N_a, the row space of the blocks (b, a), b < a, is the weight-a part
+    of the submodule that the Q e_b, b < a, generate.  End(Q) keeps both, so
+    rho_a(E_l) is its action on X_a = (HW_a + N_a) / N_a in the basis B_a,
+    read at the pivots of B_a and certified by multiplying back.
+
+    dim X_a is the multiplicity m_a of T(lam), lam = d - 2a, in Q: HW_a and
+    N_a are additive, T(lam) adds its line of weight lam, and T(mu) with
+    mu < lam has no weight lam.  For mu > lam every composite Delta(lam) ->
+    T(mu) -> nabla(lam) is zero, so a highest weight vector of weight lam in
+    T(mu) lies in S T(mu)_{<a}: it adds nothing.
+
+    Soundness rests on the certificates alone (CertificationError on any):
+    rho = sum_a rho_a has rank sum m_a^2, so it maps onto the semisimple
+    product of the End(X_a), and its kernel is nilpotent (Q > Q J > ...
+    reaches 0), so the kernel is the radical J.  Lifts of the diagonal matrix
+    units, one corner at a time by x -> 3x^2 - 2x^3, are primitive,
+    certified orthogonal idempotents with sum 1 and endomorphisms of Q, and
+    each e is certified zero above its weight a and of rank 1 there, which
+    names Q e = T(d - 2a).
+    """
+    field, dq, e = q.algebra.field, q.dim, flat.nrows
+    classes = q.weight_parts()
+    label = np.zeros(dq, dtype=np.int64)
+    for a, idx in enumerate(classes):
+        label[idx] = a
+    blocks: dict[tuple[int, int], list[np.ndarray]] = {}
+    for x in q.actions:
+        dense = x.dense()
+        rows, cols = np.nonzero(dense)
+        live = np.zeros(len(classes) ** 2, dtype=bool)
+        live[label[rows] * len(classes) + label[cols]] = True
+        live = np.flatnonzero(live)
+        if live.size != 1:
+            raise CertificationError("a basis element of S is not on exactly one weight block")
+        a, b = divmod(int(live[0]), len(classes))
+        blocks.setdefault((a, b), []).append(dense[np.ix_(classes[a], classes[b])])
+    maps, kept, rho = flat.dense().reshape(e, dq, dq), [], []
+    for a, idx in enumerate(classes):
+        up = [x for (r, c), xs in blocks.items() if r == a and c < a for x in xs]
+        down = [x for (r, c), xs in blocks.items() if c == a and r < a for x in xs]
+        low = RowSpace(field, len(idx))
+        low.insert(Matrix.from_dense(field, np.vstack([np.zeros((0, len(idx)), np.int64), *down])))
+        hw = Matrix.from_dense(field, np.hstack([np.zeros((len(idx), 0), np.int64), *up])).transpose()
+        R, m, piv = low.reduce(hw.kernel_basis_matrix()).rref()
+        if not m:
+            continue
+        top = R.select_rows(range(m))
+        # row (i, l): the i-th row of B_a times E_l, modulo N_a
+        side = maps[:, idx][:, :, idx].transpose(1, 0, 2).reshape(len(idx), e * len(idx))
+        images = low.reduce((top @ Matrix.from_dense(field, side)).reshape(m * e, len(idx)))
+        coords = images.select_columns(piv)
+        if coords @ top != images:
+            raise CertificationError("an endomorphism does not keep the weight top of Q")
+        kept.append((a, m))
+        rho.append(coords.dense().reshape(m, e, m).transpose(1, 0, 2).reshape(e, m * m))
+    rho = Matrix.from_dense(field, np.hstack(rho))
+    R, rank, piv = rho.transpose().rref()
+    if rank < rho.ncols:
+        raise CertificationError("End(Q) does not map onto the endomorphisms of the weight tops")
+    radical, space = _side_by_side(kernel_from_rref(R, rank, piv) @ flat, dq), Matrix.identity(field, dq)
+    while radical.ncols and space.nrows:
+        nxt = _row_basis((space @ radical).reshape(space.nrows * radical.ncols // dq, dq))
+        if nxt.nrows == space.nrows:
+            raise CertificationError("the kernel of the action on the weight tops is not nilpotent")
+        space = nxt
+    # preimages of the diagonal matrix units E_ii of the End(X_a), at columns s + i (m + 1) of rho
+    owners = [a for a, m in kept for _ in range(m)]
+    diag = [s + i * (m + 1) for (_, m), s in zip(kept, np.cumsum([0] + [m * m for _, m in kept])) for i in range(m)]
+    units = Matrix.from_dense(field, np.eye(rho.ncols, dtype=np.int64)[:, diag])
+    lifts = unflatten(rho.transpose().solve_many(units).transpose() @ flat, dq, dq)
+    rest, primitive = Matrix.identity(field, dq), []
+    for x in lifts[:-1]:
+        x = rest @ x @ rest
+        for _ in range(dq.bit_length() + 1):
+            sq = x @ x
+            if sq == x:
+                break
+            x = sq.scale(3) - (sq @ x).scale(2)
+        else:
+            raise CertificationError("a lift of a matrix unit of the weight tops is not idempotent")
+        primitive.append(x)
+        rest = rest - x
+    primitive.append(rest)
     _check_idempotents(primitive)
-    tops, weights = [found[a][0][0] for a in order], [dq.bit_length() - 1 - 2 * a for a in order]
+    gens = q.generator_actions()
+    _check_module_maps(flatten(primitive), gens, gens, "a lifted idempotent is not an endomorphism of Q")
+    for x, a in zip(primitive, owners):
+        nonzero = [b for b, idx in enumerate(classes) if not x.select_rows(idx).is_zero()]
+        if nonzero[:1] != [a] or x.select_rows(classes[a]).rank() != 1:
+            raise CertificationError("a primitive idempotent is not a line at its weight and zero above it")
+    stack, tops = _side_by_side(flat, dq), [primitive[owners.index(a)] for a, _ in kept]
     # the products e_k E_l span e_k End(Q)
     corners = [_side_by_side(_row_basis(flat_products(t, stack)), dq) for t in tops]
     echelons = [t.rref() for t in tops]
     summands = [r.select_rows(range(t)) for r, t, _ in echelons]  # U_k, the rref basis of Q e_k
     dims, pivots = [t for _, t, _ in echelons], [piv for _, _, piv in echelons]
-    mults, tops = [len(found[a]) for a in order], Matrix.hstack(tops)
-    radical = _side_by_side(psi.transpose().kernel_basis_matrix() @ flat, dq)
-    q._end_cache = TensorEnd(basis, primitive, weights, mults, dims, tops, summands, pivots, radical, corners)
-    return q._end_cache
+    weights, mults = [dq.bit_length() - 1 - 2 * a for a, _ in kept], [m for _, m in kept]
+    basis = unflatten(flat, dq, dq)
+    return TensorEnd(basis, primitive, weights, mults, dims, Matrix.hstack(tops), summands, pivots, radical, corners)
 
 
 def _orbits(homs: Matrix, acts: Matrix, cols) -> Matrix:

@@ -816,66 +816,90 @@ def test_regular_domdim_large_prime_optimized_mode(p, u, run_optimized):
     assert out[:2] == ["False", "4"], out[-1]
 
 
+# Q = k^3 with weights 0, 1, 1 over S = span(e0, e1, x), where x sends v1 to v0: Q = P + L
+# with P = span(v0, v1) and L = span(v2), and End(Q) = span(ea, eb, c) with ea = 1 on P,
+# eb = 1 on L and c: v1 -> v2.  The tops are X_0 = k v0 and X_1 = k v2, and J = k c.
+# attempt(q, maps) splits the End(Q) spanned by maps and prints the mults and dim J x 3,
+# or the certificate that failed.
+_SPLIT_PRELUDE = (
+    "from tlschur.fields import GF\n"
+    "from tlschur.linalg import Matrix, flatten\n"
+    "from tlschur.oracle import CertificationError, ExplicitAlgebra, ExplicitModule, _split_end\n"
+    "f = GF(5)\n"
+    "def mat(*rows):\n"
+    "    return Matrix.from_rows(f, rows)\n"
+    "def diag(*xs):\n"
+    "    return mat(*[[x if i == j else 0 for j in range(3)] for i, x in enumerate(xs)])\n"
+    "e0, e1, x = diag(1, 0, 0), diag(0, 1, 1), mat([0, 0, 0], [1, 0, 0], [0, 0, 0])\n"
+    "ea, eb, c = diag(1, 1, 0), diag(0, 0, 1), mat([0, 0, 0], [0, 0, 1], [0, 0, 0])\n"
+    "def module(basis, gen_rows):\n"
+    "    alg = ExplicitAlgebra(f, basis, None, (1, 1, 0), mat(*gen_rows), mat([1, 0, 0], [0, 1, 0]))\n"
+    "    return ExplicitModule(alg, basis)\n"
+    "def attempt(q, maps):\n"
+    "    try:\n"
+    "        end = _split_end(q, flatten(maps))\n"
+    "        print(__debug__, 'split', *end.mults, end.radical.ncols)\n"
+    "    except CertificationError as exc:\n"
+    "        print(__debug__, str(exc).replace(' ', '_'))\n"
+    "q = module([e0, e1, x], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
+)
+
+
 def test_split_certificate_survives_optimized_mode(run_optimized):
-    # the locality test of a corner reads x on the top weight line k u as u x = phi(x) u;
-    # an action that moves the line fails that certificate, and a corner that holds a
-    # second idempotent, whose kernel part never shrinks k^2, is not local
-    code = (
-        "from tlschur.fields import GF\n"
-        "from tlschur.linalg import Matrix\n"
-        "from tlschur.oracle import CertificationError, _is_local\n"
-        "f = GF(5)\n"
-        "one, u = Matrix.identity(f, 2), Matrix.from_rows(f, [[1, 0]])\n"
-        "print(_is_local(one, u))\n"
-        "try:\n"
-        "    _is_local(Matrix.hstack([one, Matrix.from_rows(f, [[0, 1], [0, 0]])]), u)\n"
-        "except CertificationError as exc:\n"
-        "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
-        "print(_is_local(Matrix.hstack([one, Matrix.from_rows(f, [[0, 0], [0, 1]])]), u))\n"
+    # the honest split, then: an S basis element on two weight blocks (x plus v0 -> v1), a map
+    # v2 -> v1 that moves the top X_1, End(Q) without ea and eb apart (rho of rank 1), and
+    # diag(0, 1, 0) in the kernel of rho, which is not nilpotent
+    code = _SPLIT_PRELUDE + (
+        "attempt(q, [ea, eb, c])\n"
+        "attempt(module([e0, e1, x + mat([0, 1, 0], [0, 0, 0], [0, 0, 0])], [[0, 0, 1]]), [ea, eb, c])\n"
+        "attempt(q, [ea, eb, c, mat([0, 0, 0], [0, 0, 0], [0, 1, 0])])\n"
+        "attempt(q, [ea + eb, c])\n"
+        "attempt(q, [ea, eb, diag(0, 1, 0)])\n"
     )
     out = run_optimized(code)
-    assert out[:5] == [
-        "True",
-        "False",
-        "raised",
-        "an_endomorphism_moves_the_top_weight_line_of_a_summand",
-        "False",
+    assert out[:-1] == [
+        "False", "split", "1", "1", "3",
+        "False", "a_basis_element_of_S_is_not_on_exactly_one_weight_block",
+        "False", "an_endomorphism_does_not_keep_the_weight_top_of_Q",
+        "False", "End(Q)_does_not_map_onto_the_endomorphisms_of_the_weight_tops",
+        "False", "the_kernel_of_the_action_on_the_weight_tops_is_not_nilpotent",
     ], out[-1]
 
 
-def test_fitting_certificate_survives_optimized_mode(run_optimized):
-    # the Fitting projection of a random element of span{1, diag(1, 2)} is diag(1, 0) or
-    # diag(0, 1): it commutes with diag(1, 2), but not with a generator that swaps the lines
-    code = (
-        "import random\n"
-        "from tlschur.fields import GF\n"
-        "from tlschur.linalg import Matrix, flatten\n"
-        "from tlschur.oracle import CertificationError, _fitting_split\n"
-        "f = GF(5)\n"
-        "one, diag = Matrix.identity(f, 2), Matrix.from_rows(f, [[1, 0], [0, 2]])\n"
-        "swap = Matrix.from_rows(f, [[0, 1], [1, 0]])\n"
-        "fa, fb = _fitting_split(random.Random(0), one, flatten([one, diag]), [diag])\n"
-        "print(fa @ fa == fa, fa @ fb == Matrix.zeros(f, 2, 2), fa + fb == one, fa.rank())\n"
-        "try:\n"
-        "    _fitting_split(random.Random(0), one, flatten([one, diag]), [swap])\n"
-        "except CertificationError as exc:\n"
-        "    print(__debug__, 'raised', str(exc).replace(' ', '_'))\n"
+def test_lift_certificate_survives_optimized_mode(run_optimized):
+    # diag(1, 3, 0) lifts the unit of X_0, but 3 = 1/2 is a fixed point of x -> 3x^2 - 2x^3
+    # that is no idempotent; the split diag(1, 0, 0) + diag(0, 1, 1) is orthogonal but does not
+    # commute with x, and once x is left out of the generators, diag(0, 1, 1) has a plane at
+    # weight 1 where a summand T has a line
+    code = _SPLIT_PRELUDE + (
+        "attempt(q, [diag(1, 3, 0), eb])\n"
+        "attempt(q, [diag(1, 0, 0), diag(0, 1, 1)])\n"
+        "attempt(module([e0, e1, x], [[1, 0, 0], [0, 1, 0]]), [diag(1, 0, 0), diag(0, 1, 1)])\n"
     )
     out = run_optimized(code)
-    assert out[:7] == [
-        "True",
-        "True",
-        "True",
-        "1",
-        "False",
-        "raised",
-        "a_Fitting_projection_is_not_an_endomorphism_of_Q",
+    assert out[:-1] == [
+        "False", "a_lift_of_a_matrix_unit_of_the_weight_tops_is_not_idempotent",
+        "False", "a_lifted_idempotent_is_not_an_endomorphism_of_Q",
+        "False", "a_primitive_idempotent_is_not_a_line_at_its_weight_and_zero_above_it",
     ], out[-1]
+
+
+@pytest.mark.parametrize("make", CONFIGS, ids=IDS)
+def test_tensor_end_draws_no_random_numbers(make, monkeypatch):
+    # the generator rows are drawn when the algebra is built; the split itself draws nothing
+    alg = schur_algebra(make(5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split of End(Q) drew random numbers")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    end = _tensor_end(tensor_module(alg))
+    assert sum(a * t for a, t in zip(end.mults, end.dims)) == 32
 
 
 def test_domdim_does_not_import_numpy_random(run_python):
-    # the Fitting splits draw from the stdlib random module, so a verdict does
-    # not pay for importing numpy.random
+    # a verdict draws random numbers only in _generator_rows, from the stdlib
+    # random module, so it does not pay for importing numpy.random
     code = (
         "import sys\n"
         "from tlschur.hecke import classical_char2\n"
@@ -934,9 +958,14 @@ def test_tensor_summands_pinned(make, d, summands, radical):
     assert end.radical.ncols >> d == radical
 
 
-@pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
-def test_primitive_idempotents_split_tensor_space(make):
-    alg = schur_algebra(make(4))
+@pytest.mark.parametrize(
+    "make,d",
+    [pytest.param(make, 4, id=i) for make, i in zip(GRADED, GRADED_IDS)]
+    # d=6 over gf5-u2 has the largest radical here (dim 90), so its lifts go deepest
+    + [pytest.param(quantum_ell2, 6, id="gf5-u2-d6"), pytest.param(gf3_u1, 4, id="gf3-u1")],
+)
+def test_primitive_idempotents_split_tensor_space(make, d):
+    alg = schur_algebra(make(d))
     q = tensor_module(alg)
     end = _tensor_end(q)
     f = alg.field
