@@ -1,22 +1,24 @@
-"""Elimination kernels over GF(2) and GF(p).
+"""Elimination and product kernels over GF(2) and GF(p).
 
 GF(2) matrices are stored as packed bit rows: one uint64 word holds 64
 columns, bit j of word w being column 64*w + j.  Row operations are whole-word
 XORs.  GF(p) matrices are int64 arrays of canonical residues.
 
-Each kernel is written once, in numpy, and two of them run on BLAS.
+Each kernel is written once, in numpy, and three of them run on BLAS.
 gf2_matmul multiplies the unpacked 0/1 operands as float32, exact while the
-inner dimension stays below 2^24.  gfp_rref is a blocked Gauss-Jordan
-elimination with delayed reduction (after Dumas, Giorgi and Pernet,
-FFLAS-FFPACK, ACM TOMS 35(3), 2008): the columns go in panels of _PANEL; the
-column-by-column loop finds the pivots of a panel among the rows with a
-nonzero there, and one float64 product clears the pivot columns of all other
-rows, added unreduced to the int64 storage.  Only the next panel and the
-pivot rows are reduced mod p before they are read.  Products of reduced
-entries are at most _PANEL*(p-1)^2 and must stay below 2^53; an entry gains
-at most ncols*(p-1)^2 before its reduction and must stay below 2^63.  A
-modulus that breaks either bound is rejected with ValueError before any
-work.  RREF is unique, so the result equals the unblocked loop's bit for bit.
+inner dimension stays below 2^24.  gfp_matmul is the one exact product mod p,
+on float64 BLAS or int64 as the inner length and p allow (after Dumas,
+Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008).  gfp_rref is a
+blocked Gauss-Jordan elimination with delayed reduction: the columns go in
+panels of _PANEL; the column-by-column loop finds the pivots of a panel among
+the rows with a nonzero there, and one float64 product clears the pivot
+columns of all other rows, added unreduced to the int64 storage, the only
+product mod p outside gfp_matmul.  Only the next panel and the pivot rows are
+reduced mod p before they are read.  Products of reduced entries are at most
+_PANEL*(p-1)^2 and must stay below 2^53; an entry gains at most
+ncols*(p-1)^2 before its reduction and must stay below 2^63.  A modulus that
+breaks either bound is rejected with ValueError before any work.  RREF is
+unique, so the result equals the unblocked loop's bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +36,25 @@ _CHUNK_BYTES = 32 << 20
 
 
 def _float_product(a, b):
-    """Integer product a @ b on float64 BLAS; exact while every sum stays below 2^53."""
+    """Integer product a @ b on float64 BLAS, unreduced; exact while every sum stays below 2^53."""
     return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+
+
+def gfp_matmul(a, b, p):
+    """a @ b mod p of canonical residues, batched like np.matmul, as int64 residues.
+
+    For inner length k: float64 BLAS while k*(p-1)^2 < 2^53, int64 while
+    k*(p-1)^2 < 2^63, ValueError beyond, so every sum of products is exact.
+    """
+    k = a.shape[-1]
+    if k * (p - 1) ** 2 < 2**53:
+        out = (a.astype(np.float64, copy=False) @ b.astype(np.float64, copy=False)).astype(np.int64)
+    elif k * (p - 1) ** 2 < 2**63:
+        out = a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    else:
+        raise ValueError(f"gfp_matmul: GF({p}) products of length {k} overflow int64")
+    out %= p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +193,7 @@ def gfp_rref(m, p, inv):
         if c1 < ncols:
             block = np.concatenate([m[rows[:, None], cols], np.eye(k, dtype=np.int64)], axis=1)
             _gfp_rref_loop(block, p, inv)
-            top[:, c1 - c0 :] = _float_product(block[:, k:], m[rows, c1:] % p) % p
+            top[:, c1 - c0 :] = gfp_matmul(block[:, k:], m[rows, c1:] % p, p)
         # clear the pivot columns of the rows above and of the other live rows,
         # the only rows with a nonzero there, adding the negated multiples unreduced
         others = np.ones(live.size, dtype=bool)
@@ -224,7 +243,7 @@ def gfp_charpoly(a, p, inv):
         s = int(inv[h[c + 1, c]])
         f = (h[c + 2 :, c] * s) % p
         h[c + 2 :, :] = (h[c + 2 :, :] - f[:, None] * h[c + 1, :]) % p
-        h[:, c + 1] = (h[:, c + 1] + h[:, c + 2 :] @ f) % p
+        h[:, c + 1] = (h[:, c + 1] + gfp_matmul(h[:, c + 2 :], f, p)) % p
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
     for k in range(1, n + 1):

@@ -21,8 +21,6 @@ import numpy as np
 from . import _kernels
 from .fields import GF
 
-_MAX_GFP_MATMUL = 2**62
-
 
 def _inv_table(p: int) -> np.ndarray:
     t = np.zeros(p, dtype=np.int64)
@@ -207,17 +205,7 @@ class Matrix:
             out = np.zeros((self.nrows, other._d.shape[1]), np.uint64)
             _kernels.gf2_matmul(self._d, self.ncols, other._d, out)
             return Matrix(f, self.nrows, other.ncols, out)
-        if self.ncols * (f.p - 1) ** 2 >= _MAX_GFP_MATMUL:
-            raise ValueError(f"GF({f.p}) products of length {self.ncols} overflow int64")
-        # float64 products are exact while k*(p-1)^2 < 2^53 and run on BLAS; rounded and
-        # reduced in place, so at most the product and its one int64 cast are alive
-        if self.ncols * (f.p - 1) ** 2 < 2**53:
-            prod = self._d.astype(np.float64) @ other._d.astype(np.float64)
-            np.rint(prod, out=prod)
-            out = prod.astype(np.int64)
-            out %= f.p
-            return Matrix(f, self.nrows, other.ncols, out)
-        return Matrix(f, self.nrows, other.ncols, (self._d @ other._d) % f.p)
+        return Matrix(f, self.nrows, other.ncols, _kernels.gfp_matmul(self._d, other._d, f.p))
 
     def kron(self, other: "Matrix") -> "Matrix":
         _require(self.field == other.field, "cannot kron", (self, other))

@@ -57,17 +57,19 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from . import _kernels
-from .domdim import Infinity, encode_extnat
+from .domdim import FieldRegime, Infinity, domdim_char_tilting, domdim_regular, domdim_standard, encode_extnat
 from .hecke import BLESSED_CONFIGS, HeckeElement, HeckeParams, kernel_generator, phi
 from .linalg import Matrix, RowSpace, flat_products, flatten, kernel_from_rref, unflatten
 from .permutations import symmetric_group
 from .tensor_action import (
     CertificationError,
     commutant_basis,
+    double_centralizer_report,
     element_action,
     hecke_action,
     hecke_generator_matrices,
@@ -76,7 +78,7 @@ from .tensor_action import (
     tl_action,
     weight_projections,
 )
-from .tl import check_relations
+from .tl import catalan, check_relations
 
 
 class ConstructionError(RuntimeError):
@@ -539,15 +541,13 @@ def _orbits(homs: Matrix, acts: Matrix, cols) -> Matrix:
 
     Row i of homs is a flattened map into Q of dimension a = acts.nrows, and
     x_n acts on each of its rows by column block n of acts: column (s, c) is
-    row s times column c.
+    row s times column c, all of them one batched _kernels.gfp_matmul.
     """
     h, a, p = homs.nrows, acts.nrows, homs.field.p
-    if a * (p - 1) ** 2 >= 2**53:
-        raise ValueError(f"GF({p}) orbit products of length {a} overflow float64")
     slot, col = np.divmod(np.asarray(cols, dtype=np.int64), a)
     left = homs.dense().reshape(h, -1, a)[:, slot, :].transpose(1, 0, 2)  # column, row i, row entry
     right = acts.dense().reshape(a, -1, a)[:, :, col].transpose(2, 0, 1)  # column, row entry, x_n
-    out = _kernels._float_product(left, right) % p
+    out = _kernels.gfp_matmul(left, right, p)
     return Matrix.from_dense(homs.field, out.transpose(2, 1, 0).reshape(-1, len(slot)))
 
 
@@ -702,12 +702,6 @@ def _verdict(check_id: str, d: int, config: str, expected, got) -> dict:
 
 def verify_suite(d: int, config: str, cap: int | None = None, progress=None) -> list[dict]:
     """Cross-check closed forms against the oracle for one blessed configuration."""
-    from math import comb
-
-    from .domdim import FieldRegime, domdim_char_tilting, domdim_regular, domdim_standard
-    from .tensor_action import double_centralizer_report
-    from .tl import catalan
-
     if config not in BLESSED_CONFIGS:
         raise ValueError(f"unknown config {config!r}; choose from {sorted(BLESSED_CONFIGS)}")
     if not 2 <= d <= 6:

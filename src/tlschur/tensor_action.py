@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._kernels import gfp_matmul
 from .hecke import HeckeElement, HeckeParams
 from .linalg import Matrix, RowSpace, flatten, kernel_from_rref, reduced_basis, unflatten
 from .permutations import Permutation
@@ -136,17 +137,15 @@ def structure_constants(basis: list[Matrix]):
     multiplying back; on a block without members x must vanish.  The
     identity and the weight projections are read first (CertificationError
     if one is outside the span).  Then for every triple (a, b, c) all members
-    of (a, b) times all members of (b, c) are one float64 product, read on
-    block (a, c) (RuntimeError if one is outside the span).  Products of
-    length n and the multiplications back, of length at most dim, are exact
-    while max(n, dim) (p - 1)^2 < 2^53 (ValueError otherwise).  Returns the structure constants s with b_i b_j =
-    sum_k s[i,j,k] b_k, the coordinates of the identity and the coordinate
-    rows of the weight projections, by increasing weight.
+    of (a, b) times all members of (b, c) are one product, read on block
+    (a, c) (RuntimeError if one is outside the span).  Every product mod p
+    is _kernels.gfp_matmul, which alone bounds the primes accepted.  Returns
+    the structure constants s with b_i b_j = sum_k s[i,j,k] b_k, the
+    coordinates of the identity and the coordinate rows of the weight
+    projections, by increasing weight.
     """
     f, n, dim = basis[0].field, basis[0].nrows, len(basis)
     p = f.p
-    if max(n, dim) * (p - 1) ** 2 >= 2**53:
-        raise ValueError(f"GF({p}) products of length {max(n, dim)} overflow float64")
     order = np.argsort(_weights(n), kind="stable")
     sizes = [len(c) for c in weight_classes(n)]
     ends = np.cumsum([0] + sizes)
@@ -174,7 +173,7 @@ def structure_constants(basis: list[Matrix]):
             return None if x.any() else np.zeros((x.shape[0], 0), dtype=np.int64)
         _, span, own = members[a, c]
         y = x[:, own]
-        return y if np.array_equal((y @ span).astype(np.int64) % p, x) else None
+        return y if np.array_equal(gfp_matmul(y, span, p), x) else None
 
     rows = np.zeros((1 + len(sizes), dim), dtype=np.int64)
     for a, b, x in blocks([Matrix.identity(f, n), *weight_projections(f, n)]):
@@ -190,9 +189,10 @@ def structure_constants(basis: list[Matrix]):
                 continue
             right, z, _ = members[b, c]
             # the (a, b) blocks of the left members stacked, times the (b, c) blocks of the right ones side by side
-            prod = x.reshape(-1, sizes[b]) @ z.reshape(-1, sizes[b], sizes[c]).transpose(1, 0, 2).reshape(sizes[b], -1)
+            side = z.reshape(-1, sizes[b], sizes[c]).transpose(1, 0, 2).reshape(sizes[b], -1)
+            prod = gfp_matmul(x.reshape(-1, sizes[b]), side, p)
             prod = prod.reshape(left.size, sizes[a], right.size, sizes[c]).transpose(0, 2, 1, 3)
-            y = read(a, c, prod.reshape(left.size * right.size, -1).astype(np.int64) % p)
+            y = read(a, c, prod.reshape(left.size * right.size, -1))
             if y is None:
                 raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
             if y.size:
@@ -344,16 +344,14 @@ def commutant_basis(generators: list[Matrix], progress=None) -> list[Matrix]:
     For T_s this is Frobenius reciprocity for the q-permutation module V_a
     (Dipper and James, Proc. LMS 59, 1989).  The basis is the reverse
     reduced echelon form of the union, the one the full system's
-    kernel_from_rref gives.  Int64 products are exact while dim V_a
-    (p - 1)^2 < 2^63 (ValueError otherwise).
+    kernel_from_rref gives.  Every product mod p is _kernels.gfp_matmul,
+    which alone bounds the primes the products accept.
     """
     if not generators:
         raise ValueError("need at least one generator")
     f, n = generators[0].field, generators[0].nrows
     classes = weight_classes(n)
     size = max(map(len, classes))
-    if size * (f.p - 1) ** 2 >= 2**63:
-        raise ValueError(f"GF({f.p}) products of length {size} overflow int64")
     _check_weight_preserving(generators)
     gens = np.stack([g.dense().astype(np.int64) for g in generators])
     blocks = [gens[:, c][:, :, c] for c in classes]
@@ -370,8 +368,8 @@ def commutant_basis(generators: list[Matrix], progress=None) -> list[Matrix]:
             x = np.zeros((v.shape[0], ga.shape[1], gb.shape[1]), dtype=np.int64)
             x[:, 0] = v
             for w, parent, k in tree:
-                x[:, w] = x[:, parent] @ gb[k] % f.p
-            if not np.array_equal(ga[:, None] @ x[None] % f.p, x[None] @ gb[:, None] % f.p):
+                x[:, w] = gfp_matmul(x[:, parent], gb[k], f.p)
+            if not np.array_equal(gfp_matmul(ga[:, None], x[None], f.p), gfp_matmul(x[None], gb[:, None], f.p)):
                 raise CertificationError(f"a map on weight block ({a}, {b}) does not commute with the generators")
             out = np.zeros((v.shape[0], n, n), dtype=np.int64)
             out[:, np.array(classes[a])[:, None], classes[b]] = x

@@ -106,6 +106,51 @@ def test_gf2_matmul_rejects_float32_overflow():
         K.gf2_matmul(a, 1 << 24, a, np.zeros((1, 1), dtype=np.uint64))
 
 
+def ref_matmul_mod(a, b, p):
+    """a @ b mod p in Python integers, batched like np.matmul."""
+    return np.matmul(a.astype(object), b.astype(object)) % p
+
+
+@pytest.mark.parametrize("p", (2, 5, 65521, 2147483647))
+@pytest.mark.parametrize("seed", range(4))
+def test_gfp_matmul_matches_python_ints(p, seed):
+    rng = np.random.default_rng(seed)
+    batch = tuple(int(x) for x in rng.integers(1, 4, size=seed % 3))
+    # b broadcasts over the batch axes where it has length 1
+    b_batch = tuple(x if rng.integers(2) else 1 for x in batch)
+    m, n = (int(x) for x in rng.integers(0, 7, size=2))
+    k = int(rng.integers(0, 9 if p < 2**16 else 3))  # 3 (2^31 - 2)^2 >= 2^63
+    a = rng.integers(0, p, size=(*batch, m, k), dtype=np.int64)
+    b = rng.integers(0, p, size=(*b_batch, k, n), dtype=np.int64)
+    got = K.gfp_matmul(a, b, p)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ref_matmul_mod(a, b, p))
+
+
+def test_gfp_matmul_exact_on_both_sides_of_the_float64_switch():
+    # 3 (p - 1)^2 < 2^53 <= 4 (p - 1)^2: length 3 runs on float64, length 4 on int64
+    p = 50000017
+    assert 3 * (p - 1) ** 2 < 2**53 <= 4 * (p - 1) ** 2
+    for k in (3, 4):
+        # an odd sum: above 2^53 a float64 holds only even integers
+        a = np.array([[p - 1] * (k - 1) + [p - 2]], dtype=np.int64)
+        got = K.gfp_matmul(a, a.T, p)
+        assert np.array_equal(got, ref_matmul_mod(a, a.T, p))
+    # the float64 product of the length-4 case is off, so the int64 path is needed there
+    exact = int(np.matmul(a.astype(object), a.T.astype(object))[0, 0])
+    assert exact % 2 == 1 and exact > 2**53
+    assert int((a.astype(np.float64) @ a.T.astype(np.float64))[0, 0]) != exact
+
+
+@pytest.mark.parametrize("p", (65521, 50000017, 2147483647))
+def test_gfp_matmul_rejects_int64_overflow(p):
+    # the bound is checked before any work, so empty operands of any inner length will do
+    k = -(-(2**63) // (p - 1) ** 2)  # the least k with k (p - 1)^2 >= 2^63
+    assert K.gfp_matmul(np.zeros((0, k - 1), np.int64), np.zeros((k - 1, 0), np.int64), p).shape == (0, 0)
+    with pytest.raises(ValueError, match="overflow int64"):
+        K.gfp_matmul(np.zeros((0, k), np.int64), np.zeros((k, 0), np.int64), p)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_gf2_rref_against_reference(seed):
     rng = np.random.default_rng(seed)

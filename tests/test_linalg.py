@@ -240,8 +240,11 @@ def test_gf2_from_dense_reduces_mod_2():
 
 
 def test_matmul_rejects_modulus_beyond_int64():
+    # 2 (p - 1)^2 < 2^63 <= 3 (p - 1)^2: products of length 2 are exact in int64, of length 3 not
     f = GF(2147483647)
-    a, b = Matrix.from_rows(f, [[1, 2]]), Matrix.from_rows(f, [[3], [4]])
+    a = Matrix.from_rows(f, [[-1, -1]])
+    assert a @ a.transpose() == Matrix.from_rows(f, [[2]])
+    a, b = Matrix.from_rows(f, [[1, 2, 3]]), Matrix.from_rows(f, [[3], [4], [5]])
     with pytest.raises(ValueError, match="overflow"):
         a @ b
 

@@ -299,14 +299,23 @@ def test_structure_constants_reject_bad_bases(f, solved_structure_constants):
             structure_constants(bad)
 
 
-def test_structure_constants_reject_float64_overflow():
-    # 2 (p - 1)^2 < 2^53 <= 4 (p - 1)^2: products of length 2 are exact in float64, of length 4 not
+def test_structure_constants_past_float64_take_int64(solved_structure_constants):
+    # 2 (p - 1)^2 < 2^53 <= 4 (p - 1)^2: products of length 2 are exact in float64, of length 4 only in int64
     f = GF(50000017)
     e00, e11 = (Matrix.from_rows(f, m) for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]]))
     c, unit, _ = structure_constants([e00, e11])
     assert unit == (1, 1) and c[0, 0, 0] == c[1, 1, 1] == 1
-    with pytest.raises(ValueError, match="overflow float64"):
-        structure_constants(_units(f, [(0, 0)], [(3, 3)], [(1, 1), (2, 2)]))
+    # k x M_2 x k: the four matrix units of weight block (1, 1) are read with products of length 4.  The
+    # reference solves by rref, which rejects this p (its panel bound), but the constants are 0 and 1 over
+    # every field, so it runs over GF(5)
+    entries = [(0, 0)], [(3, 3)], [(1, 1)], [(1, 2)], [(2, 1)], [(2, 2)]
+    c, unit, rows = structure_constants(_units(f, *entries))
+    g = GF(5)
+    c5, unit5, rows5 = solved_structure_constants(g, _units(g, *entries), weight_projections(g, 4))
+    assert np.array_equal(c, c5) and unit == unit5 and np.array_equal(rows.dense(), rows5.dense())
+    # 3 (p - 1)^2 >= 2^63: past int64 too
+    with pytest.raises(ValueError, match="overflow int64"):
+        structure_constants(_units(GF(2147483647), *entries))
 
 
 def test_structure_constant_checks_survive_optimized_mode(run_optimized):
