@@ -17,7 +17,11 @@ double-commutant system (2324x252, one call on the six weight classes) by
 tensor_action.intertwiner_system, for both blessed configs.  The next ones
 time the whole commutant_basis at d=5 and d=6 for both blessed configs: one
 stabiliser system per weight pair, each map extended along a tree and
-certified.  The next ones time hom_space(Q, Q) at d=5 and d=6 for both
+certified.  The next ones time, at d=5 and d=6 for both blessed configs,
+the TL closure inside the solved double commutant (algebra_closure_dim on
+Catalan(d) coordinates, certificates included) and structure_constants on
+the commutant basis, each target block read once.  The next ones time
+hom_space(Q, Q) at d=5 and d=6 for both
 blessed configs, the solve with its certificate, and then the certificate
 alone: every End(Q) map checked against the generator actions.  The next
 ones time the split of End(Q) alone at d=5 and d=6 for both blessed
@@ -42,9 +46,14 @@ from tlschur import _kernels as K
 from tlschur.linalg import Matrix
 from tlschur.oracle import _check_module_maps, _split_end, _tensor_end, hom_space
 from tlschur.tensor_action import (
+    _weight_diagonal,
+    algebra_closure_dim,
     commutant_basis,
     hecke_generator_matrices,
+    intertwiner_rows,
     intertwiner_system,
+    structure_constants,
+    tl_generator_matrices,
     weight_classes,
 )
 
@@ -57,13 +66,6 @@ def bench_case(label: str, make_args, fn, repeats: int) -> tuple[str, float]:
         fn(*make_args())
         best = min(best, time.perf_counter() - t0)
     return label, best
-
-
-def inv_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
-    return inv
 
 
 def endq_system() -> np.ndarray:
@@ -107,7 +109,6 @@ def main():
     sizes = [int(s) for s in args.sizes.split(",") if s]
     p = args.p
     rng = np.random.default_rng(args.seed)
-    inv = inv_table(p)
 
     rows = []
     for n in sizes:
@@ -123,20 +124,19 @@ def main():
                 args.repeats,
             )
         )
-        rows.append(bench_case(f"gfp_rref p={p} {n}x{n}", lambda: (ints.copy(), p, inv), K.gfp_rref, args.repeats))
+        rows.append(bench_case(f"gfp_rref p={p} {n}x{n}", lambda: (ints.copy(), p), K.gfp_rref, args.repeats))
 
     m = args.charpoly_size
     square = rng.integers(0, p, size=(m, m)).astype(np.int64)
     rows.append(
-        bench_case(f"gfp_charpoly p={p} {m}x{m}", lambda: (square.copy(), p, inv), K.gfp_charpoly, args.repeats)
+        bench_case(f"gfp_charpoly p={p} {m}x{m}", lambda: (square.copy(), p), K.gfp_charpoly, args.repeats)
     )
 
-    inv5 = inv_table(5)
     for label, system in (("End(Q)", endq_system()), ("graded End(Q)", graded_endq_system().astype(np.int64) % 5)):
         rows.append(
             bench_case(
                 f"gfp_rref p=5 {label} d=5 {system.shape[0]}x{system.shape[1]}",
-                lambda: (system.copy(), 5, inv5),
+                lambda: (system.copy(), 5),
                 K.gfp_rref,
                 args.repeats,
             )
@@ -151,6 +151,16 @@ def main():
         for d in (5, 6):
             gens = hecke_generator_matrices(make(d))
             rows.append(bench_case(f"commutant_basis {config} d={d}", lambda: (gens,), commutant_basis, args.repeats))
+
+    for config, make in BLESSED_CONFIGS.items():
+        for d in (5, 6):
+            comm, classes = commutant_basis(hecke_generator_matrices(make(d))), weight_classes(1 << d)
+            comm2 = intertwiner_rows(comm, comm, classes, classes).select_columns(_weight_diagonal(1 << d))
+            closure = (tl_generator_matrices(make(d)), comm2)
+            label = f"algebra_closure_dim {config} d={d} in {comm2.nrows} coordinates"
+            rows.append(bench_case(label, lambda: closure, algebra_closure_dim, args.repeats))
+            label = f"structure_constants {config} d={d} dim {len(comm)}"
+            rows.append(bench_case(label, lambda: (comm,), structure_constants, args.repeats))
 
     for config, make in BLESSED_CONFIGS.items():
         for d in (5, 6):

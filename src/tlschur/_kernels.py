@@ -130,9 +130,9 @@ def gf2_matmul(a, a_ncols, b, out):
 
 
 # ---------------------------------------------------------------------------
-# GF(p) reduced row echelon form (int64 residues, inverse lookup table)
+# GF(p) reduced row echelon form (int64 residues, each pivot inverted by pow; gfp_rref's inv is unread)
 
-def _gfp_rref_loop(m, p, inv):
+def _gfp_rref_loop(m, p):
     """Column-by-column Gauss-Jordan on canonical residues, in place.
 
     Returns (rank, pivot columns, original index of each pivot row).
@@ -151,7 +151,7 @@ def _gfp_rref_loop(m, p, inv):
         if piv != rank:
             m[[rank, piv], col:] = m[[piv, rank], col:]
             order[[rank, piv]] = order[[piv, rank]]
-        s = inv[m[rank, col]]
+        s = pow(int(m[rank, col]), -1, p)
         if s != 1:
             m[rank, col:] = (m[rank, col:] * s) % p
         factors = m[:, col].copy()
@@ -164,7 +164,7 @@ def _gfp_rref_loop(m, p, inv):
     return rank, np.asarray(pivots, dtype=np.int64), order[:rank]
 
 
-def gfp_rref(m, p, inv):
+def gfp_rref(m, p, inv=None):
     nrows, ncols = m.shape
     # float64 products of reduced factors are exact below 2^53; the unreduced
     # products add at most ncols*(p-1)^2 to an int64 entry in all
@@ -183,7 +183,7 @@ def gfp_rref(m, p, inv):
         if live.size == 0:
             continue
         panel = m[live, c0:c1]
-        k, cols, local = _gfp_rref_loop(panel, p, inv)
+        k, cols, local = _gfp_rref_loop(panel, p)
         cols += c0
         rows = live[local]
         # pivot rows: the loop normalised their panel part; right of the panel
@@ -192,7 +192,7 @@ def gfp_rref(m, p, inv):
         top[:, : c1 - c0] = panel[:k]
         if c1 < ncols:
             block = np.concatenate([m[rows[:, None], cols], np.eye(k, dtype=np.int64)], axis=1)
-            _gfp_rref_loop(block, p, inv)
+            _gfp_rref_loop(block, p)
             top[:, c1 - c0 :] = gfp_matmul(block[:, k:], m[rows, c1:] % p, p)
         # clear the pivot columns of the rows above and of the other live rows,
         # the only rows with a nonzero there, adding the negated multiples unreduced
@@ -227,9 +227,9 @@ def gfp_rref(m, p, inv):
 # ---------------------------------------------------------------------------
 # characteristic polynomial mod p: Hessenberg similarity reduction, then the
 # leading-principal-minor recurrence; returns coeffs[j] of t^j, length n + 1.
-# The oracle's idempotent splitting of End(Q) takes its eigenvalues from it
+# No oracle stage calls it now; the benchmark's tracer still wraps it by name
 
-def gfp_charpoly(a, p, inv):
+def gfp_charpoly(a, p):
     n = a.shape[0]
     h = a.astype(np.int64).copy()
     for c in range(n - 2):
@@ -240,7 +240,7 @@ def gfp_charpoly(a, p, inv):
         if piv != c + 1:
             h[[piv, c + 1], :] = h[[c + 1, piv], :]
             h[:, [piv, c + 1]] = h[:, [c + 1, piv]]
-        s = int(inv[h[c + 1, c]])
+        s = pow(int(h[c + 1, c]), -1, p)
         f = (h[c + 2 :, c] * s) % p
         h[c + 2 :, :] = (h[c + 2 :, :] - f[:, None] * h[c + 1, :]) % p
         h[:, c + 1] = (h[:, c + 1] + gfp_matmul(h[:, c + 2 :], f, p)) % p

@@ -22,16 +22,6 @@ from . import _kernels
 from .fields import GF
 
 
-def _inv_table(p: int) -> np.ndarray:
-    t = np.zeros(p, dtype=np.int64)
-    for a in range(1, p):
-        t[a] = pow(a, p - 2, p)
-    return t
-
-
-_INV_CACHE: dict[int, np.ndarray] = {}
-
-
 def _check_field(field) -> None:
     if not isinstance(field, GF):
         raise ValueError(f"exact matrices need a prime field GF(p), got {field.name}")
@@ -41,12 +31,6 @@ def _require(ok: bool, what: str, mats: Sequence["Matrix"]) -> None:
     """Raise ValueError naming the operands unless ok; unlike assert, this survives python -O."""
     if not ok:
         raise ValueError(f"{what} {list(mats)}")
-
-
-def _inverses(p: int) -> np.ndarray:
-    if p not in _INV_CACHE:
-        _INV_CACHE[p] = _inv_table(p)
-    return _INV_CACHE[p]
 
 
 class Matrix:
@@ -190,7 +174,9 @@ class Matrix:
         _require(same, "cannot subtract", (self, other))
         if self.field.p == 2:
             return self + other
-        return Matrix(self.field, self.nrows, self.ncols, (self._d - other._d) % self.field.p)
+        out = self._d - other._d
+        out %= self.field.p  # in place: RowSpace.insert and reduce subtract row blocks
+        return Matrix(self.field, self.nrows, self.ncols, out)
 
     def scale(self, c) -> "Matrix":
         c = self.field.coerce(c)
@@ -239,7 +225,7 @@ class Matrix:
             rank, pivots = _kernels.gf2_rref(d, self.ncols)
             return Matrix(f, self.nrows, self.ncols, d), int(rank), tuple(int(c) for c in pivots)
         d = self._d.copy()
-        rank, pivots = _kernels.gfp_rref(d, f.p, _inverses(f.p))
+        rank, pivots = _kernels.gfp_rref(d, f.p, None)  # inv is unread; oraclebench/tracer.py wants (m, p, inv)
         return Matrix(f, self.nrows, self.ncols, d), int(rank), tuple(int(c) for c in pivots)
 
     def rank(self) -> int:

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._kernels import gfp_matmul
 from .hecke import HeckeElement, HeckeParams
-from .linalg import Matrix, RowSpace, flatten, kernel_from_rref, reduced_basis, unflatten
+from .linalg import Matrix, RowSpace, kernel_from_rref, reduced_basis, unflatten
 from .permutations import Permutation
 
 # bytes of the row block intertwiner_rows copies into a Matrix at a time: int64 residues
@@ -136,13 +136,13 @@ def structure_constants(basis: list[Matrix]):
     members with y the entries of x at their own columns, certified by
     multiplying back; on a block without members x must vanish.  The
     identity and the weight projections are read first (CertificationError
-    if one is outside the span).  Then for every triple (a, b, c) all members
-    of (a, b) times all members of (b, c) are one product, read on block
-    (a, c) (RuntimeError if one is outside the span).  Every product mod p
-    is _kernels.gfp_matmul, which alone bounds the primes accepted.  Returns
-    the structure constants s with b_i b_j = sum_k s[i,j,k] b_k, the
-    coordinates of the identity and the coordinate rows of the weight
-    projections, by increasing weight.
+    if one is outside the span).  Then each block (a, c) is read once, one
+    target at a time, from the products over every middle weight b of all
+    members of (a, b) times all of (b, c) (RuntimeError if one is outside
+    the span).  Every product mod p is _kernels.gfp_matmul, which alone
+    bounds the primes accepted.  Returns the structure constants s with
+    b_i b_j = sum_k s[i,j,k] b_k, the coordinates of the identity and the
+    coordinate rows of the weight projections, by increasing weight.
     """
     f, n, dim = basis[0].field, basis[0].nrows, len(basis)
     p = f.p
@@ -182,21 +182,25 @@ def structure_constants(basis: list[Matrix]):
             raise CertificationError("the identity or a weight projection is not in the span of the basis")
         if y.size:
             rows[:, members[a, b][0]] = y
+    # the (b, c) blocks of the members side by side: the right factor of every product through weight b
+    sides = {(b, c): z.reshape(-1, sizes[b], sizes[c]).transpose(1, 0, 2).reshape(sizes[b], -1)
+             for (b, c), (_, z, _) in members.items()}
     s = np.zeros((dim, dim, dim), dtype=np.int64)
-    for (a, b), (left, x, _) in members.items():
-        for c in range(len(sizes)):
-            if (b, c) not in members:
-                continue
-            right, z, _ = members[b, c]
-            # the (a, b) blocks of the left members stacked, times the (b, c) blocks of the right ones side by side
-            side = z.reshape(-1, sizes[b], sizes[c]).transpose(1, 0, 2).reshape(sizes[b], -1)
-            prod = gfp_matmul(x.reshape(-1, sizes[b]), side, p)
-            prod = prod.reshape(left.size, sizes[a], right.size, sizes[c]).transpose(0, 2, 1, 3)
-            y = read(a, c, prod.reshape(left.size * right.size, -1))
-            if y is None:
-                raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
-            if y.size:
-                s[np.ix_(left, right, members[a, c][0])] = y.reshape(left.size, right.size, -1)
+    for a, c in np.ndindex(len(sizes), len(sizes)):
+        parts = []  # over every middle weight b: the members of (a, b) and (b, c), and their products
+        for b in range(len(sizes)):
+            if (a, b) in members and (b, c) in members:
+                (left, x, _), right = members[a, b], members[b, c][0]
+                prod = gfp_matmul(x.reshape(-1, sizes[b]), sides[b, c], p).reshape(left.size, sizes[a], right.size, -1)
+                parts.append((left, right, prod.transpose(0, 2, 1, 3).reshape(left.size * right.size, -1)))
+        if not parts:
+            continue
+        y = read(a, c, np.concatenate([z for _, _, z in parts]))
+        if y is None:
+            raise RuntimeError("matrix products leave the span of the basis; algebra is not closed")
+        cuts = np.cumsum([z.shape[0] for _, _, z in parts])[:-1]
+        for (left, right, _), z in zip(parts, np.split(y, cuts) if y.size else ()):  # (a, c) without members: none
+            s[np.ix_(left, right, members[a, c][0])] = z.reshape(left.size, right.size, -1)
     return s, tuple(int(v) for v in rows[0]), Matrix.from_dense(f, rows[1:])
 
 
@@ -377,30 +381,45 @@ def commutant_basis(generators: list[Matrix], progress=None) -> list[Matrix]:
     return unflatten(reduced_basis(Matrix.from_dense(f, np.concatenate(rows))), n, n)
 
 
-def algebra_closure_dim(generators: list[Matrix]) -> tuple[int, RowSpace]:
-    """Dimension and span of the unital algebra generated by matrices on V^(tensor d).
+def algebra_closure_dim(generators: list[Matrix], basis: Matrix) -> tuple[int, RowSpace]:
+    """Dimension and span of the unital algebra generated by matrices on V^(tensor d), inside a basis.
 
-    The generators must preserve weight (CertificationError otherwise), so
-    every product is block diagonal and the span lives on the weight-diagonal
-    entries.  On those coordinates right multiplication by g is one linear
-    operator, sending entry (i, k) to entry (i, j) with coefficient g[k, j];
-    the span of the identity is closed under these operators.  Returns
-    (dimension, span on the weight-diagonal entries).
+    The generators must preserve weight, and basis must be reduced: its rows
+    are matrices on the weight-diagonal entries (_weight_diagonal order),
+    each ending in a 1 at its own column, where the other rows are 0
+    (CertificationError otherwise).  A coordinate is the entry at an own
+    column, certified by multiplying back: the identity and each member
+    times each generator, formed one weight class at a time, must be in the
+    span (CertificationError otherwise), and so then is each generator g =
+    1 g.  The products' coordinates are each generator's right action, a
+    dim x dim operator, and they close the identity's.  Returns (dimension,
+    span in basis coordinates); Matrix.identity(field, C(2d, d)) is the
+    basis of all weight-diagonal entries.
     """
     if not generators:
         raise ValueError("need at least one generator")
-    f = generators[0].field
-    n = generators[0].nrows
+    f, n, k = generators[0].field, generators[0].nrows, basis.dense()
     _check_weight_preserving(generators)
-    wt, classes = _weights(n), weight_classes(n)
+    own = k.shape[1] - 1 - np.argmax(k[:, ::-1] != 0, axis=1)
+    if not np.array_equal(k[:, own], np.eye(len(k))):
+        raise CertificationError("the basis is not reduced, or it is linearly dependent")
+
+    def coordinates(x, what):  # the entries of x at the own columns, certified by multiplying back
+        if not np.array_equal(gfp_matmul(x[:, own], k, f.p), x):
+            raise CertificationError(f"{what} is not in the span of the basis")
+        return x[:, own]
+
+    wd = _weight_diagonal(n)
+    blocks = [(c, np.searchsorted(wd, n * np.array(c)[:, None] + c)) for c in weight_classes(n)]
+    unit = coordinates(np.isin(wd, np.arange(n) * (n + 1))[None].astype(np.int64), "the identity")
     ops = []
-    for g in generators:
-        # the entries (i, k) of row i are those with k of i's weight, in order
-        blocks = [g.select_rows(c).select_columns(c) for c in classes]
-        ops.append(Matrix.block_diag([blocks[w] for w in wt]))
-    diag = _weight_diagonal(n)
-    span = RowSpace(f, diag.size)
-    span.insert(flatten([Matrix.identity(f, n)]).select_columns(diag))
+    for g in (x.dense() for x in generators):  # every member times g, one weight class at a time
+        prod = np.empty(k.shape, dtype=np.int64)
+        for c, e in blocks:
+            prod[:, e] = gfp_matmul(k[:, e].reshape(-1, len(c)), g[np.ix_(c, c)], f.p).reshape(len(k), len(c), -1)
+        ops.append(Matrix.from_dense(f, coordinates(prod, "a product of a member and a generator")))
+    span = RowSpace(f, len(k))
+    span.insert(Matrix.from_dense(f, unit))
     span.close(ops)
     return span.dim, span
 
@@ -408,27 +427,22 @@ def algebra_closure_dim(generators: list[Matrix]) -> tuple[int, RowSpace]:
 def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     """Compare the TL action image with the double commutant on V^(tensor d).
 
-    Returns a JSON-friendly report with the image dimension of the
-    Temperley-Lieb action, the commutant dimension, the double commutant
-    dimension, and whether the TL image equals the double commutant.
+    The double commutant is solved on the weight-diagonal entries, as it
+    commutes with the weight projections (certified by structure_constants).
+    The TL image is closed inside it, which certifies the inclusion, so the
+    two are equal iff their dimensions are.  Returns a JSON-friendly report
+    of the three dimensions and the two verdicts.
     """
-    d = params.d
-    n = 1 << d
-    classes = weight_classes(n)
-    tl_gens = tl_generator_matrices(params)
-    if progress:
-        progress("closing TL image")
-    tl_dim, tl_span = algebra_closure_dim(tl_gens)
+    d, n, classes = params.d, 1 << params.d, weight_classes(1 << params.d)
     if progress:
         progress("commutant of the TL action")
     comm = commutant_basis(hecke_generator_matrices(params), progress=progress)
     if progress:
         progress("double commutant")
-    # everything commuting with the commutant commutes with the weight
-    # projections (certified below), so it is block diagonal: the unknowns
-    # are the weight-diagonal entries, and the TL image lives there too
     comm2 = intertwiner_rows(comm, comm, classes, classes, progress=progress)
-    equal = tl_dim == comm2.nrows and tl_span.contains(comm2.select_columns(_weight_diagonal(n)))
+    if progress:
+        progress("closing TL image")
+    tl_dim, _ = algebra_closure_dim(tl_generator_matrices(params), comm2.select_columns(_weight_diagonal(n)))
     # the commutant's multiplication table, block by block: a weight projection outside its
     # span raises, and a product outside it means the commutant is not closed
     try:
@@ -445,6 +459,6 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
         "tl_image_dim": tl_dim,
         "commutant_dim": len(comm),
         "double_commutant_dim": comm2.nrows,
-        "tl_image_equals_double_commutant": bool(equal),
+        "tl_image_equals_double_commutant": tl_dim == comm2.nrows,
         "commutant_closed_under_product": bool(closed),
     }

@@ -13,13 +13,6 @@ PRIMES = (2, 3, 5)
 BLOCKED_PRIMES = (3, 5, 7, 101)
 
 
-def inv_table(p):
-    inv = np.zeros(p, dtype=np.int64)
-    for x in range(1, p):
-        inv[x] = pow(x, p - 2, p)
-    return inv
-
-
 def ref_rref_mod(a, p):
     """Slow reference elimination in plain Python."""
     a = [[int(x) % p for x in row] for row in a]
@@ -201,7 +194,7 @@ def test_gfp_rref_against_reference(p, seed):
     a = rng.integers(0, p, size=(nr, nc)).astype(np.int64)
     ref, ref_rank, ref_pivots = ref_rref_mod(a.tolist(), p)
     work = a.copy()
-    rank, pivots = K.gfp_rref(work, p, inv_table(p))
+    rank, pivots = K.gfp_rref(work, p)
     assert rank == ref_rank
     assert list(pivots) == ref_pivots
     assert np.array_equal(work, np.array(ref, dtype=np.int64).reshape(nr, nc))
@@ -210,7 +203,7 @@ def test_gfp_rref_against_reference(p, seed):
 def _check_blocked_rref(a, p):
     ref, ref_rank, ref_pivots = ref_rref_mod(a.tolist(), p)
     work = a.copy()
-    rank, pivots = K.gfp_rref(work, p, inv_table(p))
+    rank, pivots = K.gfp_rref(work, p)
     assert rank == ref_rank
     assert pivots.dtype == np.int64 and list(pivots) == ref_pivots
     assert np.array_equal(work, np.array(ref, dtype=np.int64).reshape(a.shape))
@@ -249,10 +242,24 @@ def test_gfp_rref_blocked_intertwiner_system(p):
     [(16777259, 4, "float64"), (10000019, 1 << 17, "int64")],
 )
 def test_gfp_rref_rejects_overflowing_modulus(p, ncols, bound):
-    # the bounds are checked before any work, so a dummy inverse table will do
+    # the bounds are checked before any work
     m = np.zeros((1, ncols), dtype=np.int64)
     with pytest.raises(ValueError, match=bound):
-        K.gfp_rref(m, p, np.zeros(1, dtype=np.int64))
+        K.gfp_rref(m, p)
+
+
+def test_rref_over_a_large_prime_builds_no_inverse_table():
+    # pivots are inverted one at a time: GF(2^31 - 1) meets the panel bound before any
+    # allocation of order p, and GF(1000003) eliminates exactly
+    with pytest.raises(ValueError, match="float64 panel"):
+        Matrix.from_rows(GF(2147483647), [[1, 2], [3, 4]]).rref()
+    p = 1000003
+    a = np.random.default_rng(p).integers(0, p, size=(9, 12)).astype(np.int64)
+    a[3] = (2 * a[1] + 5 * a[6]) % p
+    ref, ref_rank, ref_pivots = ref_rref_mod(a.tolist(), p)
+    r, rank, pivots = Matrix.from_dense(GF(p), a).rref()
+    assert (rank, list(pivots)) == (ref_rank, ref_pivots) == (8, ref_pivots)
+    assert np.array_equal(r.dense(), np.array(ref, dtype=np.int64))
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -260,7 +267,7 @@ def test_gfp_rref_rejects_overflowing_modulus(p, ncols, bound):
 def test_charpoly_cayley_hamilton(p, n):
     rng = np.random.default_rng(1000 * p + n)
     a = rng.integers(0, p, size=(n, n)).astype(np.int64)
-    coeffs = K.gfp_charpoly(a.copy(), p, inv_table(p))
+    coeffs = K.gfp_charpoly(a.copy(), p)
     assert coeffs.shape == (n + 1,)
     assert coeffs[n] % p == 1  # monic
     if n >= 1:
@@ -274,7 +281,7 @@ def test_charpoly_triangular_roots(p):
     rng = np.random.default_rng(p)
     n = 6
     a = np.triu(rng.integers(0, p, size=(n, n))).astype(np.int64)
-    coeffs = K.gfp_charpoly(a.copy(), p, inv_table(p))
+    coeffs = K.gfp_charpoly(a.copy(), p)
     # product of (t - d_i) expanded mod p
     want = np.zeros(n + 1, dtype=np.int64)
     want[0] = 1
@@ -296,7 +303,7 @@ def test_charpoly_companion(p):
     for i in range(n - 1):
         a[i + 1, i] = 1
     a[:, n - 1] = (-c) % p
-    coeffs = K.gfp_charpoly(a.copy(), p, inv_table(p))
+    coeffs = K.gfp_charpoly(a.copy(), p)
     want = np.append(c, 1) % p
     assert np.array_equal(coeffs % p, want)
 

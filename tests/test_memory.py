@@ -2,16 +2,21 @@
 
 numpy reports every array buffer to tracemalloc, so these peaks are exact
 and repeatable, unlike process RSS.  Today's peaks (MiB, gf2-u1 / gf5-u2,
-re-measured in this file's order in one process, after GF(p) products were
-rounded and reduced in place, which moved none of them):
-structure constants of S(2, 5) 1.4 / 1.4, read block by block (2.7 / 2.9
+re-measured in this file's order in one process, after the TL image was
+closed inside the solved double commutant and each target block of the
+structure constants was read once):
+structure constants of S(2, 5) 1.5 / 1.5, each target block read once from
+the products over every middle weight (1.4 / 1.4 read once per triple of
+weights, 2.7 / 2.9
 through a coordinate reader on the live weight blocks, in chunks of 256 KiB
 of products; 2.0 / 4.0 when every product was formed on all n^2 entries,
 one left factor at a time), End(Q) at d=6 with its split into primitive
 idempotents through the weight tops, all matrices on Q, 16.1 / 36.2 (16.1 /
 50.8 by random Fitting splits, 45.8 / 103.2 with its dim^3 structure
 constants),
-the double centralizer report 1.7 / 3.9 (1.7 / 4.4 with its closure check
+the double centralizer report 1.7 / 3.8, the TL image closed inside the
+double commutant (1.7 / 3.9 closed first on all weight-diagonal entries,
+1.7 / 4.4 with its closure check
 on all n^2 entries, 1.9 / 21.3 before the intertwiner systems were streamed
 in row blocks), its double-commutant solve alone 1.6 / 3.3 (1.8 / 20.3),
 the regular dominant dimension with its End(Q) and the split of End(Q)

@@ -484,19 +484,82 @@ def test_report_rejects_projection_outside_commutant(monkeypatch):
         double_centralizer_report(p)
 
 
-def test_report_flags_a_commutant_not_closed(monkeypatch):
-    # on V^(tensor 2) the words 12 and 21 have weight 1: span{E_00, E_33, E_11 + E_22, E_12, E_21}
-    # holds the identity and the weight projections, but E_12 E_21 = E_11 leaves it
-    p = classical_char2(2)
-    units = [[(0, 0)], [(3, 3)], [(1, 1), (2, 2)], [(1, 2)], [(2, 1)]]
-    fake = []
-    for ones in units:
-        m = np.zeros((4, 4), dtype=np.int64)
+def _units(f, n, *members):
+    """The matrices with a 1 at each of the given entries, one per tuple of entries."""
+    out = []
+    for ones in members:
+        m = np.zeros((n, n), dtype=np.int64)
         m[tuple(zip(*ones))] = 1
-        fake.append(Matrix.from_dense(p.field, m))
+        out.append(Matrix.from_dense(f, m))
+    return out
+
+
+def test_report_flags_a_commutant_not_closed(monkeypatch):
+    # on V^(tensor 2) the words 12 and 21 have weight 1, and over GF(2) U_1 is 1 on all four entries between
+    # them: span{E_00, E_33, E_11 + E_22, E_01 + E_02, E_10 + E_20} holds the identity and the weight
+    # projections and commutes with U_1, but (E_10 + E_20)(E_01 + E_02) = E_11 + E_12 + E_21 + E_22 leaves it
+    p = classical_char2(2)
+    fake = _units(p.field, 4, [(0, 0)], [(3, 3)], [(1, 1), (2, 2)], [(0, 1), (0, 2)], [(1, 0), (2, 0)])
     monkeypatch.setattr(tensor_action, "commutant_basis", lambda gens, progress=None: fake)
     rep = double_centralizer_report(p)
     assert rep["commutant_dim"] == 5 and not rep["commutant_closed_under_product"]
+    # its double commutant diag(a + b, [[a, b], [b, a]], c) holds span{1, U_1} and one more dimension
+    assert (rep["tl_image_dim"], rep["double_commutant_dim"]) == (2, 3)
+    assert not rep["tl_image_equals_double_commutant"]
+
+
+def test_report_rejects_a_commutant_that_does_not_commute_with_the_tl_image(monkeypatch):
+    # E_12 U_1 != U_1 E_12 over GF(2): the double commutant of this span misses U_1
+    p = classical_char2(2)
+    fake = _units(p.field, 4, [(0, 0)], [(3, 3)], [(1, 1), (2, 2)], [(1, 2)], [(2, 1)])
+    monkeypatch.setattr(tensor_action, "commutant_basis", lambda gens, progress=None: fake)
+    with pytest.raises(CertificationError, match="is not in the span of the basis"):
+        double_centralizer_report(p)
+
+
+@pytest.mark.parametrize("make", [gf3_u1, gf7_u3], ids=["gf3-u1", "gf7-u3"])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_report_away_from_the_blessed_configs(make, d):
+    rep = double_centralizer_report(make(d))
+    assert rep["tl_image_dim"] == rep["double_commutant_dim"] == catalan(d)
+    assert rep["commutant_dim"] == comb(d + 3, 3)
+    assert rep["tl_image_equals_double_commutant"] and rep["commutant_closed_under_product"]
+
+
+def test_closure_certificates_survive_optimized_mode(run_optimized):
+    # inside span{1}, which misses U_1 = 1 U_1; inside all weight-diagonal entries but one
+    # diagonal entry, which misses the identity; inside span{1, U_1, U_2}, which U_1 U_2 leaves
+    code = (
+        "from math import comb\n"
+        "from tlschur.hecke import quantum_ell2\n"
+        "from tlschur.linalg import Matrix, flatten, reduced_basis\n"
+        "from tlschur.tensor_action import CertificationError, _weight_diagonal, algebra_closure_dim, tl_action\n"
+        "p = quantum_ell2(3)\n"
+        "gens = [tl_action(p, s) for s in (1, 2)]\n"
+        "one = Matrix.identity(p.field, 8)\n"
+        "wd = lambda mats: reduced_basis(flatten(mats).select_columns(_weight_diagonal(8)))\n"
+        "entries = Matrix.identity(p.field, comb(6, 3))\n"
+        "for basis in (wd([one]), entries.select_rows(range(1, 20)), wd([one, *gens])):\n"
+        "    try:\n"
+        "        print(algebra_closure_dim(gens, basis))\n"
+        "    except CertificationError as e:\n"
+        "        print(__debug__, 'raised:', '-'.join(str(e).split()[:3]))\n"
+    )
+    out = run_optimized(code)
+    assert out[:9] == ["False", "raised:", "a-product-of"] + ["False", "raised:", "the-identity-is"] + [
+        "False",
+        "raised:",
+        "a-product-of",
+    ], out[-1]
+
+
+def test_closure_rejects_a_basis_that_is_not_reduced():
+    p = quantum_ell2(2)
+    entries = Matrix.identity(p.field, 6)
+    doubled = Matrix.vstack([entries, entries.select_rows([5])])
+    for basis in (doubled, entries.scale(2)):
+        with pytest.raises(CertificationError, match="not reduced"):
+            algebra_closure_dim([tl_action(p, 1)], basis)
 
 
 def _check_closed_span(gens, span):
@@ -517,7 +580,8 @@ def _check_closed_span(gens, span):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_tl_image_dimension(make, d):
     gens = [tl_action(make(d), s) for s in range(1, d)]
-    dim, span = algebra_closure_dim(gens)
+    # inside the basis of all weight-diagonal entries, the span is on those entries themselves
+    dim, span = algebra_closure_dim(gens, Matrix.identity(gens[0].field, comb(2 * d, d)))
     assert dim == span.dim == catalan(d)
     _check_closed_span(gens, span)
 
@@ -529,7 +593,7 @@ def test_closure_of_one_nonsymmetric_generator(make):
     p = make(3)
     g = hecke_action(p, 1) @ hecke_action(p, 2)
     assert g != g.transpose()
-    dim, span = algebra_closure_dim([g])
+    dim, span = algebra_closure_dim([g], Matrix.identity(p.field, comb(6, 3)))
     powers = [Matrix.identity(p.field, 8)]
     for _ in range(8):
         powers.append(powers[-1] @ g)
@@ -539,7 +603,7 @@ def test_closure_of_one_nonsymmetric_generator(make):
 
 def test_closure_needs_a_generator():
     with pytest.raises(ValueError, match="need at least one generator"):
-        algebra_closure_dim([])
+        algebra_closure_dim([], Matrix.identity(GF(2), 1))
     with pytest.raises(ValueError, match="need at least one generator"):
         double_centralizer_report(HeckeParams(1, GF(2), 1))
 
