@@ -2,19 +2,16 @@
 
 Times gf2_rref, gf2_matmul, gfp_rref and gfp_charpoly on random inputs of
 the requested sizes and prints one best-of time per (kernel, size).  Fixed
-cases follow.  The first two are gfp_rref on d=5 End(Q) intertwiner systems
-over GF(5), sparse systems whose fill-in random dense squares do not show:
+cases follow.  The first is gfp_rref on the d=5 End(Q) intertwiner system
+over GF(5), a sparse system whose fill-in random dense squares do not show:
+the dense 2048x1024 system a (x) I - I (x) a^T on all 32^2 unknowns.  The
+oracle no longer solves it (hom spaces are solved through a presentation by
+a few basis words); it stays as an anchor for the dense kernel.
 
-* the dense 2048x1024 system a (x) I - I (x) a^T on all 32^2 unknowns.  The
-  oracle no longer solves it (hom_space solves per weight); it stays as an
-  anchor for the dense kernel.
-* the weight-graded system that hom_space(Q, Q) solves, on Q's own basis of
-  words and its weight parts: only the C(10, 5) = 252 entries between words
-  of one weight are unknowns, in one gfp_rref.
-
-The next ones time the layer above the kernels, the build of the d=5
-double-commutant system (2324x252, one call on the six weight classes) by
-tensor_action.intertwiner_system, for both blessed configs.  The next ones
+The next ones time the layer above the kernels, tensor_action.presented_hom
+at d=5 and d=6 for both blessed configs: the double commutant (the
+commutant acting on both sides of V^(tensor d)) and End(Q) (the actions of
+S(2, d) on Q), each solved from its words and their relations.  The next ones
 time the whole commutant_basis at d=5 and d=6 for both blessed configs: one
 stabiliser system per weight pair, each map extended along a tree and
 certified.  The next ones time, at d=5 and d=6 for both blessed configs,
@@ -46,12 +43,10 @@ from tlschur import _kernels as K
 from tlschur.linalg import Matrix
 from tlschur.oracle import _check_module_maps, _split_end, _tensor_end, hom_space
 from tlschur.tensor_action import (
-    _weight_diagonal,
     algebra_closure_dim,
     commutant_basis,
     hecke_generator_matrices,
-    intertwiner_rows,
-    intertwiner_system,
+    presented_hom,
     structure_constants,
     tl_generator_matrices,
     weight_classes,
@@ -75,19 +70,12 @@ def endq_system() -> np.ndarray:
     return Matrix.vstack([a.kron(eye) - eye.kron(a.transpose()) for a in acts]).dense()
 
 
-def graded_endq_system() -> np.ndarray:
-    """The weight-graded End(Q) system that hom_space(Q, Q) solves, d=5, gf5-u2, in its narrow integer type."""
-    q = tensor_module(schur_algebra(BLESSED_CONFIGS["gf5-u2"](5)))
-    acts, parts = q.generator_actions(), q.weight_parts()
-    system, _ = intertwiner_system(acts, acts, parts, parts)
-    return system
-
-
-def double_commutant_input(config: str) -> tuple:
-    """intertwiner_system arguments of the d=5 double commutant."""
-    classes = weight_classes(32)
-    comm = schur_algebra(BLESSED_CONFIGS[config](5)).basis
-    return comm, comm, classes, classes
+def presented_inputs(config: str, d: int) -> dict:
+    """presented_hom arguments of the double commutant and of End(Q) at degree d."""
+    classes = weight_classes(1 << d)
+    q = tensor_module(schur_algebra(BLESSED_CONFIGS[config](d)))
+    comm, parts = q.algebra.basis, q.weight_parts()
+    return {"double commutant": (comm, comm, classes, classes), "End(Q)": (q.actions, q.actions, parts, parts)}
 
 
 def tensor_with_end(config: str, d: int):
@@ -132,20 +120,15 @@ def main():
         bench_case(f"gfp_charpoly p={p} {m}x{m}", lambda: (square.copy(), p), K.gfp_charpoly, args.repeats)
     )
 
-    for label, system in (("End(Q)", endq_system()), ("graded End(Q)", graded_endq_system().astype(np.int64) % 5)):
-        rows.append(
-            bench_case(
-                f"gfp_rref p=5 {label} d=5 {system.shape[0]}x{system.shape[1]}",
-                lambda: (system.copy(), 5),
-                K.gfp_rref,
-                args.repeats,
-            )
-        )
+    system = endq_system()
+    label = f"gfp_rref p=5 End(Q) d=5 {system.shape[0]}x{system.shape[1]}"
+    rows.append(bench_case(label, lambda: (system.copy(), 5), K.gfp_rref, args.repeats))
 
     for config in BLESSED_CONFIGS:
-        system_args = double_commutant_input(config)
-        label = f"intertwiner_system {config} double commutant d=5"
-        rows.append(bench_case(label, lambda: system_args, intertwiner_system, args.repeats))
+        for d in (5, 6):
+            for case, solve_args in presented_inputs(config, d).items():
+                label = f"presented_hom {config} {case} d={d}"
+                rows.append(bench_case(label, lambda: solve_args, presented_hom, args.repeats))
 
     for config, make in BLESSED_CONFIGS.items():
         for d in (5, 6):
@@ -155,7 +138,7 @@ def main():
     for config, make in BLESSED_CONFIGS.items():
         for d in (5, 6):
             comm, classes = commutant_basis(hecke_generator_matrices(make(d))), weight_classes(1 << d)
-            comm2 = intertwiner_rows(comm, comm, classes, classes).select_columns(_weight_diagonal(1 << d))
+            comm2, _ = presented_hom(comm, comm, classes, classes)
             closure = (tl_generator_matrices(make(d)), comm2)
             label = f"algebra_closure_dim {config} d={d} in {comm2.nrows} coordinates"
             rows.append(bench_case(label, lambda: closure, algebra_closure_dim, args.repeats))

@@ -13,17 +13,16 @@ a block reduced, so all products of the elements of (a, b) with those of
 certified by multiplying back.  End(Q) has no structure constants: its
 elements, idempotents and certificates are matrices on Q.
 
-Intertwiner and hom systems are solved per weight.  The commutant is solved
-one pair of weight spaces of V^(tensor d) at a time (tensor_action).  The
-weight idempotents e_a, stored as coordinate rows whose matrices are
-certified orthogonal with sum 1, split every module into weight spaces
-M e_a.  Every module built here has a basis of weight vectors, whose parts
-M e_a are read off the actions of the e_a (ExplicitModule.weight_parts), and
-a module map sends M e_a into N e_a, so hom_space takes only the entries
-between basis vectors of one weight as unknowns.  Every basis equals the one
-the full system would give.  A hom space is a Matrix with one row-major
-flattened map per row, and every one is certified: all its maps commute with
-the actions of elements that generate the algebra with 1 (_check_module_maps).
+Hom spaces are solved per weight.  The commutant is solved one pair of
+weight spaces of V^(tensor d) at a time (tensor_action).  The weight
+idempotents e_a, stored as coordinate rows whose matrices are certified
+orthogonal with sum 1, split every module into weight spaces M e_a, read
+off their actions on a basis of weight vectors (weight_parts).  hom_space
+presents M by a few basis words and solves for their images
+(presented_hom), the basis the full intertwiner system would give.  A hom
+space is a Matrix with one row-major flattened map per row, and every one
+is certified: all its maps commute with the actions of elements that
+generate the algebra with 1 (_check_module_maps).
 
 relative_domdim iterates minimal left approximations into add(Q) for Q the
 tensor module.  End(Q) is split once, with no random draws, through its
@@ -73,7 +72,7 @@ from .tensor_action import (
     element_action,
     hecke_action,
     hecke_generator_matrices,
-    intertwiner_rows,
+    presented_hom,
     structure_constants,
     tl_action,
     weight_projections,
@@ -92,7 +91,7 @@ class ExplicitAlgebra:
     basis holds faithful matrices (the commutant realization); structure is
     the array c with b_i b_j = sum_k c[i,j,k] b_k; unit is the coordinate
     row of the identity; gen_rows holds coordinate rows of a few elements
-    that generate the algebra with 1 (used to shrink intertwiner systems);
+    that generate the algebra with 1 (for certificates and closures);
     idempotents holds the coordinate rows of the weight idempotents e_a,
     orthogonal and summing to 1, which split every module into weight spaces
     and act on a basis of weight vectors as 0/1 diagonals (weight_parts).
@@ -133,7 +132,7 @@ def _check_idempotents(mats: list[Matrix]) -> None:
 def _generator_rows(field, structure, unit: tuple) -> Matrix:
     """Few coordinate rows that generate the algebra together with 1.
 
-    Every intertwiner system downstream stacks one block per generator, so
+    Every certificate and closure downstream multiplies by each generator, so
     small sets matter.  Random combinations beat any basis subset: a single
     generic element separates many weight idempotents at once, while echelon
     basis elements do not.  Random sets of increasing size are tried and
@@ -271,23 +270,25 @@ def _check_module_maps(maps: Matrix, left: list[Matrix], right: list[Matrix], fa
 
 
 def hom_space(m: ExplicitModule, n: ExplicitModule) -> Matrix:
-    """Certified basis of module maps m -> n, one row-major flattened map per row, solved weight space by weight space.
+    """Certified basis of module maps m -> n, one row-major flattened map per row, solved through words of m.
 
-    A module map commutes with the weight idempotents, so it sends each
-    weight space M e_a into N e_a: on the bases of weight vectors of both
-    modules (ExplicitModule.weight_parts) only the entries between indices
-    of one weight are unknowns of the generator intertwiner system
-    (intertwiner_rows).  Its basis is the one kernel_from_rref gives for the
-    full system.  Every map is certified to commute with the generator
-    actions of both modules (_check_module_maps).
+    A module map sends each weight space M e_a into N e_a, on the bases of
+    weight vectors of both modules (ExplicitModule.weight_parts).  The maps
+    are solved from the actions of the algebra's basis through a few basis
+    words of m and their relations (presented_hom), whose completeness the
+    words' rank certifies; the basis is the one kernel_from_rref gives for
+    the full intertwiner system.  Every map is certified to commute with the
+    generator actions of both modules (_check_module_maps).
     """
     if n.algebra is not m.algebra:
         raise ValueError("hom_space needs two modules over the same algebra")
     if m.dim == 0 or n.dim == 0:
         return Matrix.zeros(m.algebra.field, 0, m.dim * n.dim)
-    left, right = m.generator_actions(), n.generator_actions()
-    maps = intertwiner_rows(left, right, m.weight_parts(), n.weight_parts())
-    _check_module_maps(maps, left, right, "a solved map is not a module map")
+    maps, coords = presented_hom(m.actions, n.actions, m.weight_parts(), n.weight_parts())
+    flat = np.zeros((maps.nrows, m.dim * n.dim), dtype=np.int64)
+    flat[:, coords] = maps.dense()
+    maps = Matrix.from_dense(m.algebra.field, flat)
+    _check_module_maps(maps, m.generator_actions(), n.generator_actions(), "a solved map is not a module map")
     return maps
 
 

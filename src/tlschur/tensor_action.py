@@ -16,8 +16,8 @@ acts as zero.
 Every T_s preserves the weight of a word (its number of letters 2), so
 V^(tensor d) is the direct sum of its weight spaces V_a, spanned by the
 words reached from 1^(d-a) 2^a by swapping letters.  The commutant is solved
-per weight pair through that first word; the double commutant and hom spaces
-of modules are intertwiner systems on their weight-diagonal entries only.
+per weight pair through that first word; hom spaces, the double commutant
+among them, through a presentation of the source by a few basis words.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ from ._kernels import gfp_matmul
 from .hecke import HeckeElement, HeckeParams
 from .linalg import Matrix, RowSpace, kernel_from_rref, reduced_basis, unflatten
 from .permutations import Permutation
-
-# bytes of the row block intertwiner_rows copies into a Matrix at a time: int64 residues
-# over GF(p), 260 rows of 252 columns, and uint8 bits over GF(2), eight times as many
-_BLOCK_BYTES = 512 << 10
-
 
 def basis_word(d: int, n: int) -> tuple[int, ...]:
     """Word in {1,2} of length d encoded by index n, most significant letter first."""
@@ -123,6 +118,16 @@ def weight_projections(field, n: int) -> list[Matrix]:
     return [Matrix.from_dense(field, np.diag(wt == a)) for a in range(wt.max() + 1)]
 
 
+def _weight_blocks(mats: list[Matrix]):
+    """(a, b, the blocks (a, b) of the matrices, one flattened row-major per row) for every pair of weights."""
+    n = mats[0].nrows
+    order = np.argsort(_weights(n), kind="stable")
+    ends = np.cumsum([0] + [len(c) for c in weight_classes(n)])
+    dense = np.stack([m.dense() for m in mats])[:, order[:, None], order]  # rows and columns in weight order
+    for a, b in np.ndindex(len(ends) - 1, len(ends) - 1):
+        yield a, b, dense[:, ends[a] : ends[a + 1], ends[b] : ends[b + 1]].reshape(len(mats), -1)
+
+
 def structure_constants(basis: list[Matrix]):
     """Structure constants of a basis of matrices on V^(tensor d) like commutant_basis gives, block by block.
 
@@ -146,19 +151,10 @@ def structure_constants(basis: list[Matrix]):
     """
     f, n, dim = basis[0].field, basis[0].nrows, len(basis)
     p = f.p
-    order = np.argsort(_weights(n), kind="stable")
     sizes = [len(c) for c in weight_classes(n)]
-    ends = np.cumsum([0] + sizes)
-
-    def blocks(mats):  # (a, b, the flattened blocks (a, b) of the matrices), rows and columns in weight order
-        dense = np.stack([m.dense() for m in mats])[:, order][:, :, order]
-        for a in range(len(sizes)):
-            for b in range(len(sizes)):
-                yield a, b, dense[:, ends[a] : ends[a + 1], ends[b] : ends[b + 1]].reshape(len(mats), -1)
-
     members = {}  # (a, b) -> (indices, their blocks in float64, own columns)
     count = np.zeros(dim, dtype=np.int64)
-    for a, b, x in blocks(basis):
+    for a, b, x in _weight_blocks(basis):
         idx = np.flatnonzero(x.any(axis=1))
         count[idx] += 1
         if idx.size:
@@ -176,7 +172,7 @@ def structure_constants(basis: list[Matrix]):
         return y if np.array_equal(gfp_matmul(y, span, p), x) else None
 
     rows = np.zeros((1 + len(sizes), dim), dtype=np.int64)
-    for a, b, x in blocks([Matrix.identity(f, n), *weight_projections(f, n)]):
+    for a, b, x in _weight_blocks([Matrix.identity(f, n), *weight_projections(f, n)]):
         y = read(a, b, x)
         if y is None:
             raise CertificationError("the identity or a weight projection is not in the span of the basis")
@@ -218,100 +214,82 @@ def _check_weight_preserving(mats: list[Matrix]) -> None:
             raise CertificationError(f"generator {k} does not preserve weight")
 
 
-def intertwiner_system(left: list[Matrix], right: list[Matrix], row_parts, col_parts):
-    """The linear system of a @ X == X @ b over every pair (a, b), and its unknowns.
+def presented_hom(left: list[Matrix], right: list[Matrix], row_parts, col_parts, progress=None):
+    """Basis of the module maps X: M -> N, solved through a presentation of M by a few of its basis words.
 
-    Uses the row-major vectorization: vec(a X - X b) = (a kron I - I kron
-    b^T) vec(X).  X is block diagonal: its k-th block has rows row_parts[k]
-    and columns col_parts[k], any index sets, and only those entries are
-    unknowns ([range(m)], [range(n)] makes every entry one).  Output block
-    (k, l) of a X - X b is a_kl X_l - X_k b_kl.
-    Each side is stacked once in part order, so a_kl and b_kl are slices;
-    one support test keeps the blocks with rows where either is nonzero,
-    by pair, then k, then l.  a_kl kron I and I kron b_kl^T are never
-    formed: the entries of a_kl and b_kl are placed at their equations and
-    unknowns through broadcast indices.  An entry is one a_kl term minus
-    one b_kl term, in [-(p-1), p-1]: the stacks and the system are in the
-    narrowest signed type that holds it (int8 up to p = 127, int16 up to
-    32749), and entries are not reduced mod p.
-    Returns (system, coords): coords lists the row-major positions of the
-    unknowns in increasing order, one system column each; system is None
-    when no equation remains.  Raises ValueError unless left and right are
-    equally long and not empty, and the row and column parts are equally
-    many and partition their sides.
+    left[j], right[j] act on M and N as the j-th element a_j of a basis of an
+    algebra S; row_parts[b], col_parts[b] index M e_b and N e_b for
+    orthogonal idempotents e_b of S with sum 1 (0/1 diagonals on both bases).
+    Words w of M, largest part first and then by index, are kept while their
+    rows e_w a_j raise the rank of one RowSpace, until they span M
+    (CertificationError if they never do).  They present M: P1 -> sum_i
+    e_(a_i) S -> M -> 0, and Hom(-, N) is left exact with Hom(e_a S, N) =
+    N e_a, so the unknowns are the y_i = e_(w_i) X in N e_(a_i).  Per part b
+    with N e_b nonzero, the rows (i, j) nonzero on M e_b or on the block of
+    a_j from N e_(a_i) to N e_b give A_b, their entries on M e_b.  Its left
+    kernel holds the relations sum_r c_r y_(i_r) a_(j_r) e_b = 0 (zero rows
+    too, and every row where M e_b is empty), and a left inverse of A_b
+    gives X_b; both act word by word, at the word's own width.  Returns
+    (basis, coords): coords, increasing, are the row-major positions (i, j)
+    of an m x n map with i and j in one part, and basis is the reduced basis
+    of the maps on them, the one kernel_from_rref gives for the whole system
+    a X = X b (CertificationError if two solutions give one map).  The words
+    certify completeness only; the caller certifies that the maps commute.
+    ValueError on empty or unequal sides, or parts that do not partition them.
     """
     if not left or len(left) != len(right):
         raise ValueError(f"need as many right matrices as left ones, at least one; got {len(left)} and {len(right)}")
-    f = left[0].field
-    m, n = left[0].nrows, right[0].nrows
+    f, p, m, n = left[0].field, left[0].field.p, left[0].nrows, right[0].nrows
     if len(row_parts) != len(col_parts):
         raise ValueError("need as many row parts as column parts")
-    rsz, csz = (np.array([len(x) for x in parts], dtype=np.int64) for parts in (row_parts, col_parts))
-    ro, co = (np.array([i for x in parts for i in x], dtype=np.int64) for parts in (row_parts, col_parts))
-    if not (np.array_equal(np.sort(ro), np.arange(m)) and np.array_equal(np.sort(co), np.arange(n))):
-        raise ValueError(f"the row parts must partition range({m}) and the column parts range({n})")
-    r0, c0 = np.cumsum(rsz) - rsz, np.cumsum(csz) - csz
-    rs, cs = [slice(s, s + z) for s, z in zip(r0, rsz)], [slice(s, s + z) for s, z in zip(c0, csz)]
-    # the unknowns of each part, its rows times its columns, and their system columns
-    flat = [ro[r, None] * n + co[c] for r, c in zip(rs, cs)]
-    coords = np.sort(np.concatenate([x.ravel() for x in flat]))
-    unknowns = [np.searchsorted(coords, x) for x in flat]
-    dt = np.min_scalar_type(-(f.p - 1))
-
-    def stack(mats, order, starts, sizes):  # the matrices in part order, and where their blocks (k, l) are nonzero
-        x = np.stack([g.dense().astype(dt) for g in mats])[:, order[:, None], order]
-        full = np.flatnonzero(sizes)
-        live = np.zeros((len(mats), sizes.size, sizes.size), dtype=bool)
-        nonzero = np.logical_or.reduceat(x != 0, starts[full], axis=1)
-        live[:, full[:, None], full] = np.logical_or.reduceat(nonzero, starts[full], axis=2)
-        return x, live
-
-    a, a_live = stack(left, ro, r0, rsz)
-    b, b_live = stack(right, co, c0, csz)
-    height = rsz[:, None] * csz[None, :]
-    blocks = np.nonzero((a_live | b_live) & (height > 0))
-    if not blocks[0].size:
-        return None, coords
-    ends = np.cumsum(height[blocks[1:]])
-    system = np.zeros((ends[-1], coords.size), dtype=dt)
-    for g, k, l, end in zip(*blocks, ends):
-        eq = np.arange(end - height[k, l], end).reshape(rsz[k], csz[l], 1)  # equation (i, j) of the block
-        # a_kl kron I: a_kl[i, i'] at unknown (i', j) of X_l; then minus I kron b_kl^T: b_kl[j', j] at
-        # unknown (i, j') of X_k, which for k == l meets the first at i' = i, j' = j
-        system[eq, unknowns[l].T] = a[g, rs[k], rs[l]][:, None, :]
-        system[eq, unknowns[k][:, None, :]] -= b[g, cs[k], cs[l]].T
-    return system, coords
-
-
-def intertwiner_rows(left: list[Matrix], right: list[Matrix], row_parts, col_parts, progress=None) -> Matrix:
-    """Basis of the matrices X with a @ X == X @ b for every pair (a, b), flattened row-major.
-
-    The system and the parts are those of intertwiner_system.  Its rows go
-    into one RowSpace in blocks of _BLOCK_BYTES, so the narrow array is
-    never held whole as int64.  Once the span's kernel is smaller than the
-    span, only the rows of a block with rows @ kernel^T nonzero, the ones
-    outside the span, are inserted, and the kernel is read again after each
-    growth.  The rref of a span is unique, so the basis is the one
-    kernel_from_rref gives for the whole system, in the full flattening.
-    """
-    f = left[0].field
-    system, coords = intertwiner_system(left, right, row_parts, col_parts)
-    space, kernel = RowSpace(f, coords.size), None
-    if system is not None:
-        if progress:
-            progress(f"solving {system.shape[0]}x{system.shape[1]} kernel")
-        step = max(1, _BLOCK_BYTES // ((1 if f.p == 2 else 8) * coords.size))
-        for lo in range(0, system.shape[0], step):
-            rows = Matrix.from_dense(f, system[lo : lo + step])
-            if kernel is not None:  # inserting rows outside the span makes the kernel stale: release it first
-                keep = np.flatnonzero((rows @ kernel.transpose()).dense().any(axis=1))
-                rows, kernel = rows.select_rows(keep), None if keep.size else kernel
-            if rows.nrows and space.insert(rows) and 2 * space.dim > coords.size:
-                kernel = kernel_from_rref(space.basis, space.dim, space.pivots)
-    kernel = kernel_from_rref(space.basis, space.dim, space.pivots)
-    out = np.zeros((kernel.nrows, left[0].nrows * right[0].nrows), dtype=np.int64)
-    out[:, coords] = kernel.dense()
-    return Matrix.from_dense(f, out)
+    rows, cols = ([np.asarray(x, dtype=np.int64).reshape(-1) for x in parts] for parts in (row_parts, col_parts))
+    for parts, size in ((rows, m), (cols, n)):
+        if not np.array_equal(np.sort(np.concatenate([np.zeros(0, np.int64), *parts])), np.arange(size)):
+            raise ValueError(f"the row parts must partition range({m}) and the column parts range({n})")
+    # the actions, in the narrowest unsigned type that holds a residue
+    src, dst = (np.stack([g.dense().astype(np.min_scalar_type(p - 1)) for g in mats]) for mats in (left, right))
+    span, words = RowSpace(f, m), []
+    for a in sorted(range(len(rows)), key=lambda a: -rows[a].size):  # stable: equal sizes by part
+        for w in rows[a]:
+            if span.dim < m and span.insert(Matrix.from_dense(f, src[:, w])):
+                words.append((w, a))
+    if span.dim < m:
+        raise CertificationError("the basis words do not generate the source module")
+    starts = np.cumsum([0] + [cols[a].size for _, a in words])  # the columns of each y_i
+    targets = []  # per part b with N e_b nonzero: its indices, and each word's live rows and their blocks
+    for mb, nb in zip(rows, cols):
+        if nb.size:
+            blocks = [dst[:, cols[a]][:, :, nb] for _, a in words]
+            live = [np.flatnonzero(src[:, w][:, mb].any(1) | x.any((1, 2))) for (w, _), x in zip(words, blocks)]
+            targets.append((mb, nb, live, [x[j] for x, j in zip(blocks, live)]))
+    if progress:
+        eqs = sum((sum(map(len, live)) - mb.size) * nb.size for mb, nb, live, _ in targets)
+        progress(f"solving {eqs}x{starts[-1]} kernel on {len(words)} words")
+    space, readouts = RowSpace(f, int(starts[-1])), []
+    for mb, nb, live, blocks in targets:
+        a_b = np.concatenate([np.zeros((0, mb.size), np.int64)] + [src[j, w][:, mb] for (w, _), j in zip(words, live)])
+        R, _, piv = Matrix.hstack([Matrix.from_dense(f, a_b.T), Matrix.identity(f, mb.size)]).rref()
+        left_inverse = np.zeros((mb.size, len(a_b)), np.int64)  # E A_b^T = R with R = 1 at the pivots P:
+        left_inverse[:, list(piv)] = R.dense()[:, len(a_b) :].T  # A_b[P]^(-1) = E^T
+        rels = kernel_from_rref(R.select_columns(range(len(a_b))), mb.size, piv).dense()
+        coef, cuts = np.concatenate([rels, left_inverse]), np.cumsum([0] + [len(j) for j in live])
+        z = np.zeros((len(coef), nb.size, starts[-1]), src.dtype)  # rows: the relations, then X_b's rows
+        for i, x in enumerate(blocks):  # word i: the coefficients on its rows times their blocks
+            _, k, l = x.shape
+            y = gfp_matmul(coef[:, cuts[i] : cuts[i + 1]], x.reshape(len(x), k * l), p)
+            z[:, :, starts[i] : starts[i + 1]] = y.reshape(len(coef), k, l).transpose(0, 2, 1)
+        z, cut = z.reshape(len(coef) * nb.size, starts[-1]), len(rels) * nb.size
+        space.insert(Matrix.from_dense(f, z[:cut]))
+        readouts.append(z[cut:])
+    ys = kernel_from_rref(space.basis, space.dim, space.pivots).dense()
+    coords = np.sort(np.concatenate([(r[:, None] * n + c).ravel() for r, c in zip(rows, cols)]))
+    out = np.zeros((len(ys), coords.size), dtype=np.int64)
+    for (mb, nb, _, _), x in zip(targets, readouts):
+        out[:, np.searchsorted(coords, (mb[:, None] * n + nb).ravel())] = gfp_matmul(ys, x.T, p)
+    basis = reduced_basis(Matrix.from_dense(f, out))
+    if basis.nrows < len(ys):
+        raise CertificationError("two solutions give the same map")
+    return basis, coords
 
 
 def _ascent_tree(blocks: np.ndarray, a: int) -> list[tuple[int, int, int]]:
@@ -424,27 +402,42 @@ def algebra_closure_dim(generators: list[Matrix], basis: Matrix) -> tuple[int, R
     return span.dim, span
 
 
+def _commuting_maps(maps: Matrix, members: list[Matrix]) -> Matrix:
+    """Reduced basis of the combinations of maps, rows on _weight_diagonal, that commute with every member.
+
+    Each member g lies on one weight block (a, c) (certified by
+    structure_constants), where g X - X g is g_ac X_c - X_a g_ac.  Block by
+    block, the combinations whose residuals vanish (their left kernel) replace
+    the maps.  Returns maps itself when every residual vanishes.
+    """
+    f, n, kept = maps.field, members[0].nrows, maps
+    diag = [np.searchsorted(_weight_diagonal(n), n * np.array(c)[:, None] + c) for c in weight_classes(n)]  # X_a
+    for a, c, g in _weight_blocks(members):
+        x, k, na, nc = kept.dense(), kept.nrows, len(diag[a]), len(diag[c])
+        g = g[g.any(axis=1)].reshape(-1, na, nc)
+        gx = gfp_matmul(g.reshape(-1, nc), x[:, diag[c]].transpose(1, 0, 2).reshape(nc, -1), f.p)
+        xg = gfp_matmul(x[:, diag[a]].reshape(-1, na), g.transpose(1, 0, 2).reshape(na, -1), f.p)
+        res = gx.reshape(-1, na, k, nc).transpose(2, 0, 1, 3) - xg.reshape(k, na, -1, nc).transpose(0, 2, 1, 3)
+        if res.any():
+            kept = Matrix.from_dense(f, res.reshape(k, -1)).transpose().kernel_basis_matrix() @ kept
+    return maps if kept is maps else reduced_basis(kept)
+
+
 def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
     """Compare the TL action image with the double commutant on V^(tensor d).
 
-    The double commutant is solved on the weight-diagonal entries, as it
-    commutes with the weight projections (certified by structure_constants).
-    The TL image is closed inside it, which certifies the inclusion, so the
-    two are equal iff their dimensions are.  Returns a JSON-friendly report
-    of the three dimensions and the two verdicts.
+    The commutant's structure constants come first, certifying what the solve
+    rests on; a product outside its span means it is not closed.  The double
+    commutant is solved with the commutant acting on both sides
+    (presented_hom), restricted to the maps that commute with every member
+    (_commuting_maps).  The TL image is closed inside it, which certifies the
+    inclusion, so the two are equal iff their dimensions are.  Returns a
+    JSON-friendly report of the three dimensions and the two verdicts.
     """
-    d, n, classes = params.d, 1 << params.d, weight_classes(1 << params.d)
+    d, classes = params.d, weight_classes(1 << params.d)
     if progress:
         progress("commutant of the TL action")
     comm = commutant_basis(hecke_generator_matrices(params), progress=progress)
-    if progress:
-        progress("double commutant")
-    comm2 = intertwiner_rows(comm, comm, classes, classes, progress=progress)
-    if progress:
-        progress("closing TL image")
-    tl_dim, _ = algebra_closure_dim(tl_generator_matrices(params), comm2.select_columns(_weight_diagonal(n)))
-    # the commutant's multiplication table, block by block: a weight projection outside its
-    # span raises, and a product outside it means the commutant is not closed
     try:
         structure_constants(comm)
         closed = True
@@ -452,6 +445,12 @@ def double_centralizer_report(params: HeckeParams, progress=None) -> dict:
         raise
     except RuntimeError:
         closed = False
+    if progress:
+        progress("double commutant")
+    comm2 = _commuting_maps(presented_hom(comm, comm, classes, classes, progress=progress)[0], comm)
+    if progress:
+        progress("closing TL image")
+    tl_dim, _ = algebra_closure_dim(tl_generator_matrices(params), comm2)
     return {
         "d": d,
         "field": params.field.name,

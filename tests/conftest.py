@@ -180,9 +180,8 @@ def solved_structure_constants():
 def wide_intertwiner_system():
     """The int64 build of a X = X b on block-diagonal unknowns, one equation block per nonzero pair of blocks.
 
-    The reference for tensor_action.intertwiner_system, which builds the same
-    dense array in a narrow integer type; returns the reduced Matrix, or None
-    when no equation remains.
+    The whole system that tensor_action.presented_hom never forms; returns
+    the reduced Matrix, or None when no equation remains.
     """
 
     def build(left, right, row_parts, col_parts):
@@ -206,6 +205,19 @@ def wide_intertwiner_system():
         return Matrix.from_dense(f, np.concatenate(blocks)) if blocks else None
 
     return build
+
+
+@pytest.fixture(scope="session")
+def wide_kernel(wide_intertwiner_system):
+    """The kernel of wide_intertwiner_system on its unknowns: the basis presented_hom must give bit for bit."""
+
+    def kernel(left, right, row_parts, col_parts):
+        system = wide_intertwiner_system(left, right, row_parts, col_parts)
+        if system is None:
+            return Matrix.identity(left[0].field, sum(len(r) * len(c) for r, c in zip(row_parts, col_parts)))
+        return system.kernel_basis_matrix()
+
+    return kernel
 
 
 @pytest.fixture

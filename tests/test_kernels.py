@@ -228,12 +228,11 @@ def test_gfp_rref_blocked_rank_deficient(p):
 
 
 @pytest.mark.parametrize("p", BLOCKED_PRIMES)
-def test_gfp_rref_blocked_intertwiner_system(p):
-    # the sparse commutant system a (x) I - I (x) a^T of the d=3 Hecke generators
-    f = GF(p)
-    gens = hecke_generator_matrices(HeckeParams(3, f, 2))
-    eye = Matrix.identity(f, gens[0].nrows)
-    system = Matrix.vstack([a.kron(eye) - eye.kron(a.transpose()) for a in gens])
+def test_gfp_rref_blocked_intertwiner_system(p, wide_intertwiner_system):
+    # the sparse commutant system a (x) I - I (x) a^T of the d=3 Hecke generators, on all 64 unknowns
+    gens = hecke_generator_matrices(HeckeParams(3, GF(p), 2))
+    system = wide_intertwiner_system(gens, gens, [range(8)], [range(8)])
+    assert system.nrows == 2 * 64
     _check_blocked_rref(system.dense().copy(), p)
 
 

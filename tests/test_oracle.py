@@ -383,21 +383,44 @@ def test_hom_space_checks_its_inputs():
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 def test_corrupted_solve_fails_the_certificate(make, monkeypatch):
-    # every solved endomorphism of Q also sends the first word of weight 1 to the top
-    # word 11: End(Q) at d = 2 stays local, and the regular verdict comes out as 1, not
-    # 2, unless the solved maps themselves are certified
-    solve = oracle.intertwiner_rows
+    # every solved endomorphism of Q also gets 1 on the diagonal at the first word of weight
+    # 1: the maps stay on the entries between words of one weight, so only the certificate
+    # that they commute with the generator actions sees it
+    solve = oracle.presented_hom
 
     def corrupted(left, right, row_parts, col_parts):
-        ys = solve(left, right, row_parts, col_parts)
-        dense = ys.dense().astype(np.int64)
-        dense[:, row_parts[1][0] * right[0].nrows + col_parts[0][0]] += 1
-        return Matrix.from_dense(ys.field, dense)
+        maps, coords = solve(left, right, row_parts, col_parts)
+        dense = maps.dense().astype(np.int64)
+        dense[:, np.searchsorted(coords, row_parts[1][0] * right[0].nrows + col_parts[1][0])] += 1
+        return Matrix.from_dense(maps.field, dense), coords
 
     alg = schur_algebra(make(2))
-    monkeypatch.setattr(oracle, "intertwiner_rows", corrupted)
+    monkeypatch.setattr(oracle, "presented_hom", corrupted)
     with pytest.raises(CertificationError, match="not a module map"):
         relative_domdim(regular_module(alg), tensor_module(alg))
+
+
+@pytest.mark.parametrize(
+    "make, d",
+    [pytest.param(make, d, id=f"{cid}-d{d}") for make, cid in zip(GRADED + [gf3_u1], GRADED_IDS + ["gf3-u1"]) for d in (2, 3, 4, 5)],
+)
+def test_presented_hom_matches_the_wide_system(make, d, wide_kernel):
+    # Q -> Q, A -> Q, and the standard modules to and from Q: the solver's maps are the kernel
+    # of the whole intertwiner system of the generator actions, bit for bit.  Delta(0) at d = 4
+    # lies in weight 2 alone, so into every other weight of Q all its rows are relations, zero
+    # rows included; a solver that drops either gives maps that fail the certificate
+    params = make(d)
+    alg = schur_algebra(params)
+    q = tensor_module(alg)
+    cases = [(q, q), (regular_module(alg), q)]
+    for m in range(d % 2, d + 1, 2):
+        delta = standard_module(params, m, algebra=alg)
+        cases += [(delta, q), (q, delta)]
+    for src, dst in cases:
+        maps, coords = oracle.presented_hom(src.actions, dst.actions, src.weight_parts(), dst.weight_parts())
+        want = wide_kernel(src.generator_actions(), dst.generator_actions(), src.weight_parts(), dst.weight_parts())
+        assert maps == want, (src.label, dst.label)
+        assert hom_space(src, dst).select_columns(coords.tolist()) == maps
 
 
 def test_hom_space_is_a_matrix_of_flattened_maps():

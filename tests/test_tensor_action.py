@@ -12,8 +12,8 @@ from tlschur.fields import GF
 from tlschur.hecke import HeckeElement, HeckeParams, classical_char2, kernel_generator, quantum_ell2
 import tlschur
 from tlschur import linalg, tensor_action
-from tlschur.linalg import Matrix, RowSpace, flatten, unflatten
-from tlschur.oracle import schur_algebra, tensor_module
+from tlschur.linalg import Matrix, flatten, unflatten
+from tlschur.oracle import regular_module, schur_algebra, standard_module, tensor_module
 from tlschur.permutations import symmetric_group
 from tlschur.tensor_action import (
     CertificationError,
@@ -25,8 +25,7 @@ from tlschur.tensor_action import (
     hecke_action,
     hecke_generator_matrices,
     permutation_action,
-    intertwiner_rows,
-    intertwiner_system,
+    presented_hom,
     tl_action,
     weight_classes,
     word_index,
@@ -171,15 +170,15 @@ def test_commutant_dimension_and_closure(make, d, dense_intertwiners):
             assert g @ x == x @ g
 
 
-def _all_pairs_commutant(gens):
-    """The commutant solved on all (d + 1)^2 weight pairs, one intertwiner system each."""
+def _all_pairs_commutant(gens, wide_intertwiner_system):
+    """The commutant solved on all (d + 1)^2 weight pairs, one whole intertwiner system each."""
     f, n = gens[0].field, gens[0].nrows
     classes = weight_classes(n)
     restricted = [[g.select_rows(c).select_columns(c) for g in gens] for c in classes]
     rows = []
     for ia, ga in zip(classes, restricted):
         for ib, gb in zip(classes, restricted):
-            kernel = intertwiner_rows(ga, gb, [range(len(ia))], [range(len(ib))]).dense()
+            kernel = wide_intertwiner_system(ga, gb, [range(len(ia))], [range(len(ib))]).kernel_basis_matrix().dense()
             embedded = np.zeros((kernel.shape[0], n * n), dtype=np.int64)
             embedded[:, (np.array(ia)[:, None] * n + np.array(ib)[None, :]).ravel()] = kernel
             rows.append(embedded)
@@ -191,21 +190,21 @@ def _all_pairs_commutant(gens):
     [(make, 6) for make in CONFIGS] + [(make, d) for make in (gf3_u1, gf7_u3) for d in (2, 3, 4, 5)],
     ids=[f"{i}-d6" for i in IDS] + [f"{i}-d{d}" for i in ("gf3-u1", "gf7-u3") for d in (2, 3, 4, 5)],
 )
-def test_orbit_solve_matches_all_pairs(make, d):
+def test_orbit_solve_matches_all_pairs(make, d, wide_intertwiner_system):
     # each weight space is the orbit of its first word 1^(d-a) 2^a, and the solve through that
     # word reproduces the intertwiner systems of all (d + 1)^2 weight pairs bit for bit
     gens = hecke_generator_matrices(make(d))
     comm = commutant_basis(gens)
     assert len(comm) == comb(d + 3, 3)
-    assert comm == _all_pairs_commutant(gens)
+    assert comm == _all_pairs_commutant(gens, wide_intertwiner_system)
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_commutant_solves_one_system_per_weight_pair(make, d, monkeypatch):
     # one stabiliser system per weight pair (a, b) on the C(d, b) entries of the first word's row,
-    # none where V_a has no stabiliser of its first word (a = 1 at d = 2); no intertwiner system
-    monkeypatch.setattr(tensor_action, "intertwiner_rows", None)
+    # none where V_a has no stabiliser of its first word (a = 1 at d = 2); no hom space solve
+    monkeypatch.setattr(tensor_action, "presented_hom", None)
     solved = []
     kernel = Matrix.kernel_basis_matrix
     monkeypatch.setattr(Matrix, "kernel_basis_matrix", lambda self: solved.append(self.ncols) or kernel(self))
@@ -223,140 +222,123 @@ def test_double_commutant_matches_dense(make, d, dense_intertwiners):
     comm = commutant_basis(hecke_generator_matrices(make(d)))
     n = 1 << d
     classes = weight_classes(n)
-    graded = unflatten(intertwiner_rows(comm, comm, classes, classes), n, n)
+    maps, coords = presented_hom(comm, comm, classes, classes)
+    flat = np.zeros((maps.nrows, n * n), dtype=np.int64)
+    flat[:, coords] = maps.dense()
+    graded = unflatten(Matrix.from_dense(maps.field, flat), n, n)
     assert graded == dense_intertwiners(comm, comm)
     assert len(graded) == catalan(d)
 
 
 @pytest.mark.parametrize("make", GRADED, ids=GRADED_IDS)
-def test_streamed_kernel_matches_one_elimination(make, monkeypatch):
-    # the d=5 double-commutant and End(Q) systems exceed a 64 KiB block, so they are really
-    # split (the End(Q) system fits the default block when the algebra has two generators)
-    monkeypatch.setattr(tensor_action, "_BLOCK_BYTES", 64 << 10)
+def test_presented_kernel_matches_one_elimination(make, wide_kernel):
+    # the d=5 double commutant and End(Q): the first six words of weight 2 generate Q (five
+    # over GF(7)), so 6 x 10 = 60 unknowns where the whole system has 252; one elimination
+    # of the whole system gives the same basis, on the entries between words of one weight
+    line = "solving 158x50 kernel on 5 words" if make is gf7_u3 else "solving 240x60 kernel on 6 words"
     params = make(5)
-    f, n = params.field, 32
     comm = commutant_basis(hecke_generator_matrices(params))
-    classes = weight_classes(n)
+    classes = weight_classes(32)
     q = tensor_module(schur_algebra(params))
-    acts, parts = q.generator_actions(), q.weight_parts()
-    dims = []
-    insert = RowSpace.insert
-    monkeypatch.setattr(RowSpace, "insert", lambda self, rows: (insert(self, rows), dims.append(self.dim))[0])
-    for left, right, rows, cols in ((comm, comm, classes, classes), (acts, acts, parts, parts)):
-        system, coords = intertwiner_system(left, right, rows, cols)
-        step = (64 << 10) // ((1 if f.p == 2 else 8) * coords.size)
-        rank = Matrix.from_dense(f, system).rank()
-        dims.clear()
-        streamed = intertwiner_rows(left, right, rows, cols)
-        # several blocks, the span saturated before the last one, and no insert once it is
-        assert system.shape[0] > step
-        assert Matrix.from_dense(f, system[: (system.shape[0] - 1) // step * step]).rank() == rank
-        assert dims[-1] == rank and dims.count(rank) == 1
-        assert streamed.select_columns(coords.tolist()) == Matrix.from_dense(f, system).kernel_basis_matrix()
-        outside = np.setdiff1d(np.arange(n * n), coords)
-        assert streamed.select_columns(outside.tolist()).is_zero()
+    for left, right, parts in ((comm, comm, classes), (q.actions, q.actions, q.weight_parts())):
+        messages = []
+        maps, coords = presented_hom(left, right, parts, parts, progress=messages.append)
+        assert messages == [line]
+        assert coords.tolist() == tensor_action._weight_diagonal(32).tolist()
+        assert maps == linalg.reduced_basis(maps) == wide_kernel(left, right, parts, parts)
+        assert maps.nrows == catalan(5)
+
+
+def _triangular(p):
+    """Upper triangular 2 x 2 matrices over GF(p), basis e11, e12, e22, and three right modules.
+
+    Each module is its actions and its parts (the basis vectors where e11
+    and e22 act as 1): P = F^2, rows times the matrices, which is e11 S with
+    top S0 and socle S1, and the simple modules S0 and S1 (e11 and e22 act
+    as 1).  So Hom(S0, P) = Hom(P, S1) = 0 and Hom(S1, P) = Hom(P, S0) = 1.
+    """
+    f = GF(p)
+    units = [np.zeros((2, 2), dtype=np.int64) for _ in range(3)]
+    for u, (i, j) in zip(units, [(0, 0), (0, 1), (1, 1)]):
+        u[i, j] = 1
+    simple = [[Matrix.from_rows(f, [[int(k == i)]]) for i in range(3)] for k in (0, 2)]
+    return {
+        "P": ([Matrix.from_dense(f, u) for u in units], [[0], [1]]),
+        "S0": (simple[0], [[0], []]),
+        "S1": (simple[1], [[], [0]]),
+    }
 
 
 @pytest.mark.parametrize("p", [2, 5, 127, 131, 1009])
-def test_intertwiner_system_matches_int64_build(p, wide_intertwiner_system):
-    # entries 0 and p - 1 reach both ends of [-(p - 1), p - 1]; int8 gives way to int16 at p = 131
-    f = GF(p)
-    rng = random.Random(p)
-    pick = [0, 0, 1, p - 1, p - 1]
-
-    def rand(n):
-        return Matrix.from_rows(f, [[rng.choice(pick) for _ in range(n)] for _ in range(n)])
-
-    left, right = [rand(8), rand(8)], [rand(4), rand(4)]
-    for rows, cols in (([range(8)], [range(4)]), ([[0, 3], [1, 2, 4, 5], [6, 7]], [[0], [1, 2], [3]])):
-        system, coords = intertwiner_system(left, right, rows, cols)
-        wide = wide_intertwiner_system(left, right, [list(r) for r in rows], [list(c) for c in cols])
-        assert Matrix.from_dense(f, system) == wide
-        want_coords = sorted(i * 4 + j for r, c in zip(rows, cols) for i in r for j in c)
-        assert coords.tolist() == want_coords
-        assert system.dtype == (np.int8 if p < 128 else np.int16)
-        assert system.min() == -(p - 1) and system.max() == p - 1
-
-
-def _rand(f, n, rng, pick):
-    return Matrix.from_rows(f, [[rng.choice(pick) for _ in range(n)] for _ in range(n)])
-
-
-def _check_against_wide(left, right, rows, cols, wide_intertwiner_system):
-    f, n = left[0].field, right[0].nrows
-    system, coords = intertwiner_system(left, right, rows, cols)
-    wide = wide_intertwiner_system(left, right, [list(r) for r in rows], [list(c) for c in cols])
-    assert coords.dtype == np.int64
-    assert coords.tolist() == sorted(i * n + j for r, c in zip(rows, cols) for i in r for j in c)
-    if wide is None:
-        assert system is None
-    else:
-        assert system.dtype == (np.int8 if f.p < 128 else np.int16)
-        assert Matrix.from_dense(f, system) == wide and system.shape == (wide.nrows, wide.ncols)
-        assert system.min() >= -(f.p - 1) and system.max() <= f.p - 1
-    return system, coords
+def test_intertwiner_system_matches_int64_build(p, wide_kernel):
+    # End(Q), Hom(A, Q) and Hom(Q, A) of S(2, 3) over GF(p): the actions are held in the
+    # narrowest unsigned type that holds p - 1, uint8 here but for uint16 at p = 1009
+    params = HeckeParams(3, GF(p), 1 if p == 2 else 2)
+    alg = schur_algebra(params)
+    q, reg = tensor_module(alg), regular_module(alg)
+    for src, dst in ((q, q), (reg, q), (q, reg)):
+        maps, coords = presented_hom(src.actions, dst.actions, src.weight_parts(), dst.weight_parts())
+        want = wide_kernel(src.generator_actions(), dst.generator_actions(), src.weight_parts(), dst.weight_parts())
+        assert maps == want
+        assert coords.tolist() == sorted(
+            i * dst.dim + j for r, c in zip(src.weight_parts(), dst.weight_parts()) for i in r for j in c
+        )
 
 
 @pytest.mark.parametrize("p", [2, 5])
-def test_intertwiner_system_empty_parts(p, wide_intertwiner_system):
-    # an empty row part and an empty column part: their blocks have no unknowns, and blocks
-    # with no rows give no equation even where the other side is nonzero
-    f, rng = GF(p), random.Random(p + 1)
-    left, right = [_rand(f, 6, rng, range(p)) for _ in range(2)], [_rand(f, 5, rng, range(p)) for _ in range(2)]
-    for rows, cols in (
-        ([[0, 3], [], [1, 2, 4, 5]], [[2], [0, 1], [3, 4]]),
-        ([[5, 1], [0, 2, 3, 4], []], [[], [4, 0], [1, 2, 3]]),
-        ([[], list(range(6))], [list(range(5)), []]),
-    ):
-        _check_against_wide(left, right, rows, cols, wide_intertwiner_system)
+def test_intertwiner_system_empty_parts(p, wide_kernel):
+    # a part of M e_b empty where N e_b is not: every row into weight b is a relation, a
+    # zero row of M included; skipping that weight, or those rows, would map S0 into P
+    mods = _triangular(p)
+    want = {("S0", "P"): 0, ("S1", "P"): 1, ("P", "S0"): 1, ("P", "S1"): 0, ("S0", "S1"): 0, ("S1", "S1"): 1}
+    for (a, b), dim in want.items():
+        (left, rows), (right, cols) = mods[a], mods[b]
+        maps, _ = presented_hom(left, right, rows, cols)
+        assert maps.nrows == dim, (a, b)
+        assert maps == wide_kernel(left, right, rows, cols)
 
 
 @pytest.mark.parametrize("p", [2, 5, 127, 131])
-def test_intertwiner_system_vanishing_pairs(p, wide_intertwiner_system):
-    # one pair vanishes on every block and gives no rows; the others vanish on some blocks,
-    # which give no rows either; entries 0 and p - 1 reach both ends of [-(p - 1), p - 1]
-    f, rng = GF(p), random.Random(p)
-    rows, cols = [[0, 4], [1, 5, 6], [2, 3]], [[3], [0, 2], [1, 4]]
-
-    def sparse(n, parts, live):  # nonzero only on the blocks (k, l) in live
-        x = np.zeros((n, n), dtype=np.int64)
-        for k, l in live:
-            x[np.ix_(parts[k], parts[l])] = [[rng.choice([0, 1, p - 1, p - 1]) for _ in parts[l]] for _ in parts[k]]
-        return Matrix.from_dense(f, x)
-
-    left = [sparse(7, rows, [(0, 1), (2, 2)]), Matrix.zeros(f, 7, 7), sparse(7, rows, [(1, 0)])]
-    right = [sparse(5, cols, [(0, 1)]), Matrix.zeros(f, 5, 5), sparse(5, cols, [(2, 2), (1, 2)])]
-    system, _ = _check_against_wide(left, right, rows, cols, wide_intertwiner_system)
-    # the live blocks (0, 1) and (2, 2), then (1, 0), (1, 2) and (2, 2): rows |rows_k| * |cols_l|
-    assert system.shape == (2 * 2 + 2 * 2 + 3 * 1 + 3 * 2 + 2 * 2, 2 * 1 + 3 * 2 + 2 * 2)
-    assert system.min() == -(p - 1) and system.max() == p - 1
-    _check_against_wide(left[1:2], right[1:2], rows, cols, wide_intertwiner_system)
-    assert intertwiner_system(left[1:2], right[1:2], [range(7)], [range(5)])[0] is None
+def test_intertwiner_system_vanishing_pairs(p):
+    # rows (word, basis element) that vanish on M e_b and on the block into N e_b give no
+    # relation: e12 and e22 kill S0, so End(S0) has no equation, and no row of S1's word
+    # reaches P e_0; Hom(S0, P) keeps the one zero row of e12, which reaches P e_1
+    mods = _triangular(p)
+    for (a, b), line in {
+        ("S0", "S0"): "solving 0x1 kernel on 1 words",
+        ("S1", "P"): "solving 0x1 kernel on 1 words",
+        ("S0", "P"): "solving 1x1 kernel on 1 words",
+        ("P", "P"): "solving 0x1 kernel on 1 words",
+    }.items():
+        messages = []
+        (left, rows), (right, cols) = mods[a], mods[b]
+        presented_hom(left, right, rows, cols, progress=messages.append)
+        assert messages == [line], (a, b)
 
 
 @pytest.mark.parametrize("p", [2, 127, 131])
-def test_intertwiner_system_sides_of_different_sizes(p, wide_intertwiner_system):
-    f, rng = GF(p), random.Random(3 * p)
-    pick = [0, 0, 1, p - 1]
-    for m, n, rows, cols in (
-        (3, 7, [[2, 0], [1]], [[6, 1, 3], [0, 2, 4, 5]]),
-        (9, 2, [[8, 0, 4], [1, 2, 3, 5, 6, 7]], [[1], [0]]),
-        (1, 4, [range(1)], [range(4)]),
-    ):
-        left, right = [_rand(f, m, rng, pick) for _ in range(3)], [_rand(f, n, rng, pick) for _ in range(3)]
-        _check_against_wide(left, right, rows, cols, wide_intertwiner_system)
-        _check_against_wide(left, right, [range(m)], [range(n)], wide_intertwiner_system)
+def test_intertwiner_system_sides_of_different_sizes(p, wide_kernel):
+    # the standard modules of S(2, 4) over GF(p), of dims 1, 3 and 5, to and from Q of dim 16
+    params = HeckeParams(4, GF(p), 1 if p == 2 else 3)
+    alg = schur_algebra(params)
+    q = tensor_module(alg)
+    for m in (0, 2, 4):
+        delta = standard_module(params, m, algebra=alg)
+        for src, dst in ((delta, q), (q, delta)):
+            maps, _ = presented_hom(src.actions, dst.actions, src.weight_parts(), dst.weight_parts())
+            want = wide_kernel(src.generator_actions(), dst.generator_actions(), src.weight_parts(), dst.weight_parts())
+            assert maps == want, (m, src.dim, dst.dim)
 
 
 def test_intertwiner_system_rejects_bad_input():
     f = GF(5)
     a, b = Matrix.identity(f, 3), Matrix.identity(f, 2)
     with pytest.raises(ValueError, match="as many right"):
-        intertwiner_system([a, a], [b], [range(3)], [range(2)])
+        presented_hom([a, a], [b], [range(3)], [range(2)])
     with pytest.raises(ValueError, match="at least one"):
-        intertwiner_system([], [], [], [])
+        presented_hom([], [], [], [])
     with pytest.raises(ValueError, match="as many row parts as column parts"):
-        intertwiner_system([a], [b], [[0], [1, 2]], [[0, 1]])
+        presented_hom([a], [b], [[0], [1, 2]], [[0, 1]])
     for rows, cols in (
         ([[0, 1], [1, 2]], [[0], [1]]),  # a repeated row
         ([[0], [1]], [[0], [1]]),  # a missing row
@@ -366,36 +348,45 @@ def test_intertwiner_system_rejects_bad_input():
         ([[0, 1, 2]], []),  # no column part
     ):
         with pytest.raises(ValueError, match="part"):
-            intertwiner_system([a], [b], rows, cols)
+            presented_hom([a], [b], rows, cols)
+    # the zero matrix is no basis of an algebra with 1: no word generates the source
+    with pytest.raises(CertificationError, match="do not generate the source"):
+        presented_hom([a.scale(0)], [b], [range(3)], [range(2)])
 
 
 def test_intertwiner_system_checks_survive_optimized_mode(run_optimized):
     code = (
         "from tlschur.fields import GF\n"
         "from tlschur.linalg import Matrix\n"
-        "from tlschur.tensor_action import intertwiner_system\n"
+        "from tlschur.tensor_action import CertificationError, presented_hom\n"
         "a, b = Matrix.identity(GF(5), 3), Matrix.identity(GF(5), 2)\n"
         "bad = (([a, a], [b], [range(3)], [range(2)]), ([], [], [], []),\n"
         "       ([a], [b], [[0], [1, 2]], [[0, 1]]), ([a], [b], [[0, 1], [1, 2]], [[0], [1]]))\n"
         "for args in bad:\n"
         "    try:\n"
-        "        print(intertwiner_system(*args))\n"
+        "        print(presented_hom(*args))\n"
         "    except ValueError:\n"
         "        print(__debug__, 'raised')\n"
+        "try:\n"
+        "    print(presented_hom([a.scale(0)], [b], [range(3)], [range(2)]))\n"
+        "except CertificationError as e:\n"
+        "    print(__debug__, 'raised:', '-'.join(str(e).split()[-3:]))\n"
     )
     out = run_optimized(code)
-    assert out[:8] == ["False", "raised"] * 4, out[-1]
+    assert out[:11] == ["False", "raised"] * 4 + ["False", "raised:", "the-source-module"], out[-1]
 
 
 @pytest.mark.parametrize("make", CONFIGS, ids=IDS)
 def test_double_commutant_system_shape(make):
-    # one equation block per commutant basis matrix (C(8, 3) = 56), on the weight block (a, b)
-    # it lives on: |V_a| |V_b| rows each, 2324 in all, on the C(10, 5) = 252 unknowns; a
-    # block where both sides vanish would add rows
+    # the d=5 double commutant: the first six words of weight 2, whose relations give 240
+    # equations on their 6 x 10 unknowns (the whole system has 2324 equations, one block
+    # per commutant member, on C(10, 5) = 252)
     comm = commutant_basis(hecke_generator_matrices(make(5)))
     classes = weight_classes(32)
-    system, coords = intertwiner_system(comm, comm, classes, classes)
-    assert system.shape == (2324, 252) and coords.size == 252
+    messages = []
+    maps, coords = presented_hom(comm, comm, classes, classes, progress=messages.append)
+    assert messages == ["solving 240x60 kernel on 6 words"]
+    assert maps.nrows == catalan(5) and coords.size == 252
 
 
 def test_weight_classes():
