@@ -352,6 +352,10 @@ def test_intertwiner_system_rejects_bad_input():
     # the zero matrix is no basis of an algebra with 1: no word generates the source
     with pytest.raises(CertificationError, match="do not generate the source"):
         presented_hom([a.scale(0)], [b], [range(3)], [range(2)])
+    # one element acting as 1 on M but as 0 on N: the word's image is free, and every image gives the zero map
+    one, zero = Matrix.identity(f, 1), Matrix.zeros(f, 1, 1)
+    with pytest.raises(CertificationError, match="two solutions give the same map"):
+        presented_hom([one], [zero], [[0]], [[0]])
 
 
 def test_intertwiner_system_checks_survive_optimized_mode(run_optimized):
